@@ -91,9 +91,3 @@ def constant_field(k: float, n: int) -> SmoothField:
         lambda x: np.zeros(n),
         lambda x: np.zeros((n, n)),
     )
-
-
-def poly_callable(terms: Sequence[Sequence[float]], n: int) -> Callable[[np.ndarray], float]:
-    """Value-only callable for a monomial table (coefficient fields c, f)."""
-    parsed = _check_terms(terms, n)
-    return lambda x: _poly_value(parsed, np.asarray(x, dtype=float))

@@ -58,12 +58,18 @@ class TestLemmaCheck:
 class TestSolveCommand:
     def test_bundled_heisenberg_instance(self, tmp_path):
         code = run(
-            "solve", "--config", str(CONFIGS / "heisenberg_trace.json"), "--out", str(tmp_path)
+            "solve",
+            "--config",
+            str(CONFIGS / "heisenberg_verify_lowc.json"),
+            "--out",
+            str(tmp_path),
         )
         assert code == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["converged"] is True
         assert report["final_residual"] <= 1e-6
+        assert report["method"] == "bicgstab"
+        assert report["nnz"] > 0 and report["assembly_s"] > 0.0
         csv_lines = (tmp_path / "solution.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "x1,x2,x3,value"
         assert len(csv_lines) == 16**3 + 1
@@ -83,7 +89,7 @@ class TestSolveCommand:
         assert run("solve", "--config", str(bad), "--out", str(tmp_path)) == 2
 
     def test_non_convergence_exit(self, tmp_path):
-        config = json.loads((CONFIGS / "heisenberg_trace.json").read_text())
+        config = json.loads((CONFIGS / "heisenberg_verify_lowc.json").read_text())
         config["solver"]["max_iters"] = 2
         path = tmp_path / "short.json"
         path.write_text(json.dumps(config))

@@ -1,7 +1,11 @@
-"""Unit tests for the directional scheme and the damped iteration."""
+"""Unit tests for the directional scheme, the BiCGSTAB solve of the trace kind
+and the damped explicit iteration of the Pucci kinds."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from carnotpde import (
@@ -20,7 +24,7 @@ from carnotpde import (
     trace_operator,
     two_box_sensitivity,
 )
-from carnotpde.errors import BoundaryStencilError, PreconditionError
+from carnotpde.errors import BoundaryStencilError, NumericalError, PreconditionError
 from carnotpde.solver import default_h_eff_cells
 
 HEIS = preset("heisenberg1")
@@ -198,6 +202,7 @@ class TestSolve:
         grid = Grid((-1, -1, -1), (1, 1, 1), (9, 9, 9))
         u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=lambda x: 0.0))
         assert rep.converged
+        assert rep.iterations == 0
         assert np.abs(u.values).max() == 0.0
 
     def test_manufactured_solution_recovered(self):
@@ -209,28 +214,30 @@ class TestSolve:
         assert np.abs(u.values - exact.values).max() <= 0.08
 
     def test_comparison_principle_exact(self):
-        # ordered starts stay ordered at every damped step, bitwise
+        # (a) T_int - diag(c) has nonnegative off-diagonals, a negative
+        # diagonal and strict row dominance: the M-matrix property that gives
+        # the discrete comparison principle
         spec, coeffs, grid, cfg, ustar = heisenberg_instance()
         op = DiscreteOperator(spec, coeffs, grid)
-        dt = 0.995 * op.cfl_bound
-        b = op.step_matrix(dt)
-        boundary = grid.boundary_mask()
-        coords = grid.coords()
-        base = np.zeros(grid.num_nodes)
-        for idx in np.nonzero(boundary)[0]:
-            base[idx] = ustar.value(coords[idx])
+        a = (op.trace_matrix()[:, op.interior] - sp.diags(op.c_vec)).toarray()
+        diag = np.diag(a).copy()
+        off = a - np.diag(diag)
+        assert off.min() >= 0.0
+        assert diag.max() < 0.0
+        assert np.all(-diag > off.sum(axis=1))
+        # (b) ordered data give ordered solutions: g1 <= g2 and f1 >= f2
+        u1, rep1 = solve(spec, coeffs, grid, cfg)
+        assert rep1.converged
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            lower = base.copy()
-            upper = base.copy()
-            noise = rng.normal(size=op.interior.size)
-            lower[op.interior] = noise
-            upper[op.interior] = noise + np.abs(rng.normal(size=op.interior.size))
-            assert np.all(upper[op.interior] >= lower[op.interior])
-            for _ in range(40):
-                lower[op.interior] = op.step(lower, dt, b=b)
-                upper[op.interior] = op.step(upper, dt, b=b)
-                assert np.all(upper[op.interior] >= lower[op.interior])
+        for _ in range(3):
+            dg, df = rng.uniform(0.0, 0.2, size=2)
+            k = rng.uniform(0.0, 3.0, size=3)
+            f2 = lambda x, df=df, k=k: coeffs.f(x) - df * (1.0 + np.sin(k @ x))
+            g2 = lambda x, dg=dg, k=k: ustar.value(x) + dg * (1.0 + np.cos(k @ x))
+            coeffs2 = replace(coeffs, f=f2, L_f=coeffs.L_f + df * np.linalg.norm(k))
+            u2, rep2 = solve(spec, coeffs2, grid, SolveConfig(boundary=g2))
+            assert rep2.converged
+            assert np.all(u1.values <= u2.values)
 
     def test_deterministic(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance()
@@ -253,13 +260,38 @@ class TestSolve:
         assert not rep.converged
         assert rep.iterations == 3
 
+    def test_non_finite_data_raises(self):
+        spec, coeffs, grid, cfg, _ = heisenberg_instance()
+        bad = replace(coeffs, f=lambda x: np.nan if np.allclose(x, 0.0) else coeffs.f(x))
+        with pytest.raises(NumericalError):
+            solve(spec, bad, grid, cfg)
+
     def test_warm_start_shortens_iteration(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance()
         u_cold, rep_cold = solve(spec, coeffs, grid, cfg)
         warm_cfg = SolveConfig(boundary=cfg.boundary, initial=u_cold)
-        _, rep_warm = solve(spec, coeffs, grid, warm_cfg)
+        u_warm, rep_warm = solve(spec, coeffs, grid, warm_cfg)
         assert rep_warm.converged
-        assert rep_warm.iterations < rep_cold.iterations
+        assert rep_warm.iterations == 0 < rep_cold.iterations
+        assert np.array_equal(u_warm.values, u_cold.values)
+
+    @pytest.mark.parametrize("shape", [(9, 9, 9), (17, 17, 17)])
+    @pytest.mark.parametrize("c_value", [1.0, 0.05])
+    def test_trace_solve_matches_direct_solve(self, shape, c_value):
+        from scipy.sparse.linalg import spsolve
+
+        spec, coeffs, grid, cfg, _ = heisenberg_instance(c_value, shape)
+        u, rep = solve(spec, coeffs, grid, cfg)
+        assert rep.converged and rep.method == "bicgstab"
+        op = DiscreteOperator(spec, coeffs, grid)
+        true_residual = float(np.abs(op.residual(u.flat)).max())
+        assert rep.final_residual == true_residual <= cfg.tol
+        tm = op.trace_matrix()
+        boundary_values = u.flat.copy()
+        boundary_values[op.interior] = 0.0
+        system = (tm[:, op.interior] - sp.diags(op.c_vec)).tocsc()
+        direct = spsolve(system, op.f_vec - tm @ boundary_values)
+        assert np.abs(u.flat[op.interior] - direct).max() <= cfg.tol / coeffs.c0
 
     def test_extremal_kind_solve(self):
         spec = pucci_operator(EUC2, 1.0, 2.0, plus=True)
@@ -273,6 +305,7 @@ class TestSolve:
         grid = Grid((-1, -1), (1, 1), (17, 17))
         u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
         assert rep.converged
+        assert rep.method == "explicit"
         exact = from_callable(grid, ustar.value)
         assert np.abs(u.values - exact.values).max() <= 0.02
 
@@ -287,3 +320,8 @@ class TestSolve:
         payload = rep.to_dict()
         for key in ("iterations", "final_residual", "converged", "dt", "wall_time_s"):
             assert key in payload
+        assert payload["schema_version"] == 1
+        assert payload["method"] == "bicgstab"
+        assert 0.0 < payload["assembly_s"] <= payload["wall_time_s"]
+        op = DiscreteOperator(spec, coeffs, grid)
+        assert payload["nnz"] == sum(a.nnz for a in op.diag_ops) > 0
