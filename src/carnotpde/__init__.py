@@ -6,7 +6,7 @@ monotone directional scheme, and verifies the Holder-regularity ingredients
 (matrix identities, doubling calculus, growth condition, fitted modulus).
 """
 
-from .ccdist import cc_distance_estimate
+from .ccdist import CCResult, cc_distance_estimate, cc_search
 from .doubling import (
     ConstantBundle,
     DoublingParams,

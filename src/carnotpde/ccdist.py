@@ -1,28 +1,154 @@
 """Upper estimate of the Carnot-Caratheodory distance by control-graph search.
 
 States move along +/- the horizontal fields with a fixed step; every move
-costs one step of control length. Dijkstra over the resulting graph (states
-deduplicated on a rounding lattice) returns the cheapest move sequence whose
+costs one step of control length. States are deduplicated on a rounding
+lattice of cells, and the search returns the cheapest move sequence whose
 endpoint lands within the goal tolerance. The result is an upper
 approximation of the true infimum over horizontal paths and is deterministic
 for fixed inputs.
+
+The search is level-synchronous: level k holds the states first reached after
+k moves, in the order a Dijkstra heap would settle them (parent order, then
+field index, then + before -). Because every move costs the same, Dijkstra
+pops exactly the states of one level before any of the next, in that order,
+so expanding a whole level at once as arrays settles the same states, finds
+the same goal and returns the same float.
 """
 
 from __future__ import annotations
 
-import heapq
+import time
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NoPathError
-from .structures import CarnotStructure, as_point, sigma_at
+from .errors import NoPathError, NumericalError
+from .structures import CarnotStructure, as_point
+
+
+@dataclass(frozen=True)
+class CCResult:
+    """A cc search's distance and what the search did to find it.
+
+    nodes_settled counts the states settled up to and including the goal,
+    levels the levels expanded (the moves on the returned path) and
+    frontier_peak the largest level, in states.
+    """
+
+    distance: float
+    nodes_settled: int
+    levels: int
+    frontier_peak: int
+    elapsed_s: float
 
 
 def default_box(a: np.ndarray, b: np.ndarray) -> list[tuple[float, float]]:
     """Axis-aligned box around both endpoints, padded by max(1, |a - b|)."""
     pad = max(1.0, float(np.linalg.norm(a - b)))
     return [(min(ai, bi) - pad, max(ai, bi) + pad) for ai, bi in zip(a, b)]
+
+
+def _cell_keys(points: np.ndarray, cell: float) -> np.ndarray:
+    """One sortable key per row: the bytes of its lattice cell floor(p / cell).
+
+    The floors stay float64, which holds every integer cell index exactly at any
+    box size; + 0.0 turns -0.0 into 0.0, whose bytes differ.
+    """
+    floors = np.floor(points / cell) + 0.0
+    return floors.view(np.dtype((np.void, floors.itemsize * floors.shape[1]))).ravel()
+
+
+def _goal_index(level: np.ndarray, goal: np.ndarray, tol2: float) -> int:
+    """Index of the first state within the goal tolerance, len(level) if none.
+
+    The vectorised sum of squares only preselects, with a margin: a state is
+    accepted by the scalar dot product gap @ gap, as in the one-state-at-a-time
+    Dijkstra formulation. The two can round differently in the last bit (BLAS
+    may fuse multiply and add), and a tie at the tolerance must go the same way.
+    """
+    gap = level - goal
+    for k in np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= tol2 * (1.0 + 1e-9)):
+        if float(gap[k] @ gap[k]) <= tol2:
+            return int(k)
+    return len(level)
+
+
+def cc_search(
+    s: CarnotStructure,
+    a,
+    b,
+    resolution: float,
+    box: Sequence[Sequence[float]] | None = None,
+    goal_tol: float | None = None,
+    max_nodes: int = 2_000_000,
+) -> CCResult:
+    """Cheapest discovered horizontal move sequence from a to b, with search statistics.
+
+    resolution is the control step per move; the goal is accepted within
+    resolution/2 by default. Raises NoPathError when the search exhausts the
+    box or the node budget (the max_nodes-th settled state is not the goal),
+    which signals a box too small or a resolution too coarse, and
+    NumericalError when the frame is not finite at an expanded state.
+    """
+    t0 = time.perf_counter()
+    if resolution <= 0.0:
+        raise ValueError("resolution must be positive")
+    start = as_point(a, s.n)
+    goal = as_point(b, s.n)
+    tol = resolution / 2.0 if goal_tol is None else float(goal_tol)
+    if float(np.linalg.norm(start - goal)) <= tol:
+        return CCResult(0.0, 0, 0, 0, time.perf_counter() - t0)
+    if box is None:
+        box = default_box(start, goal)
+    lo = np.array([float(c[0]) for c in box])
+    hi = np.array([float(c[1]) for c in box])
+    if np.any(start < lo) or np.any(start > hi) or np.any(goal < lo) or np.any(goal > hi):
+        raise ValueError("both endpoints must lie inside the bounding box")
+
+    cell = resolution / 2.0
+    tol2 = tol * tol
+    signs = np.array([1.0, -1.0])[:, None] * resolution
+
+    level = start[None, :]
+    settled = _cell_keys(level, cell)  # sorted cell keys of every settled state
+    cost = 0.0
+    depth = 0
+    popped = 0
+    peak = 1
+    while len(level):
+        found = _goal_index(level, goal, tol2)
+        if popped + found >= max_nodes:
+            raise NoPathError(
+                f"node budget {max_nodes} exhausted at cost {cost:.4g}; "
+                "enlarge the box or refine the resolution"
+            )
+        if found < len(level):
+            return CCResult(cost, popped + found + 1, depth, peak, time.perf_counter() - t0)
+        popped += len(level)
+        frames = np.array([s.sigma(p) for p in level], dtype=float)
+        if frames.shape != (len(level), s.m, s.n):
+            raise ValueError(f"sigma returned shape {frames.shape[1:]}, expected {(s.m, s.n)}")
+        finite = np.isfinite(frames).all(axis=(1, 2))
+        if not finite.all():
+            bad = level[np.argmin(finite)].tolist()
+            raise NumericalError(f"sigma has non-finite entries at state {bad}")
+        # candidates in settle order: parent, then field i, then + before -
+        cand = (level[:, None, None, :] + signs * frames[:, :, None, :]).reshape(-1, s.n)
+        cand = cand[~((cand < lo) | (cand > hi)).any(axis=1)]
+        keys = _cell_keys(cand, cell)
+        at = np.minimum(np.searchsorted(settled, keys), len(settled) - 1)
+        fresh = settled[at] != keys
+        new_keys, first = np.unique(keys[fresh], return_index=True)
+        level = cand[fresh][np.sort(first)]
+        settled = np.insert(settled, np.searchsorted(settled, new_keys), new_keys)
+        cost = cost + resolution
+        depth += 1
+        peak = max(peak, len(level))
+    raise NoPathError(
+        "goal not reachable within the box at this resolution; "
+        "enlarge the box or refine the resolution"
+    )
 
 
 def cc_distance_estimate(
@@ -34,64 +160,5 @@ def cc_distance_estimate(
     goal_tol: float | None = None,
     max_nodes: int = 2_000_000,
 ) -> float:
-    """Length of the cheapest discovered horizontal move sequence from a to b.
-
-    resolution is the control step per move; the goal is accepted within
-    resolution/2 by default. Raises NoPathError when the search exhausts the
-    box or the node budget, which signals a box too small or a resolution too
-    coarse.
-    """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    start = as_point(a, s.n)
-    goal = as_point(b, s.n)
-    tol = resolution / 2.0 if goal_tol is None else float(goal_tol)
-    if float(np.linalg.norm(start - goal)) <= tol:
-        return 0.0
-    if box is None:
-        box = default_box(start, goal)
-    lo = np.array([float(c[0]) for c in box])
-    hi = np.array([float(c[1]) for c in box])
-    if np.any(start < lo) or np.any(start > hi) or np.any(goal < lo) or np.any(goal > hi):
-        raise ValueError("both endpoints must lie inside the bounding box")
-
-    cell = resolution / 2.0
-    tol2 = tol * tol
-
-    def key(p: np.ndarray) -> tuple:
-        return tuple(int(np.floor(c / cell)) for c in p)
-
-    settled: set = set()
-    heap: list = [(0.0, 0, start)]
-    counter = 1
-    popped = 0
-    while heap:
-        cost, _, state = heapq.heappop(heap)
-        k = key(state)
-        if k in settled:
-            continue
-        settled.add(k)
-        popped += 1
-        gap = state - goal
-        if float(gap @ gap) <= tol2:
-            return cost
-        if popped >= max_nodes:
-            raise NoPathError(
-                f"node budget {max_nodes} exhausted at cost {cost:.4g}; "
-                "enlarge the box or refine the resolution"
-            )
-        frame = sigma_at(s, state)
-        for i in range(s.m):
-            row = frame[i]
-            for sign in (1.0, -1.0):
-                nxt = state + (sign * resolution) * row
-                if np.any(nxt < lo) or np.any(nxt > hi):
-                    continue
-                if key(nxt) in settled:
-                    continue
-                heapq.heappush(heap, (cost + resolution, counter, nxt))
-                counter += 1
-    raise NoPathError(
-        "goal not reachable within the box at this resolution; "
-        "enlarge the box or refine the resolution"
-    )
+    """Length of the cheapest discovered horizontal move sequence from a to b (see cc_search)."""
+    return cc_search(s, a, b, resolution, box, goal_tol, max_nodes).distance

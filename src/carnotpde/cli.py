@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import doubling, holder, symmat
-from .ccdist import cc_distance_estimate
+from .ccdist import cc_search
 from .config import build_setup, load_config
 from .errors import CarnotPDEError, ConfigError, NoPathError, NumericalError, PreconditionError
 from .grids import to_csv
@@ -261,13 +261,16 @@ def cmd_cc_distance(args) -> int:
         raise ConfigError("cc-distance needs a 'cc' section in the config")
     setup = build_setup(raw, need_solve=False)
     cc = raw["cc"]
-    dist = cc_distance_estimate(
-        setup.structure,
-        np.array(cc["a"], dtype=float),
-        np.array(cc["b"], dtype=float),
-        float(cc["resolution"]),
-        box=cc.get("box"),
-    )
+    try:
+        result = cc_search(
+            setup.structure,
+            np.array(cc["a"], dtype=float),
+            np.array(cc["b"], dtype=float),
+            float(cc["resolution"]),
+            box=cc.get("box"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad cc section: {exc}") from exc
     _write_json(
         Path(args.out),
         "cc_report.json",
@@ -276,10 +279,14 @@ def cmd_cc_distance(args) -> int:
             "a": list(map(float, cc["a"])),
             "b": list(map(float, cc["b"])),
             "resolution": float(cc["resolution"]),
-            "distance": dist,
+            "distance": result.distance,
+            "nodes_settled": result.nodes_settled,
+            "levels": result.levels,
+            "frontier_peak": result.frontier_peak,
+            "elapsed_s": result.elapsed_s,
         },
     )
-    print(f"cc-distance: {dist:.6g}")
+    print(f"cc-distance: {result.distance:.6g}")
     return 0
 
 

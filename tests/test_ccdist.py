@@ -1,10 +1,85 @@
 """Unit tests for the control-graph distance estimator."""
 
+import heapq
+
 import numpy as np
 import pytest
 
-from carnotpde import cc_distance_estimate, preset
-from carnotpde.errors import NoPathError
+from carnotpde import CarnotStructure, cc_distance_estimate, cc_search, preset
+from carnotpde.ccdist import default_box
+from carnotpde.errors import NoPathError, NumericalError
+from carnotpde.structures import as_point, sigma_at
+
+
+def _heap_reference(s, a, b, resolution, box=None, goal_tol=None, max_nodes=2_000_000):
+    """The earlier Dijkstra-heap search, kept as a test oracle: (distance, states popped).
+
+    Every move costs resolution, so the heap pops states level by level, in
+    push order within a level; cc_search must return the same float and settle
+    the same number of states.
+    """
+    start = as_point(a, s.n)
+    goal = as_point(b, s.n)
+    tol = resolution / 2.0 if goal_tol is None else float(goal_tol)
+    if float(np.linalg.norm(start - goal)) <= tol:
+        return 0.0, 0
+    if box is None:
+        box = default_box(start, goal)
+    lo = np.array([float(c[0]) for c in box])
+    hi = np.array([float(c[1]) for c in box])
+    cell = resolution / 2.0
+    tol2 = tol * tol
+
+    def key(p):
+        return tuple(int(np.floor(c / cell)) for c in p)
+
+    settled = set()
+    heap = [(0.0, 0, start)]
+    counter = 1
+    popped = 0
+    while heap:
+        cost, _, state = heapq.heappop(heap)
+        k = key(state)
+        if k in settled:
+            continue
+        settled.add(k)
+        popped += 1
+        gap = state - goal
+        if float(gap @ gap) <= tol2:
+            return cost, popped
+        if popped >= max_nodes:
+            raise NoPathError(
+                f"node budget {max_nodes} exhausted at cost {cost:.4g}; "
+                "enlarge the box or refine the resolution"
+            )
+        frame = sigma_at(s, state)
+        for i in range(s.m):
+            row = frame[i]
+            for sign in (1.0, -1.0):
+                nxt = state + (sign * resolution) * row
+                if np.any(nxt < lo) or np.any(nxt > hi):
+                    continue
+                if key(nxt) in settled:
+                    continue
+                heapq.heappush(heap, (cost + resolution, counter, nxt))
+                counter += 1
+    raise NoPathError(
+        "goal not reachable within the box at this resolution; "
+        "enlarge the box or refine the resolution"
+    )
+
+
+def _frame_with(value, threshold=0.35):
+    """Heisenberg frame whose first entry is value wherever x1 > threshold."""
+    base = preset("heisenberg1").sigma
+
+    def sigma(x):
+        frame = np.array(base(x), dtype=float)
+        if x[0] > threshold:
+            frame[0, 0] = value
+        return frame
+
+    return CarnotStructure(name="broken", n=3, m=2, step=2, sigma=sigma)
 
 
 class TestBasics:
@@ -12,6 +87,8 @@ class TestBasics:
         for name in ("euclidean:2", "heisenberg1"):
             s = preset(name)
             assert cc_distance_estimate(s, np.zeros(s.n), np.zeros(s.n), 0.1) == 0.0
+            result = cc_search(s, np.zeros(s.n), np.zeros(s.n), 0.1)
+            assert (result.nodes_settled, result.levels, result.frontier_peak) == (0, 0, 0)
 
     def test_euclidean_axis_segment(self):
         d = cc_distance_estimate(preset("euclidean:2"), [0, 0], [1, 0], 0.05)
@@ -84,3 +161,65 @@ class TestMetricProperties:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             cc_distance_estimate(preset("euclidean:2"), [0, 0], [1, 0], 0.0)
+
+
+# (preset, a, b, keyword arguments), all at resolution 0.1
+EQUIVALENCE_QUERIES = [
+    ("heisenberg1", [0, 0, 0], [0.6, 0.4, 0.0], {}),
+    ("heisenberg1", [0.6, 0.4, 0.0], [0, 0, 0], {}),
+    ("heisenberg1", [0, 0, 0], [0, 0, 0.25], {}),
+    ("heisenberg1", [0, 0, 0], [0.5, 0.0, 0.0], {"box": [(-1.5, 1.5)] * 3}),
+    ("heisenberg1", [0, 0, 0], [0.3, -0.2, 0.15], {"box": [(-1e7, 1e7)] * 3}),
+    ("heisenberg1", [0.1, -0.2, 0.05], [0.4, 0.2, 0.1], {"goal_tol": 0.12}),
+    ("engel1", [0, 0, 0, 0], [0.3, 0.2, 0.0, 0.0], {}),
+    ("engel1", [0.3, 0.2, 0.0, 0.0], [0, 0, 0, 0], {"goal_tol": 0.08}),
+    ("euclidean:2", [0, 0], [0.73, -0.41], {}),
+    ("euclidean:2", [0, 0], [0.03, 0.04], {"goal_tol": 0.05}),
+    ("euclidean:3", [0, 0, 0], [0.5, -0.3, 0.25], {"box": [(-0.6, 0.6)] * 3}),
+    ("euclidean:3", [0.5, -0.3, 0.25], [0, 0, 0], {}),
+    # signed zeros: cells of -0.0 and 0.0 are one cell
+    ("euclidean:2", [-0.0, -0.0], [0.3, 0.2], {}),
+    # a tie at the tolerance: |gap|^2 of the state (0.2, 0.1, 0) rounds to either
+    # side of tol^2 depending on whether its multiply-adds are fused
+    ("euclidean:3", [0, 0, 0], [0.195, 0.079, 0.021], {"goal_tol": 0.030116440692751198}),
+]
+
+
+class TestHeapEquivalence:
+    @pytest.mark.parametrize("name,a,b,kwargs", EQUIVALENCE_QUERIES)
+    def test_same_distance_and_settled_count(self, name, a, b, kwargs):
+        s = preset(name)
+        expected, popped = _heap_reference(s, a, b, 0.1, **kwargs)
+        result = cc_search(s, a, b, 0.1, **kwargs)
+        assert result.distance == expected
+        assert result.nodes_settled == popped
+        assert cc_distance_estimate(s, a, b, 0.1, **kwargs) == expected
+
+    def test_same_no_path_error(self):
+        s = preset("line2d")
+        with pytest.raises(NoPathError) as ref:
+            _heap_reference(s, [0, 0], [0, 1], 0.1)
+        with pytest.raises(NoPathError) as new:
+            cc_search(s, [0, 0], [0, 1], 0.1)
+        assert str(new.value) == str(ref.value)
+
+    def test_budget_boundary(self):
+        s = preset("heisenberg1")
+        a, b = [0, 0, 0], [0.3, 0.2, 0.1]
+        result = cc_search(s, a, b, 0.1)
+        assert result.nodes_settled > 1
+        at_budget = cc_search(s, a, b, 0.1, max_nodes=result.nodes_settled)
+        assert at_budget.distance == result.distance
+        assert _heap_reference(s, a, b, 0.1, max_nodes=result.nodes_settled)[0] == result.distance
+        with pytest.raises(NoPathError) as ref:
+            _heap_reference(s, a, b, 0.1, max_nodes=result.nodes_settled - 1)
+        with pytest.raises(NoPathError) as new:
+            cc_search(s, a, b, 0.1, max_nodes=result.nodes_settled - 1)
+        assert str(new.value) == str(ref.value)
+
+
+class TestNonFiniteFrames:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_raises_and_names_the_state(self, value):
+        with pytest.raises(NumericalError, match=r"non-finite entries at state \[0\.4"):
+            cc_search(_frame_with(value), [0, 0, 0], [1, 0, 0], 0.1)

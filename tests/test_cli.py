@@ -137,7 +137,26 @@ class TestGeometryCommands:
         )
         assert code == 0
         report = json.loads((tmp_path / "cc_report.json").read_text())
+        assert report["schema_version"] == 1
         assert report["distance"] == pytest.approx(1.0, abs=0.05)
+        assert report["levels"] == round(report["distance"] / 0.05)
+        assert 1 <= report["frontier_peak"] < report["nodes_settled"]
+        assert report["elapsed_s"] > 0.0
+
+    @pytest.mark.parametrize(
+        "cc",
+        [
+            {"a": [0, 0, 0], "b": [1, 0, 0], "resolution": 0.1, "box": [[-0.5, 0.5]] * 3},
+            {"a": [0, 0], "b": [1, 0, 0], "resolution": 0.1},
+        ],
+        ids=["endpoint_outside_box", "wrong_dimension"],
+    )
+    def test_cc_bad_endpoints_are_config_errors(self, tmp_path, capsys, cc):
+        config = tmp_path / "cc.json"
+        config.write_text(json.dumps({"structure": "heisenberg1", "cc": cc}))
+        assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "cc_report.json").exists()
 
     def test_growth_check_pass(self, tmp_path):
         code = run(
