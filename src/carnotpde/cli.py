@@ -234,7 +234,7 @@ def cmd_verify(args) -> int:
     with open(out / "increments.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["distance", "max_increment", "pairs"])
-        for row in holder.binned_increments(u, seed):
+        for row in hreport.increments:
             writer.writerow([row["distance"], row["max_increment"], row["pairs"]])
     _write_json(
         out,

@@ -1,17 +1,20 @@
 """Holder modulus estimation on grid functions and end-to-end verification.
 
-The pairwise scan is exhaustive up to 4096 nodes and otherwise a seeded
-stratified sample (about one million pairs spread over geometric distance
-bins, realized as random lattice offsets so distances are exact). fit_alpha
-regresses the log of the per-bin maximal increment against log distance;
-verify_theorem combines the fitted modulus with the hypothesis checks and the
-explicit admissible-seminorm bound.
+On a uniform grid the pairs sharing a lattice offset o lie h|o| apart and
+their increments are one slice difference |u[x + o] - u[x]|. One pass over
+offsets tabulates each offset's maximal increment and pair count, over every
+lexicographically positive offset (each unordered pair once) up to 4096 nodes
+and otherwise over a seeded stratified sample (about one million pairs spread
+over geometric distance bins). fit_alpha regresses the log of the per-bin
+maximal increment against log distance; verify_theorem reduces one table to
+the fitted modulus and adds the hypothesis checks and the seminorm bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -23,7 +26,7 @@ from .doubling import (
     holder_constant_bound,
 )
 from .errors import InadmissibleExponentError, PreconditionError
-from .grids import GridFunction
+from .grids import Grid, GridFunction
 from .operators import Coefficients, OperatorSpec
 from .solver import SolveReport
 from .structures import lipschitz_sigma_estimate
@@ -34,46 +37,42 @@ NUM_BINS = 12
 GROWTH_TOL = 1e-9
 
 
-def _scan_all_pairs(u: GridFunction, chunk: int = 256) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    coords = u.grid.coords()
-    vals = u.flat
-    n = coords.shape[0]
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = coords[start:stop]
-        diff = block[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        inc = np.abs(vals[start:stop, None] - vals[None, :])
-        mask = dist > 0.0
-        yield dist[mask], inc[mask]
+@dataclass(frozen=True)
+class _OffsetTable:
+    """One row per scanned offset, ordered by the row's first maximal pair:
+    row-major (src, dst) when exhaustive, sampling order when stratified.
+    distance is that pair's coordinate distance, or h|o| when sampled."""
+
+    distance: np.ndarray
+    max_inc: np.ndarray
+    pairs: np.ndarray
+
+    def quotients(self, alpha: float) -> np.ndarray:
+        return self.max_inc / self.distance**alpha
 
 
-def _offset_increments(values: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """|u(x + offset) - u(x)| over every node pair realizing the lattice offset."""
-    src = []
-    dst = []
-    for k, o in enumerate(offset):
-        size = values.shape[k]
-        if abs(o) >= size:
-            return np.empty(0)
-        if o >= 0:
-            src.append(slice(0, size - o))
-            dst.append(slice(o, size))
-        else:
-            src.append(slice(-o, size))
-            dst.append(slice(0, size + o))
-    return np.abs(values[tuple(dst)] - values[tuple(src)]).ravel()
+def _bin_edges(grid: Grid) -> np.ndarray:
+    diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in zip(grid.lo, grid.hi)))
+    return np.geomspace(grid.h, diam * (1.0 + 1e-12), NUM_BINS + 1)
 
 
-def _scan_stratified(
-    u: GridFunction, seed: int, budget: int = PAIR_BUDGET
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _increments(values: np.ndarray, offset) -> tuple[np.ndarray, tuple] | None:
+    """|u(x + offset) - u(x)| over the block of source nodes x of every pair
+    realizing the lattice offset, and that block's slices; None if no pair does."""
+    if any(abs(o) >= size for o, size in zip(offset, values.shape)):
+        return None
+    src = tuple(slice(max(-o, 0), size - max(o, 0)) for o, size in zip(offset, values.shape))
+    dst = tuple(slice(max(o, 0), size - max(-o, 0)) for o, size in zip(offset, values.shape))
+    return np.abs(values[dst] - values[src]), src
+
+
+def _sampled_offsets(u: GridFunction, seed: int) -> Iterator[tuple[float, np.ndarray]]:
+    """(distance, increments) of seeded random offsets, bin by bin."""
     grid = u.grid
     h = grid.h
-    diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in zip(grid.lo, grid.hi)))
-    edges = np.geomspace(h, diam * (1.0 + 1e-12), NUM_BINS + 1)
+    edges = _bin_edges(grid)
     rng = np.random.default_rng(seed)
-    quota = budget // NUM_BINS
+    quota = PAIR_BUDGET // NUM_BINS
     for b in range(NUM_BINS):
         lo_r, hi_r = edges[b], edges[b + 1]
         got = 0
@@ -96,27 +95,70 @@ def _scan_stratified(
             if key in seen:
                 continue
             seen.add(key)
-            inc = _offset_increments(u.values, offset)
-            if inc.size == 0:
+            found = _increments(u.values, offset)
+            if found is None:
                 continue
+            inc = found[0].ravel()
             remaining = quota - got
             if inc.size > remaining:
                 inc = inc[rng.integers(0, inc.size, size=remaining)]
             got += inc.size
-            yield np.full(inc.size, dist), inc
+            yield dist, inc
 
 
-def _pair_scan(u: GridFunction, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    if u.grid.num_nodes <= ALL_PAIRS_NODE_CAP:
-        return _scan_all_pairs(u)
-    return _scan_stratified(u, seed)
+def _offset_table(u: GridFunction, seed: int) -> _OffsetTable:
+    grid = u.grid
+    if grid.num_nodes > ALL_PAIRS_NODE_CAP:
+        rows = [(dist, inc.max(), inc.size) for dist, inc in _sampled_offsets(u, seed)]
+        return _OffsetTable(*np.array(rows, dtype=float).reshape(-1, 3).T)
+    span = 2 * np.array(grid.shape) - 1
+    offsets = np.indices(span).reshape(grid.n, -1).T - span // 2  # in lexicographic order
+    offsets = offsets[len(offsets) // 2 + 1 :]  # those after 0 are the positive ones
+    index = np.arange(grid.num_nodes).reshape(grid.shape)
+    max_inc = np.empty(len(offsets))
+    src = np.empty(len(offsets), dtype=np.int64)
+    for k, offset in enumerate(offsets.tolist()):
+        inc, from_x = _increments(u.values, offset)
+        first = inc.argmax()
+        max_inc[k], src[k] = inc.flat[first], index[from_x].flat[first]
+    dst = src + offsets @ (np.array(index.strides) // index.itemsize)
+    order = np.lexsort((dst, src))
+    coords = grid.coords()
+    diff = coords[src[order]] - coords[dst[order]]
+    pairs = (np.array(grid.shape) - np.abs(offsets[order])).prod(axis=1)
+    return _OffsetTable(np.sqrt((diff * diff).sum(axis=1)), max_inc[order], pairs)
+
+
+def _binned(grid: Grid, table: _OffsetTable) -> list[dict]:
+    edges = _bin_edges(grid)
+    bins = np.clip(np.searchsorted(edges, table.distance, side="right") - 1, 0, NUM_BINS - 1)
+    out = []
+    for b in range(NUM_BINS):
+        rows = np.flatnonzero(bins == b)
+        row = {"distance": float(edges[b]), "max_increment": 0.0, "pairs": 0}
+        if rows.size:
+            top = rows[table.max_inc[rows].argmax()]  # the first maximal row
+            row["max_increment"] = float(table.max_inc[top])
+            row["distance"] = float(table.distance[top]) if row["max_increment"] else 0.0
+            row["pairs"] = int(table.pairs[rows].sum())
+        out.append(row)
+    return out
+
+
+def _fit(table: _OffsetTable, increments: list[dict]) -> tuple[float, float]:
+    kept = [row for row in increments if row["pairs"] and row["max_increment"] > 0]
+    if len(kept) < 3:
+        return float("nan"), 0.0
+    xs = [math.log(row["distance"]) for row in kept]
+    ys = [math.log(row["max_increment"]) for row in kept]
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    alpha = float(np.clip(slope, 1e-9, 1.0))
+    return alpha, float(table.quotients(alpha).max(initial=0.0))
 
 
 def pair_count(u: GridFunction, seed: int = 0) -> int:
-    n = u.grid.num_nodes
-    if n <= ALL_PAIRS_NODE_CAP:
-        return n * (n - 1) // 2
-    return sum(d.size for d, _ in _scan_stratified(u, seed))
+    """Number of unordered node pairs the scan covers (N(N-1)/2 when exhaustive)."""
+    return int(_offset_table(u, seed).pairs.sum())
 
 
 def holder_seminorm(u: GridFunction, alpha: float, seed: int = 0) -> float:
@@ -125,41 +167,16 @@ def holder_seminorm(u: GridFunction, alpha: float, seed: int = 0) -> float:
         raise ValueError("alpha must lie in (0, 1]")
     if u.grid.num_nodes < 2:
         raise ValueError("need at least two nodes")
-    best = 0.0
-    for dist, inc in _pair_scan(u, seed):
-        if dist.size:
-            best = max(best, float((inc / dist**alpha).max()))
-    return best
+    return float(_offset_table(u, seed).quotients(alpha).max(initial=0.0))
 
 
 def binned_increments(u: GridFunction, seed: int = 0) -> list[dict]:
-    """Per-bin maximal increments over the pair scan (for fitting and dumps)."""
-    grid = u.grid
-    diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in zip(grid.lo, grid.hi)))
-    edges = np.geomspace(grid.h, diam * (1.0 + 1e-12), NUM_BINS + 1)
-    max_inc = np.zeros(NUM_BINS)
-    at_dist = np.zeros(NUM_BINS)
-    counts = np.zeros(NUM_BINS, dtype=np.int64)
-    for dist, inc in _pair_scan(u, seed):
-        if dist.size == 0:
-            continue
-        bins = np.clip(np.searchsorted(edges, dist, side="right") - 1, 0, NUM_BINS - 1)
-        for b in np.unique(bins):
-            sel = bins == b
-            counts[b] += int(sel.sum())
-            local = inc[sel]
-            pos = int(np.argmax(local))
-            if local[pos] > max_inc[b]:
-                max_inc[b] = float(local[pos])
-                at_dist[b] = float(dist[sel][pos])
-    return [
-        {
-            "distance": float(at_dist[b] if counts[b] else edges[b]),
-            "max_increment": float(max_inc[b]),
-            "pairs": int(counts[b]),
-        }
-        for b in range(NUM_BINS)
-    ]
+    """Per-bin maximal increments over the pair scan (for fitting and dumps).
+
+    A bin's distance is that of its first maximal pair in row-major (i, j)
+    order, 0.0 if all its increments vanish, its lower edge if it is empty.
+    """
+    return _binned(u.grid, _offset_table(u, seed))
 
 
 def fit_alpha(u: GridFunction, seed: int = 0) -> tuple[float, float]:
@@ -169,26 +186,13 @@ def fit_alpha(u: GridFunction, seed: int = 0) -> tuple[float, float]:
     seminorm at alpha_fit. A constant u yields the degenerate signal
     (nan, 0.0).
     """
-    if float(np.ptp(u.flat)) == 0.0:
-        return float("nan"), 0.0
-    table = binned_increments(u, seed)
-    xs = [math.log(row["distance"]) for row in table if row["pairs"] and row["max_increment"] > 0]
-    ys = [math.log(row["max_increment"]) for row in table if row["pairs"] and row["max_increment"] > 0]
-    if len(xs) < 3:
-        return float("nan"), 0.0
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    alpha = float(np.clip(slope, 1e-9, 1.0))
-    return alpha, holder_seminorm(u, alpha, seed)
+    table = _offset_table(u, seed)
+    return _fit(table, _binned(u.grid, table))
 
 
 def max_quotient_violation(u: GridFunction, alpha: float, L: float, seed: int = 0) -> float:
-    """max over scanned pairs of |u(x)-u(y)|/|x-y|^alpha - L (nonpositive when
-    L is the seminorm from the same scan)."""
-    worst = -math.inf
-    for dist, inc in _pair_scan(u, seed):
-        if dist.size:
-            worst = max(worst, float((inc / dist**alpha).max() - L))
-    return worst
+    """max over scanned pairs of |u(x)-u(y)|/|x-y|^alpha - L (<= 0 for the scan's seminorm)."""
+    return float(_offset_table(u, seed).quotients(alpha).max(initial=-math.inf) - L)
 
 
 @dataclass
@@ -205,27 +209,15 @@ class HolderReport:
     lipschitz_estimate: float
     lipschitz_samples: int
     seed: int
+    increments: list
+    scan_s: float
 
     @property
     def hypotheses_pass(self) -> bool:
         return all(self.hypothesis_verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "alpha_fit": self.alpha_fit,
-            "L_fit": self.L_fit,
-            "pair_count": self.pair_count,
-            "max_violation": self.max_violation,
-            "theorem_bound": self.theorem_bound,
-            "hypothesis_verdicts": {k: bool(v) for k, v in self.hypothesis_verdicts.items()},
-            "admissible_alpha": self.admissible_alpha,
-            "l_fit_within_bound": self.l_fit_within_bound,
-            "growth_box_local": self.growth_box_local,
-            "lipschitz_estimate": self.lipschitz_estimate,
-            "lipschitz_samples": self.lipschitz_samples,
-            "seed": self.seed,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def bundle_for_instance(
@@ -291,15 +283,19 @@ def verify_theorem(
         box_local = True
 
     verdicts = {
-        "c0_positive": bundle.c0 > 0.0,
+        "c0_positive": bool(bundle.c0 > 0.0),
         "lipschitz_sigma": bool(np.isfinite(lip)),
         "growth_condition": bool(growth_ok),
     }
 
-    alpha_fit, l_fit = fit_alpha(u, seed)
+    t0 = time.perf_counter()
+    table = _offset_table(u, seed)
+    scan_s = time.perf_counter() - t0
+    increments = _binned(u.grid, table)
+    alpha_fit, l_fit = _fit(table, increments)
     if math.isnan(alpha_fit):
         raise PreconditionError("constant solution: Holder exponent is undefined")
-    violation = max_quotient_violation(u, alpha_fit, l_fit, seed)
+    violation = float(table.quotients(alpha_fit).max(initial=-math.inf) - l_fit)
 
     clam = bundle.C * bundle.Lambda
     admissible = alpha_fit < bundle.c0 / clam if clam > 0.0 else True
@@ -315,7 +311,7 @@ def verify_theorem(
     return HolderReport(
         alpha_fit=alpha_fit,
         L_fit=l_fit,
-        pair_count=pair_count(u, seed),
+        pair_count=int(table.pairs.sum()),
         max_violation=violation,
         theorem_bound=bound,
         hypothesis_verdicts=verdicts,
@@ -325,4 +321,6 @@ def verify_theorem(
         lipschitz_estimate=float(lip),
         lipschitz_samples=lip_samples,
         seed=seed,
+        increments=increments,
+        scan_s=scan_s,
     )

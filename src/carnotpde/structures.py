@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedOperationError
+from .errors import NumericalError, UnsupportedOperationError
 from .fields import SmoothField, _check_terms, _poly_value
 from .symmat import symmetrize
 
@@ -120,16 +120,13 @@ def lipschitz_sigma_estimate(
                 [hi[k] if (bits >> k) & 1 else lo[k] for k in range(s.n)]
             )
             pts.append(corner)
-    best = 0.0
-    mats = [sigma_at(s, p) for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            gap = float(np.linalg.norm(pts[i] - pts[j]))
-            if gap == 0.0:
-                continue
-            diff = float(np.linalg.norm(mats[i] - mats[j]))
-            best = max(best, diff / gap)
-    return best
+    pts = np.array(pts)
+    mats = np.array([sigma_at(s, p) for p in pts]).reshape(len(pts), -1)
+    i, j = np.triu_indices(len(pts), 1)
+    gap = np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=1))
+    diff = np.sqrt(((mats[i] - mats[j]) ** 2).sum(axis=1))
+    apart = gap > 0.0
+    return float((diff[apart] / gap[apart]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +278,9 @@ def _entry_callable(entry, n: int):
         def rational(x):
             d = _poly_value(den, x)
             if d == 0.0:
-                raise ZeroDivisionError("rational sigma entry has vanishing denominator")
+                raise NumericalError(
+                    f"rational sigma entry has a vanishing denominator at x = {list(map(float, x))}"
+                )
             return _poly_value(num, x) / d
 
         return rational

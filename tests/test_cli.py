@@ -115,7 +115,14 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "holder_report.json").read_text())
         assert report["hypothesis_verdicts"]["growth_condition"] is True
         assert report["max_violation"] <= 0.0
-        assert (tmp_path / "increments.csv").exists()
+        assert report["scan_s"] > 0.0
+        assert sum(row["pairs"] for row in report["increments"]) == report["pair_count"]
+        lines = (tmp_path / "increments.csv").read_text().splitlines()
+        assert lines[0] == "distance,max_increment,pairs"
+        rows = [list(map(float, line.split(","))) for line in lines[1:]]
+        assert rows == [
+            [row["distance"], row["max_increment"], row["pairs"]] for row in report["increments"]
+        ]
 
     def test_verify_fails_growth_with_small_c0(self, tmp_path):
         code = run(
@@ -156,6 +163,26 @@ class TestGeometryCommands:
         config.write_text(json.dumps({"structure": "heisenberg1", "cc": cc}))
         assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "cc_report.json").exists()
+
+    def test_cc_vanishing_denominator_is_numerical_error(self, tmp_path, capsys):
+        # X1 = (1 / (x1 - 0.5), 0) is undefined at the start point
+        structure = {
+            "name": "pole",
+            "n": 2,
+            "m": 2,
+            "entries": [
+                [{"num": [[1.0, 0, 0]], "den": [[1.0, 1, 0], [-0.5, 0, 0]]}, [[0.0, 0, 0]]],
+                [[[0.0, 0, 0]], [[1.0, 0, 0]]],
+            ],
+        }
+        config = tmp_path / "cc.json"
+        cc = {"a": [0.5, 0.0], "b": [0.5, 1.0], "resolution": 0.1}
+        config.write_text(json.dumps({"structure": structure, "cc": cc}))
+        assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "vanishing denominator at x = [0.5, 0.0]" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "cc_report.json").exists()
 
     def test_growth_check_pass(self, tmp_path):

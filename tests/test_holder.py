@@ -1,6 +1,7 @@
 """Unit tests for Holder modulus estimation and theorem verification."""
 
 import math
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -21,9 +22,233 @@ from carnotpde import (
     verify_theorem,
 )
 from carnotpde.errors import PreconditionError
-from carnotpde.holder import binned_increments, max_quotient_violation, pair_count
+from carnotpde.holder import (
+    ALL_PAIRS_NODE_CAP,
+    NUM_BINS,
+    PAIR_BUDGET,
+    binned_increments,
+    max_quotient_violation,
+    pair_count,
+)
 
 LINE = Grid((0.0,), (1.0,), (257,))
+
+
+# ---------------------------------------------------------------------------
+# Reference pair scan: every ordered pair in row-major (i, j) order, chunked,
+# or the seeded stratified sample, each pair binned by its own distance. The
+# offset table in carnotpde.holder must reproduce its per-bin maxima and
+# distances exactly and count each unordered pair once.
+
+
+def _ref_scan_all_pairs(u, chunk=256) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    coords = u.grid.coords()
+    vals = u.flat
+    n = coords.shape[0]
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = coords[start:stop]
+        diff = block[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        inc = np.abs(vals[start:stop, None] - vals[None, :])
+        mask = dist > 0.0
+        yield dist[mask], inc[mask]
+
+
+def _ref_offset_increments(values, offset):
+    src = []
+    dst = []
+    for k, o in enumerate(offset):
+        size = values.shape[k]
+        if abs(o) >= size:
+            return np.empty(0)
+        if o >= 0:
+            src.append(slice(0, size - o))
+            dst.append(slice(o, size))
+        else:
+            src.append(slice(-o, size))
+            dst.append(slice(0, size + o))
+    return np.abs(values[tuple(dst)] - values[tuple(src)]).ravel()
+
+
+def _ref_edges(grid):
+    diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in zip(grid.lo, grid.hi)))
+    return np.geomspace(grid.h, diam * (1.0 + 1e-12), NUM_BINS + 1)
+
+
+def _ref_scan_stratified(u, seed, budget=PAIR_BUDGET):
+    grid = u.grid
+    h = grid.h
+    edges = _ref_edges(grid)
+    rng = np.random.default_rng(seed)
+    quota = budget // NUM_BINS
+    for b in range(NUM_BINS):
+        lo_r, hi_r = edges[b], edges[b + 1]
+        got = 0
+        seen = set()
+        for _ in range(400):
+            if got >= quota:
+                break
+            direction = rng.normal(size=grid.n)
+            norm = float(np.linalg.norm(direction))
+            if norm == 0.0:
+                continue
+            radius = lo_r * (hi_r / lo_r) ** rng.random()
+            offset = np.rint(radius * direction / (norm * h)).astype(int)
+            if not offset.any():
+                continue
+            dist = h * float(np.linalg.norm(offset))
+            if not (lo_r <= dist < hi_r):
+                continue
+            key = tuple(offset)
+            if key in seen:
+                continue
+            seen.add(key)
+            inc = _ref_offset_increments(u.values, offset)
+            if inc.size == 0:
+                continue
+            remaining = quota - got
+            if inc.size > remaining:
+                inc = inc[rng.integers(0, inc.size, size=remaining)]
+            got += inc.size
+            yield np.full(inc.size, dist), inc
+
+
+def _ref_pair_scan(u, seed):
+    if u.grid.num_nodes <= ALL_PAIRS_NODE_CAP:
+        return _ref_scan_all_pairs(u)
+    return _ref_scan_stratified(u, seed)
+
+
+def _ref_binned_increments(u, seed):
+    edges = _ref_edges(u.grid)
+    max_inc = np.zeros(NUM_BINS)
+    at_dist = np.zeros(NUM_BINS)
+    counts = np.zeros(NUM_BINS, dtype=np.int64)
+    for dist, inc in _ref_pair_scan(u, seed):
+        if dist.size == 0:
+            continue
+        bins = np.clip(np.searchsorted(edges, dist, side="right") - 1, 0, NUM_BINS - 1)
+        for b in np.unique(bins):
+            sel = bins == b
+            counts[b] += int(sel.sum())
+            local = inc[sel]
+            pos = int(np.argmax(local))
+            if local[pos] > max_inc[b]:
+                max_inc[b] = float(local[pos])
+                at_dist[b] = float(dist[sel][pos])
+    return [
+        {
+            "distance": float(at_dist[b] if counts[b] else edges[b]),
+            "max_increment": float(max_inc[b]),
+            "pairs": int(counts[b]),
+        }
+        for b in range(NUM_BINS)
+    ]
+
+
+def _ref_holder_seminorm(u, alpha, seed):
+    best = 0.0
+    for dist, inc in _ref_pair_scan(u, seed):
+        if dist.size:
+            best = max(best, float((inc / dist**alpha).max()))
+    return best
+
+
+def _step_function(x):
+    return 1.0 if x[0] + 0.5 * x[1] - 0.25 * x[2] > 0.1 else 0.0
+
+
+@pytest.fixture(scope="module")
+def heisenberg_verify_solution():
+    struct = preset("heisenberg1")
+    spec = trace_operator(struct)
+    ustar = polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)
+    c = lambda x: 16.0
+    coeffs = Coefficients(
+        c=c,
+        f=manufactured_rhs(spec, c, ustar),
+        L_c=0.0,
+        beta=1.0,
+        L_f=16.0 * np.sqrt(5.0),
+        beta_prime=1.0,
+        c0=16.0,
+    )
+    grid = Grid((-1, -1, -1), (1, 1, 1), (16, 16, 16))
+    u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
+    assert rep.converged
+    return spec, coeffs, u, rep
+
+
+ORACLE_CASES = {
+    "line-sqrt": (lambda: from_callable(LINE, lambda x: math.sqrt(abs(x[0]))), 0),
+    "square-33": (
+        lambda: from_callable(
+            Grid((-1, -1), (1, 1), (33, 33)), lambda x: math.sin(3 * x[0]) * x[1] ** 2
+        ),
+        0,
+    ),
+    "step-9": (lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (9, 9, 9)), _step_function), 0),
+    "stratified-17-seed0": (
+        lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda x: x[0] ** 2 + x[1]),
+        0,
+    ),
+    "stratified-17-seed3": (
+        lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda x: x[0] ** 2 + x[1]),
+        3,
+    ),
+}
+
+
+def _check_against_reference(u, seed):
+    exhaustive = u.grid.num_nodes <= ALL_PAIRS_NODE_CAP
+    table = binned_increments(u, seed)
+    ref = _ref_binned_increments(u, seed)
+    for row, old in zip(table, ref, strict=True):
+        assert row["max_increment"] == old["max_increment"]
+        assert row["distance"] == old["distance"]
+        assert row["pairs"] == (old["pairs"] // 2 if exhaustive else old["pairs"])
+        if exhaustive:
+            assert old["pairs"] % 2 == 0
+    alpha, level = fit_alpha(u, seed)
+    ref_xs = [math.log(r["distance"]) for r in ref if r["pairs"] and r["max_increment"] > 0]
+    ref_ys = [math.log(r["max_increment"]) for r in ref if r["pairs"] and r["max_increment"] > 0]
+    ref_alpha = float(np.clip(float(np.polyfit(ref_xs, ref_ys, 1)[0]), 1e-9, 1.0))
+    assert alpha == ref_alpha
+    assert level == pytest.approx(_ref_holder_seminorm(u, ref_alpha, seed), rel=1e-12, abs=0.0)
+    assert max_quotient_violation(u, alpha, level, seed) == 0.0
+    n = u.grid.num_nodes
+    total = sum(row["pairs"] for row in table)
+    assert pair_count(u, seed) == total
+    if exhaustive:
+        assert total == n * (n - 1) // 2
+    else:
+        assert total == sum(d.size for d, _ in _ref_scan_stratified(u, seed))
+
+
+class TestOffsetTableMatchesPairScan:
+    def test_zero_increment_bins(self):
+        u = from_callable(Grid((-1, -1), (1, 1), (9, 9)), lambda x: 2.5)
+        ref = _ref_binned_increments(u, 0)
+        table = binned_increments(u)
+        assert [row["distance"] for row in table] == [row["distance"] for row in ref]
+        assert all(row["max_increment"] == 0.0 for row in table)
+        assert [2 * row["pairs"] for row in table] == [row["pairs"] for row in ref]
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_grids(self, case):
+        make, seed = ORACLE_CASES[case]
+        _check_against_reference(make(), seed)
+
+    def test_heisenberg_verify_solution(self, heisenberg_verify_solution):
+        spec, coeffs, u, rep = heisenberg_verify_solution
+        _check_against_reference(u, 0)
+        report = verify_theorem(spec, coeffs, u, bundle_for_instance(spec, coeffs, u), rep)
+        assert report.increments == binned_increments(u, 0)
+        assert report.pair_count == 4096 * 4095 // 2
+        assert sum(row["pairs"] for row in report.increments) == report.pair_count
+        assert report.max_violation == 0.0
+        assert report.scan_s > 0.0
 
 
 class TestSeminorm:
@@ -92,6 +317,16 @@ class TestFitAlpha:
         u = from_callable(grid, lambda x: x[0])
         count = pair_count(u, seed=0)
         assert 100_000 <= count <= 1_200_000
+
+    @pytest.mark.parametrize(
+        "grid", [LINE, Grid((-1, -1, -1), (1, 1, 1), (17, 17, 17))], ids=["exhaustive", "stratified"]
+    )
+    def test_bins_count_each_unordered_pair_once(self, grid):
+        u = from_callable(grid, lambda x: x[0] ** 2)
+        total = sum(row["pairs"] for row in binned_increments(u, seed=2))
+        assert total == pair_count(u, seed=2)
+        if grid is LINE:
+            assert total == 257 * 256 // 2
 
     def test_binned_table_shape(self):
         u = from_callable(LINE, lambda x: x[0])

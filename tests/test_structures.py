@@ -17,7 +17,7 @@ from carnotpde import (
     structure_from_json,
     trace_p,
 )
-from carnotpde.errors import UnsupportedOperationError
+from carnotpde.errors import NumericalError, UnsupportedOperationError
 from carnotpde.fields import constant_field
 
 
@@ -232,6 +232,36 @@ class TestLipschitzEstimate:
         with pytest.raises(ValueError):
             lipschitz_sigma_estimate(preset("euclidean:2"), [(-1, 1)] * 2, samples=1)
 
+    @pytest.mark.parametrize(
+        "name, box",
+        [
+            ("heisenberg1", [(-1, 1)] * 3),
+            ("engel1", [(-1, 1)] * 4),
+            ("euclidean:2", [(-1, 1)] * 2),
+            # a flat axis repeats every corner, so pairs with zero gap occur
+            ("grushin-like2d", [(-1, 1), (0, 0)]),
+        ],
+    )
+    def test_matches_pair_loop(self, name, box):
+        s = preset(name)
+        for samples, seed in ((128, 0), (64, 5)):
+            rng = np.random.default_rng(seed)
+            lo = np.array([b[0] for b in box], dtype=float)
+            hi = np.array([b[1] for b in box], dtype=float)
+            pts = [lo + (hi - lo) * rng.random(s.n) for _ in range(samples)]
+            for bits in range(2**s.n):
+                pts.append(np.array([hi[k] if (bits >> k) & 1 else lo[k] for k in range(s.n)]))
+            mats = [sigma_at(s, p) for p in pts]
+            loop = 0.0
+            for i in range(len(pts)):
+                for j in range(i + 1, len(pts)):
+                    gap = float(np.linalg.norm(pts[i] - pts[j]))
+                    if gap == 0.0:
+                        continue
+                    loop = max(loop, float(np.linalg.norm(mats[i] - mats[j])) / gap)
+            est = lipschitz_sigma_estimate(s, box, samples=samples, seed=seed)
+            assert est == pytest.approx(loop, rel=1e-12, abs=0.0)
+
 
 class TestCustomStructure:
     def test_polynomial_entries(self):
@@ -263,6 +293,16 @@ class TestCustomStructure:
         ref = preset("grushin-like2d")
         for t in (-1.5, 0.0, 0.7):
             assert_allclose(sigma_at(s, [t, 0.0]), sigma_at(ref, [t, 0.0]), atol=1e-15)
+
+    def test_vanishing_denominator_names_the_point(self):
+        desc = {
+            "n": 2,
+            "m": 1,
+            "entries": [[{"num": [[1.0, 0, 0]], "den": [[1.0, 1, 0], [-0.5, 0, 0]]}, [[0.0, 0, 0]]]],
+        }
+        s = structure_from_json(desc)
+        with pytest.raises(NumericalError, match=r"x = \[0\.5, 0\.25\]"):
+            sigma_at(s, [0.5, 0.25])
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
