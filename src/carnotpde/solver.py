@@ -5,12 +5,14 @@ fields X_i(x) (rows of sigma at the node), with multilinear interpolation at
 the off-grid stencil ends. Arms that would leave the box are clipped to the
 boundary, where the unequal-arm (Shortley-Weller) second difference keeps the
 stencil monotone and exact on quadratics. Cross entries of the frame Hessian
-are recovered by polarization along X_i +/- X_j. The trace kind is linear:
-T_int u - c u = f - T_bd g is one M-matrix system in the interior values,
-solved by Jacobi-preconditioned BiCGSTAB (van der Vorst 1992). Pucci kinds use
-a damped explicit iteration u <- u + dt (F_h(u) - c u - f) under a CFL bound
-dt <= h^2 / (2 Lambda max Tr P + max(c) h^2) that makes the update order
-preserving.
+are recovered by polarization along X_i +/- X_j, so the frame Hessian M_h(u)
+is linear in u and F_h(u) = sup (pucci_plus) or inf (pucci_minus) of
+tr(A M_h(u)) over A with spectrum in [lambda, Lambda]. Every kind is solved by
+Howard policy iteration (Bokanowski-Maroso-Zidani 2009): fix the policy A that
+attains F_h at the current u, solve the linear system L_A u - c u = f in the
+interior values by Jacobi-preconditioned BiCGSTAB (van der Vorst 1992), and
+repeat. The trace kind's policy is the identity, so its one system
+T_int u - c u = f - T_bd g is solved in one outer step.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ def default_h_eff_cells(h: float) -> int:
 
 @dataclass
 class SolveConfig:
-    """Iteration controls. ``boundary`` supplies Dirichlet values on box faces."""
+    """Iteration controls. ``boundary`` supplies Dirichlet values on box faces;
+    ``max_iters`` caps the Krylov steps; ``dt`` is only checked and reported."""
 
     boundary: Callable[[np.ndarray], float]
     dt: float | None = None
@@ -66,9 +69,11 @@ class SolveReport:
     dt: float
     cfl_bound: float
     wall_time_s: float
-    method: str  # "bicgstab" (trace kind) or "explicit"
+    method: str  # "bicgstab" (trace kind) or "policy" (Pucci kinds)
     assembly_s: float
     nnz: int  # stored nonzeros of the directional stencils
+    outer_iterations: int  # policy steps; `iterations` counts Krylov steps
+    residual_history: list  # true max residual before each policy step and after the last
 
     def to_dict(self) -> dict:
         return {"schema_version": 1, **asdict(self)}
@@ -293,6 +298,25 @@ class DiscreteOperator:
             self._trace_matrix = sum(self.diag_ops[1:], self.diag_ops[0]).tocsr()
         return self._trace_matrix
 
+    def policy_matrix(self, u_flat: np.ndarray):
+        """The sparse L_A with L_A @ v = tr(A M_h(v)) for the policy A that
+        attains F_h at u_flat, so L_A @ u_flat = operator_values(u_flat).
+
+        Per node A = V diag(a) V^T from the eigenpairs of M_h(u), with
+        a = Lambda on positive eigenvalues and lambda otherwise (swapped for
+        pucci_minus). The trace kind's policy is the identity.
+        """
+        if self.spec.kind == "trace":
+            return self.trace_matrix()
+        lam, Lam = self.spec.bounds.lam, self.spec.bounds.Lam
+        if self.spec.kind == "pucci_minus":
+            lam, Lam = Lam, lam
+        evals, vecs = np.linalg.eigh(self.frame_matrices(u_flat))
+        pol = np.einsum("rik,rk,rjk->rij", vecs, np.where(evals > 0.0, Lam, lam), vecs)
+        terms = [sp.diags(pol[:, i, i]) @ op for i, op in enumerate(self.diag_ops)]
+        terms += [sp.diags(pol[:, i, j] / 2) @ (p - q) for (i, j), (p, q) in self.cross_ops.items()]
+        return sum(terms[1:], terms[0]).tocsr()
+
     def frame_matrices(self, u_flat: np.ndarray) -> np.ndarray:
         """The m x m frame Hessian approximation at every interior node."""
         m = self.spec.structure.m
@@ -340,30 +364,31 @@ def manufactured_rhs(
     return f
 
 
-def _bicgstab(op: DiscreteOperator, u_flat: np.ndarray, cfg: SolveConfig):
-    """Jacobi-preconditioned BiCGSTAB on T_int - diag(c), in place on u_flat.
+def _bicgstab(op: DiscreteOperator, lin, u_flat: np.ndarray, cfg: SolveConfig, iterations: int):
+    """Jacobi-preconditioned BiCGSTAB on lin[:, interior] - diag(c), in place on u_flat.
 
-    It (re)starts, with the true residual -op.residual(u) as shadow residual,
-    at the start, on breakdown and when the recurred residual meets tol.
+    It (re)starts, with the true linear residual f - (lin u - c u) as shadow
+    residual, at the start, on breakdown and when the recurred residual meets
+    tol. Returns the Krylov step count, continued from ``iterations`` and
+    capped at cfg.max_iters.
     """
-    interior, tm, pad = op.interior, op.trace_matrix(), np.zeros_like(u_flat)
-    inv_diag = 1.0 / (np.asarray(tm[np.arange(interior.size), interior]).ravel() - op.c_vec)
+    interior, pad = op.interior, np.zeros_like(u_flat)
+    inv_diag = 1.0 / (np.asarray(lin[np.arange(interior.size), interior]).ravel() - op.c_vec)
 
     def matvec(x):
         pad[interior] = x
-        return tm @ pad - op.c_vec * x
+        return lin @ pad - op.c_vec * x
 
     def dot(a, b):  # numpy's own sum, not BLAS ddot, whose threads stall on a busy host
         return float(np.sum(a * b))
 
-    iterations = 0
     while True:
-        r = -op.residual(u_flat)
+        r = -(lin @ u_flat - op.c_vec * u_flat[interior] - op.f_vec)
         res = float(np.abs(r).max())
         if not np.isfinite(res):
             raise NumericalError(f"BiCGSTAB diverged by step {iterations}")
         if res <= cfg.tol or iterations >= cfg.max_iters:
-            return iterations, res, res <= cfg.tol
+            return iterations
         rhat, rho, alpha, omega, p, v = r.copy(), 1.0, 1.0, 1.0, 0.0, 0.0
         while iterations < cfg.max_iters:
             iterations += 1
@@ -391,10 +416,12 @@ def solve(
 ) -> tuple[GridFunction, SolveReport]:
     """Solve to a max-norm residual max|F_h(u) - c u - f| at or below cfg.tol.
 
-    The trace kind uses BiCGSTAB, Pucci kinds the damped explicit iteration
-    with dt under the CFL bound (a larger cfg.dt raises ValueError for every
-    kind). Non-convergence within cfg.max_iters steps is reported, not raised;
-    NaN or Inf in the iterates raises NumericalError.
+    Howard policy iteration: each outer step fixes the policy attaining F_h at
+    the current u (op.policy_matrix) and solves its linear system by BiCGSTAB
+    to tol, until the true residual meets tol. The trace kind takes one outer
+    step. cfg.dt drives no iteration, but one above the CFL bound still raises
+    ValueError. Non-convergence within cfg.max_iters Krylov steps is reported,
+    not raised; NaN or Inf in the iterates raises NumericalError.
     """
     t0 = time.perf_counter()
     h_eff = None if cfg.h_eff_cells is None else cfg.h_eff_cells * grid.h
@@ -420,35 +447,35 @@ def solve(
     if cfg.initial is not None:
         u_flat[op.interior] = cfg.initial.flat[op.interior]
 
-    if spec.kind == "trace":
-        method = "bicgstab"
-        iterations, res, converged = _bicgstab(op, u_flat, cfg)
-    else:
-        method, converged, res, iterations = "explicit", False, np.inf, 0
-        for iterations in range(1, cfg.max_iters + 1):
-            new_int = u_flat[op.interior] + dt * op.residual(u_flat)
-            res = float(np.abs(new_int - u_flat[op.interior]).max()) / dt
-            if not np.isfinite(res):
-                raise NumericalError(f"iteration diverged at step {iterations}")
-            u_flat[op.interior] = new_int
-            if res <= cfg.tol:
-                exact = float(np.abs(op.residual(u_flat)).max())
-                if exact <= cfg.tol:
-                    res = exact
-                    converged = True
-                    break
+    def true_residual(iterations):
+        res = float(np.abs(op.residual(u_flat)).max())
+        if not np.isfinite(res):
+            raise NumericalError(f"solve diverged by Krylov step {iterations}")
+        return res
+
+    iterations = outer = 0
+    history = [true_residual(0)]
+    while history[-1] > cfg.tol and iterations < cfg.max_iters:
+        start = iterations
+        iterations = _bicgstab(op, op.policy_matrix(u_flat), u_flat, cfg, iterations)
+        outer += 1
+        history.append(true_residual(iterations))
+        if iterations == start:  # u already solves this policy's system to tol
+            break
     nnz = sum(a.nnz for a in op.diag_ops)
     nnz += sum(plus.nnz + minus.nnz for plus, minus in op.cross_ops.values())
     report = SolveReport(
         iterations=iterations,
-        final_residual=res,
-        converged=converged,
+        final_residual=history[-1],
+        converged=history[-1] <= cfg.tol,
         dt=dt,
         cfl_bound=op.cfl_bound,
         wall_time_s=time.perf_counter() - t0,
-        method=method,
+        method="bicgstab" if spec.kind == "trace" else "policy",
         assembly_s=assembly_s,
         nnz=nnz,
+        outer_iterations=outer,
+        residual_history=history,
     )
     return GridFunction(grid, u_flat.reshape(grid.shape)), report
 

@@ -1,13 +1,17 @@
 """CLI behavior: subcommands, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from carnotpde.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run(*argv) -> int:
@@ -70,9 +74,32 @@ class TestSolveCommand:
         assert report["final_residual"] <= 1e-6
         assert report["method"] == "bicgstab"
         assert report["nnz"] > 0 and report["assembly_s"] > 0.0
+        assert report["outer_iterations"] == 1 <= report["iterations"]
+        assert report["residual_history"][-1] == report["final_residual"]
+        assert len(report["residual_history"]) == 2
         csv_lines = (tmp_path / "solution.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "x1,x2,x3,value"
         assert len(csv_lines) == 16**3 + 1
+
+    def test_pucci_solve_leaves_sparse_linalg_unloaded(self, tmp_path):
+        # importing scipy.sparse.linalg adds about 10 MB to every run's resident memory
+        script = (
+            "import sys\n"
+            "from carnotpde.cli import main\n"
+            "code = main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, 'scipy.sparse.linalg' in sys.modules)\n"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(CONFIGS / "euclidean_pucci.json"), str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+        )
+        assert proc.stdout.splitlines()[-1:] == ["0 False"], proc.stderr
+        assert json.loads((tmp_path / "solve_report.json").read_text())["converged"] is True
 
     def test_bundled_planar_instance(self, tmp_path):
         code = run("solve", "--config", str(CONFIGS / "line2d.json"), "--out", str(tmp_path))

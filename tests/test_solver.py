@@ -1,5 +1,6 @@
-"""Unit tests for the directional scheme, the BiCGSTAB solve of the trace kind
-and the damped explicit iteration of the Pucci kinds."""
+"""Unit tests for the directional scheme and its policy-iteration solve: one
+BiCGSTAB solve for the trace kind, Howard steps for the Pucci kinds, checked
+against the damped explicit iteration kept here as a reference."""
 
 from dataclasses import replace
 
@@ -42,6 +43,50 @@ def heisenberg_instance(c_value=1.0, shape=(9, 9, 9)):
     grid = Grid((-1, -1, -1), (1, 1, 1), shape)
     cfg = SolveConfig(boundary=ustar.value)
     return spec, coeffs, grid, cfg, ustar
+
+
+def pucci_instance(kind, structure=EUC2, c_value=1.0, shape=(17, 17)):
+    """u* = x1^4 + x1 x2 - x2^2 (Hessian of mixed sign) under the (1, 2) Pucci kind."""
+    spec = pucci_operator(structure, 1.0, 2.0, plus=kind == "pucci_plus")
+    pad = [0] * (structure.n - 2)
+    ustar = polynomial_field(
+        [[1.0, 4, 0, *pad], [1.0, 1, 1, *pad], [-1.0, 0, 2, *pad]], structure.n
+    )
+    c = lambda x: c_value
+    coeffs = Coefficients(
+        c=c, f=manufactured_rhs(spec, c, ustar), L_c=0.0, beta=1.0, L_f=1.0, beta_prime=1.0,
+        c0=c_value,
+    )
+    grid = Grid((-1,) * structure.n, (1,) * structure.n, shape)
+    return spec, coeffs, grid, SolveConfig(boundary=ustar.value), ustar
+
+
+def _explicit_reference(spec, coeffs, grid, cfg):
+    """The damped explicit iteration u <- u + dt (F_h(u) - c u - f) that solved
+    the Pucci kinds before policy iteration, with dt just under the CFL bound
+    h^2 / (2 Lambda max Tr P + max(c) h^2) that makes the update order
+    preserving. Returns the node values and the true max residual."""
+    op = DiscreteOperator(spec, coeffs, grid)
+    dt = 0.995 * op.cfl_bound
+    u_flat, coords = np.zeros(grid.num_nodes), grid.coords()
+    for idx in np.nonzero(grid.boundary_mask())[0]:
+        u_flat[idx] = cfg.boundary(coords[idx])
+    for _ in range(cfg.max_iters):
+        new_int = u_flat[op.interior] + dt * op.residual(u_flat)
+        step = float(np.abs(new_int - u_flat[op.interior]).max()) / dt
+        assert np.isfinite(step)
+        u_flat[op.interior] = new_int
+        if step <= cfg.tol:
+            exact = float(np.abs(op.residual(u_flat)).max())
+            if exact <= cfg.tol:
+                return u_flat, exact
+    raise AssertionError("explicit reference did not converge")
+
+
+def solve_instance(name):
+    if name == "trace":
+        return heisenberg_instance()[:4]
+    return pucci_instance(name)[:4]
 
 
 class TestDirectionalDifference:
@@ -253,12 +298,30 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(spec, coeffs, grid, cfg)
 
-    def test_non_convergence_reported(self):
-        spec, coeffs, grid, _, ustar = heisenberg_instance()
-        cfg = SolveConfig(boundary=ustar.value, max_iters=3)
-        _, rep = solve(spec, coeffs, grid, cfg)
+    @pytest.mark.parametrize("name", ["trace", "pucci_plus"])
+    def test_non_convergence_reported(self, name):
+        spec, coeffs, grid, cfg = solve_instance(name)
+        _, rep = solve(spec, coeffs, grid, replace(cfg, max_iters=3))
         assert not rep.converged
         assert rep.iterations == 3
+        assert rep.final_residual == rep.residual_history[-1] > cfg.tol
+
+    def test_policy_step_without_progress_ends_the_solve(self, monkeypatch):
+        # a policy whose system u already solves to tol adds no Krylov step,
+        # so repeating it would loop forever; the solve reports instead
+        spec, coeffs, grid, cfg = solve_instance("pucci_plus")
+        calls = []
+
+        def fixed_policy(op, u_flat):
+            calls.append(1)
+            assert len(calls) <= 3, "policy step repeated without progress"
+            return op.trace_matrix()
+
+        monkeypatch.setattr(DiscreteOperator, "policy_matrix", fixed_policy)
+        _, rep = solve(spec, coeffs, grid, cfg)
+        assert not rep.converged
+        assert rep.outer_iterations == len(calls) == 2
+        assert rep.residual_history[-1] == rep.residual_history[-2] > cfg.tol
 
     def test_non_finite_data_raises(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance()
@@ -266,13 +329,16 @@ class TestSolve:
         with pytest.raises(NumericalError):
             solve(spec, bad, grid, cfg)
 
-    def test_warm_start_shortens_iteration(self):
-        spec, coeffs, grid, cfg, _ = heisenberg_instance()
+    @pytest.mark.parametrize("name", ["trace", "pucci_plus"])
+    def test_warm_start_shortens_iteration(self, name):
+        spec, coeffs, grid, cfg = solve_instance(name)
         u_cold, rep_cold = solve(spec, coeffs, grid, cfg)
         warm_cfg = SolveConfig(boundary=cfg.boundary, initial=u_cold)
         u_warm, rep_warm = solve(spec, coeffs, grid, warm_cfg)
         assert rep_warm.converged
         assert rep_warm.iterations == 0 < rep_cold.iterations
+        assert rep_warm.outer_iterations == 0 < rep_cold.outer_iterations
+        assert rep_warm.residual_history == [rep_cold.final_residual]
         assert np.array_equal(u_warm.values, u_cold.values)
 
     @pytest.mark.parametrize("shape", [(9, 9, 9), (17, 17, 17)])
@@ -305,9 +371,34 @@ class TestSolve:
         grid = Grid((-1, -1), (1, 1), (17, 17))
         u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
         assert rep.converged
-        assert rep.method == "explicit"
+        assert rep.method == "policy"
         exact = from_callable(grid, ustar.value)
         assert np.abs(u.values - exact.values).max() <= 0.02
+
+    @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+    @pytest.mark.parametrize(
+        "structure, c_value, shape",
+        [
+            ("euclidean:2", 1.0, (17, 17)),
+            ("euclidean:2", 0.05, (17, 17)),
+            ("heisenberg1", 1.0, (9, 9, 9)),
+            ("engel1", 1.0, (7, 7, 7, 7)),
+            ("euclidean:3", 1.0, (9, 9, 9)),  # m = 3: eigvalsh in the residual
+        ],
+    )
+    def test_policy_solve_matches_explicit_reference(self, kind, structure, c_value, shape):
+        spec, coeffs, grid, cfg, _ = pucci_instance(kind, preset(structure), c_value, shape)
+        u, rep = solve(spec, coeffs, grid, cfg)
+        assert rep.converged and rep.method == "policy"
+        op = DiscreteOperator(spec, coeffs, grid)
+        true_residual = float(np.abs(op.residual(u.flat)).max())
+        assert rep.final_residual == true_residual <= cfg.tol
+        assert rep.residual_history[-1] == rep.final_residual
+        assert len(rep.residual_history) == rep.outer_iterations + 1
+        assert 1 <= rep.outer_iterations <= rep.iterations
+        reference, reference_residual = _explicit_reference(spec, coeffs, grid, cfg)
+        assert reference_residual <= cfg.tol
+        assert np.abs(u.flat - reference).max() <= 2.0 * cfg.tol / coeffs.c0
 
     def test_two_box_sensitivity_finite(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance(shape=(9, 9, 9))
@@ -325,3 +416,7 @@ class TestSolve:
         assert 0.0 < payload["assembly_s"] <= payload["wall_time_s"]
         op = DiscreteOperator(spec, coeffs, grid)
         assert payload["nnz"] == sum(a.nnz for a in op.diag_ops) > 0
+        assert payload["outer_iterations"] == 1
+        history = payload["residual_history"]
+        assert len(history) == 2 and history[0] > cfg.tol >= history[1]
+        assert history[1] == payload["final_residual"]
