@@ -17,7 +17,7 @@ import carnotpde as cp
 def heisenberg_instance():
     spec = cp.trace_operator(cp.preset("heisenberg1"))
     ustar = cp.polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)
-    c = lambda x: 1.0
+    c = cp.constant_field(1.0, 3).value
     f = cp.manufactured_rhs(spec, c, ustar)
     coeffs = cp.Coefficients(
         c=c, f=f, L_c=0.0, beta=1.0, L_f=np.sqrt(5.0), beta_prime=1.0, c0=1.0
@@ -28,7 +28,7 @@ def heisenberg_instance():
 def extremal_instance():
     spec = cp.pucci_operator(cp.preset("euclidean:2"), 1.0, 2.0, plus=True)
     ustar = cp.polynomial_field([[1.0, 4, 0], [1.0, 0, 2]], 2)
-    c = lambda x: 1.0
+    c = cp.constant_field(1.0, 2).value
     f = cp.manufactured_rhs(spec, c, ustar)
     coeffs = cp.Coefficients(c=c, f=f, L_c=0.0, beta=1.0, L_f=5.0, beta_prime=1.0, c0=1.0)
     return "planar extremal", spec, coeffs, ustar, 2

@@ -42,8 +42,6 @@ from .solver import (
     DiscreteOperator,
     SolveConfig,
     SolveReport,
-    directional_second_difference,
-    discrete_operator,
     manufactured_rhs,
     solve,
     two_box_sensitivity,

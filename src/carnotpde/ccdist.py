@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoPathError, NumericalError
-from .structures import CarnotStructure, as_point
+from .structures import CarnotStructure, as_point, frames
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,13 @@ def cc_search(
         if found < len(level):
             return CCResult(cost, popped + found + 1, depth, peak, time.perf_counter() - t0)
         popped += len(level)
-        frames = np.array([s.sigma(p) for p in level], dtype=float)
-        if frames.shape != (len(level), s.m, s.n):
-            raise ValueError(f"sigma returned shape {frames.shape[1:]}, expected {(s.m, s.n)}")
-        finite = np.isfinite(frames).all(axis=(1, 2))
+        frame = frames(s, level)
+        finite = np.isfinite(frame).all(axis=(1, 2))
         if not finite.all():
             bad = level[np.argmin(finite)].tolist()
             raise NumericalError(f"sigma has non-finite entries at state {bad}")
         # candidates in settle order: parent, then field i, then + before -
-        cand = (level[:, None, None, :] + signs * frames[:, :, None, :]).reshape(-1, s.n)
+        cand = (level[:, None, None, :] + signs * frame[:, :, None, :]).reshape(-1, s.n)
         cand = cand[~((cand < lo) | (cand > hi)).any(axis=1)]
         keys = _cell_keys(cand, cell)
         at = np.minimum(np.searchsorted(settled, keys), len(settled) - 1)

@@ -102,7 +102,7 @@ def build_setup(raw: dict, need_solve: bool) -> RunSetup:
         f_desc = co.get("f", "manufactured")
         c0 = co.get("c0")
         if c0 is None:
-            c0 = min(c_field.value(p) for p in grid.coords())
+            c0 = c_field.value(grid.coords()).min()
         coeffs_kwargs = dict(
             L_c=float(co.get("L_c", 0.0)),
             beta=float(co.get("beta", 1.0)),
@@ -125,12 +125,11 @@ def build_setup(raw: dict, need_solve: bool) -> RunSetup:
                 raise ConfigError("boundary = 'manufactured' requires a manufactured_solution")
             boundary = ustar.value
         elif boundary_desc == "zero":
-            boundary = lambda x: 0.0
+            boundary = constant_field(0.0, structure.n).value
         else:
             boundary = _field_from_poly(boundary_desc, structure.n).value
         solve_cfg = SolveConfig(
             boundary=boundary,
-            dt=so.get("dt"),
             tol=float(so.get("tol", 1e-6)),
             max_iters=int(so.get("max_iters", 200_000)),
             h_eff_cells=so.get("h_eff_cells"),

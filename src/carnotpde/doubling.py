@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InadmissibleExponentError, SingularPointError
-from .structures import CarnotStructure, trace_p
+from .structures import CarnotStructure, frames
 
 
 @dataclass(frozen=True)
@@ -287,6 +287,7 @@ def growth_condition_margin(
     shift = c0 / (2.0 * Lambda)
     margins = []
     for r in radii:
-        best = max(trace_p(s, r * d) for d in dirs)
+        frame = frames(s, r * dirs)
+        best = float(np.einsum("kij,kij->k", frame, frame).max())
         margins.append(best / (r * r) - shift)
     return margins

@@ -25,10 +25,6 @@ class SingularPointError(CarnotPDEError):
     """The doubling test function is evaluated on the diagonal x == y."""
 
 
-class BoundaryStencilError(CarnotPDEError):
-    """A difference stencil leaves the grid box."""
-
-
 class NoPathError(CarnotPDEError):
     """The control-path search exhausted its box or node budget without reaching the goal."""
 

@@ -1,8 +1,11 @@
-"""Scalar fields with exact gradients and Hessians.
+"""Scalar fields with exact gradients and Hessians, evaluated on batches of points.
 
-Polynomial fields are given as monomial tables ``[[coeff, e1, ..., en], ...]``
-and differentiated term by term, so manufactured solutions and coefficient
-fields come with machine-exact derivatives.
+Every field and coefficient callable in the package takes an (N, n) array of
+points, one per row, and returns one value per row: shape (N,) for values,
+(N, n) for gradients and (N, n, n) for Hessians. Polynomial fields are given
+as monomial tables ``[[coeff, e1, ..., en], ...]`` and differentiated term by
+term, so manufactured solutions and coefficient fields come with
+machine-exact derivatives.
 """
 
 from __future__ import annotations
@@ -15,12 +18,24 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SmoothField:
-    """A scalar field on R^n with callables for value, gradient and Hessian."""
+    """A scalar field on R^n with batched callables for value, gradient and Hessian."""
 
     n: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+
+
+def field_values(fn: Callable[[np.ndarray], np.ndarray], X: np.ndarray, name: str) -> np.ndarray:
+    """fn evaluated on the (N, n) rows X, checked to give one float per row.
+
+    A wrong shape, such as the scalar of a function written for one point,
+    raises ValueError.
+    """
+    vals = np.asarray(fn(X), dtype=float)
+    if vals.shape != (len(X),):
+        raise ValueError(f"{name} returned shape {vals.shape}, expected ({len(X)},)")
+    return vals
 
 
 def _check_terms(terms: Sequence[Sequence[float]], n: int) -> list[tuple[float, tuple[int, ...]]]:
@@ -36,13 +51,14 @@ def _check_terms(terms: Sequence[Sequence[float]], n: int) -> list[tuple[float, 
     return parsed
 
 
-def _poly_value(parsed, x: np.ndarray) -> float:
-    total = 0.0
+def _poly_value(parsed, X: np.ndarray) -> np.ndarray:
+    """The polynomial at each row of X (N, n), shape (N,)."""
+    total = np.zeros(len(X))
     for coeff, exps in parsed:
-        prod = coeff
-        for xi, e in zip(x, exps):
+        prod = np.full(len(X), coeff)
+        for k, e in enumerate(exps):
             if e:
-                prod *= xi**e
+                prod *= X[:, k] ** e
         total += prod
     return total
 
@@ -65,20 +81,17 @@ def polynomial_field(terms: Sequence[Sequence[float]], n: int) -> SmoothField:
     grads = [_diff_terms(parsed, i) for i in range(n)]
     hesses = [[_diff_terms(grads[i], j) for j in range(n)] for i in range(n)]
 
-    def value(x):
-        return _poly_value(parsed, np.asarray(x, dtype=float))
+    def value(X):
+        return _poly_value(parsed, np.asarray(X, dtype=float))
 
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return np.array([_poly_value(g, x) for g in grads])
+    def gradient(X):
+        X = np.asarray(X, dtype=float)
+        return np.stack([_poly_value(g, X) for g in grads], axis=-1)
 
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        h = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                h[i, j] = _poly_value(hesses[i][j], x)
-        return (h + h.T) / 2.0
+    def hessian(X):
+        X = np.asarray(X, dtype=float)
+        h = np.stack([np.stack([_poly_value(t, X) for t in row], axis=-1) for row in hesses], 1)
+        return (h + np.swapaxes(h, 1, 2)) / 2.0
 
     return SmoothField(n, value, gradient, hessian)
 
@@ -87,7 +100,7 @@ def constant_field(k: float, n: int) -> SmoothField:
     k = float(k)
     return SmoothField(
         n,
-        lambda x: k,
-        lambda x: np.zeros(n),
-        lambda x: np.zeros((n, n)),
+        lambda X: np.full(len(X), k),
+        lambda X: np.zeros((len(X), n)),
+        lambda X: np.zeros((len(X), n, n)),
     )

@@ -13,6 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .fields import field_values
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -97,10 +99,9 @@ class GridFunction:
         return self.values.ravel()
 
 
-def from_callable(grid: Grid, fn: Callable[[np.ndarray], float]) -> GridFunction:
-    pts = grid.coords()
-    vals = np.array([fn(p) for p in pts])
-    return GridFunction(grid, vals.reshape(grid.shape))
+def from_callable(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
+    """The grid function of fn, called once on the (num_nodes, n) node coordinates."""
+    return GridFunction(grid, field_values(fn, grid.coords(), "fn").reshape(grid.shape))
 
 
 def multilinear_weights(grid: Grid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

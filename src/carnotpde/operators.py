@@ -3,9 +3,12 @@
 G acts on m x m symmetric matrices and is pinned between lambda*Tr and
 Lambda*Tr on ordered pairs. Implemented kinds: "trace" (sum of eigenvalues)
 and the extremal pair "pucci_plus" / "pucci_minus" evaluated in closed form
-from the eigenvalues. Property checks (the two-sided trace sandwich,
-degenerate ellipticity) run batched over random trials and return reports
-rather than raising.
+from the eigenvalues. ``g_values`` is the one evaluation of G, batched over a
+stack of matrices; ``g_eval`` and ``f_eval`` are its one-matrix forms. The
+coefficients c and f follow the package's batch protocol: they map an (N, n)
+array of points to the (N,) array of their values. Property checks (the
+two-sided trace sandwich, degenerate ellipticity) run batched over random
+trials and return reports rather than raising.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import symmat
-from .structures import CarnotStructure, as_point, sigma_at
+from .structures import CarnotStructure, as_point, frames
 
 KINDS = ("trace", "pucci_plus", "pucci_minus")
 
@@ -57,12 +60,12 @@ def pucci_operator(structure: CarnotStructure, lam: float, Lam: float, plus: boo
 class Coefficients:
     """Zero-order coefficient c and right-hand side f with their Holder data.
 
-    c0 is the infimum of c over the working box; it must be positive for the
-    regularity machinery.
+    c and f map (N, n) points to (N,) values. c0 is the infimum of c over the
+    working box; it must be positive for the regularity machinery.
     """
 
-    c: Callable[[np.ndarray], float]
-    f: Callable[[np.ndarray], float]
+    c: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[np.ndarray], np.ndarray]
     L_c: float
     beta: float
     L_f: float
@@ -90,6 +93,34 @@ def pucci_from_eigenvalues(kind: str, lam: float, Lam: float, evals: np.ndarray)
     raise ValueError(f"not an extremal kind: {kind!r}")
 
 
+def g_values(spec: OperatorSpec, mats: np.ndarray) -> np.ndarray:
+    """G on a stack of symmetric matrices (..., d, d), shape (...).
+
+    The trace kind sums the diagonal. The extremal kinds take the eigenvalues
+    directly for d = 1, in closed form for d = 2 and from LAPACK's eigvalsh
+    otherwise.
+    """
+    if spec.kind == "trace":
+        return np.trace(mats, axis1=-2, axis2=-1)
+    d = mats.shape[-1]
+    if d == 1:
+        evals = mats[..., 0]
+    elif d == 2:
+        mid = (mats[..., 0, 0] + mats[..., 1, 1]) / 2.0
+        rad = np.sqrt(((mats[..., 0, 0] - mats[..., 1, 1]) / 2.0) ** 2 + mats[..., 0, 1] ** 2)
+        evals = np.stack([mid - rad, mid + rad], axis=-1)
+    else:
+        evals = np.linalg.eigvalsh(mats)
+    return pucci_from_eigenvalues(spec.kind, spec.bounds.lam, spec.bounds.Lam, evals)
+
+
+def frame_hessians(spec: OperatorSpec, X: np.ndarray, hessians: np.ndarray) -> np.ndarray:
+    """sigma(x) H sigma(x)^T at the (N, n) rows X for their (N, n, n) Hessians."""
+    s = frames(spec.structure, X)
+    mats = s @ hessians @ np.swapaxes(s, 1, 2)
+    return (mats + np.swapaxes(mats, 1, 2)) / 2.0
+
+
 def g_eval(spec: OperatorSpec, n_mat: np.ndarray) -> float:
     """Evaluate G on an m x m symmetric matrix."""
     n_mat = symmat.require_symmetric(n_mat)
@@ -97,10 +128,7 @@ def g_eval(spec: OperatorSpec, n_mat: np.ndarray) -> float:
         raise ValueError(
             f"G acts on {spec.structure.m} x {spec.structure.m} matrices, got {n_mat.shape}"
         )
-    if spec.kind == "trace":
-        return float(np.trace(n_mat))
-    evals = symmat.eigh(n_mat).eigenvalues
-    return float(pucci_from_eigenvalues(spec.kind, spec.bounds.lam, spec.bounds.Lam, evals))
+    return float(g_values(spec, n_mat[None])[0])
 
 
 def f_eval(spec: OperatorSpec, m_mat: np.ndarray, x) -> float:
@@ -110,15 +138,8 @@ def f_eval(spec: OperatorSpec, m_mat: np.ndarray, x) -> float:
         raise ValueError(
             f"F acts on {spec.structure.n} x {spec.structure.n} Hessians, got {m_mat.shape}"
         )
-    s = sigma_at(spec.structure, x)
-    return g_eval(spec, symmat.symmetrize(s @ m_mat @ s.T))
-
-
-def _g_batch(kind: str, lam: float, Lam: float, mats: np.ndarray) -> np.ndarray:
-    if kind == "trace":
-        return np.trace(mats, axis1=-2, axis2=-1)
-    evals = np.linalg.eigvalsh(mats)
-    return pucci_from_eigenvalues(kind, lam, Lam, evals)
+    p = as_point(x, spec.structure.n)[None, :]
+    return float(g_values(spec, frame_hessians(spec, p, m_mat[None]))[0])
 
 
 @dataclass(frozen=True)
@@ -159,8 +180,8 @@ def sandwich_check(
     c = rng.normal(size=(trials, d, d))
     b = a - np.transpose(c, (0, 2, 1)) @ c
     b = (b + np.transpose(b, (0, 2, 1))) / 2.0
-    ga = _g_batch(spec.kind, lam, Lam, a)
-    gb = _g_batch(spec.kind, lam, Lam, b)
+    ga = g_values(spec, a)
+    gb = g_values(spec, b)
     gap = np.trace(a - b, axis1=-2, axis2=-1)
     diff = ga - gb
     scale = np.maximum(1.0, np.maximum(np.abs(ga), np.abs(gb)))
@@ -188,21 +209,15 @@ def degenerate_ellipticity_check(
     """Verify F(M, x) <= F(N, x) for random ordered Hessians M <= N."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p = as_point(x, spec.structure.n)
-    s = sigma_at(spec.structure, p)
     n = spec.structure.n
-    lam, Lam = spec.bounds.lam, spec.bounds.Lam
+    X = np.tile(as_point(x, n), (trials, 1))
     rng = np.random.default_rng(seed)
     m_mats = _random_symmetric(rng, trials, n)
     c = rng.normal(size=(trials, n, n))
     n_mats = m_mats + np.transpose(c, (0, 2, 1)) @ c
     n_mats = (n_mats + np.transpose(n_mats, (0, 2, 1))) / 2.0
-    sm = np.einsum("ij,tjk,lk->til", s, m_mats, s)
-    sn = np.einsum("ij,tjk,lk->til", s, n_mats, s)
-    sm = (sm + np.transpose(sm, (0, 2, 1))) / 2.0
-    sn = (sn + np.transpose(sn, (0, 2, 1))) / 2.0
-    fm = _g_batch(spec.kind, lam, Lam, sm)
-    fn = _g_batch(spec.kind, lam, Lam, sn)
+    fm = g_values(spec, frame_hessians(spec, X, m_mats))
+    fn = g_values(spec, frame_hessians(spec, X, n_mats))
     scale = np.maximum(1.0, np.maximum(np.abs(fm), np.abs(fn)))
     slack = fm - fn
     bad = slack > 1e-9 * scale

@@ -13,6 +13,10 @@ attains F_h at the current u, solve the linear system L_A u - c u = f in the
 interior values by Jacobi-preconditioned BiCGSTAB (van der Vorst 1992), and
 repeat. The trace kind's policy is the identity, so its one system
 T_int u - c u = f - T_bd g is solved in one outer step.
+
+Frames, coefficients and Dirichlet data are evaluated once per solve on the
+(N, n) array of the nodes that need them, so c, f and the boundary callable
+map (N, n) points to (N,) values.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BoundaryStencilError, NumericalError, PreconditionError
-from .fields import SmoothField
-from .grids import Grid, GridFunction, interpolate, multilinear_weights
-from .operators import Coefficients, OperatorSpec, f_eval, g_eval, pucci_from_eigenvalues
-from .structures import sigma_at
+from .errors import NumericalError
+from .fields import SmoothField, field_values
+from .grids import Grid, GridFunction, multilinear_weights
+from .operators import Coefficients, OperatorSpec, frame_hessians, g_values
+from .structures import frames
 
 _ARM_EPS = 1e-12
 
@@ -44,11 +48,10 @@ def default_h_eff_cells(h: float) -> int:
 
 @dataclass
 class SolveConfig:
-    """Iteration controls. ``boundary`` supplies Dirichlet values on box faces;
-    ``max_iters`` caps the Krylov steps; ``dt`` is only checked and reported."""
+    """Iteration controls. ``boundary`` maps (N, n) face nodes to their (N,)
+    Dirichlet values; ``max_iters`` caps the Krylov steps."""
 
-    boundary: Callable[[np.ndarray], float]
-    dt: float | None = None
+    boundary: Callable[[np.ndarray], np.ndarray]
     tol: float = 1e-6
     max_iters: int = 200_000
     h_eff_cells: int | None = None
@@ -66,8 +69,6 @@ class SolveReport:
     iterations: int
     final_residual: float
     converged: bool
-    dt: float
-    cfl_bound: float
     wall_time_s: float
     method: str  # "bicgstab" (trace kind) or "policy" (Pucci kinds)
     assembly_s: float
@@ -76,97 +77,7 @@ class SolveReport:
     residual_history: list  # true max residual before each policy step and after the last
 
     def to_dict(self) -> dict:
-        return {"schema_version": 1, **asdict(self)}
-
-
-def directional_second_difference(u: GridFunction, x, v, h_eff: float) -> float:
-    """Plain central second difference (u(x+hv) - 2u(x) + u(x-hv)) / h^2 along v.
-
-    Off-grid stencil ends are evaluated by multilinear interpolation. Both
-    ends must lie inside the closed box; otherwise BoundaryStencilError is
-    raised and the caller is expected to shrink h_eff or fall back to the
-    clipped-arm difference.
-    """
-    grid = u.grid
-    if not (0.0 < h_eff <= 4.0 * grid.h + _ARM_EPS):
-        raise ValueError(f"h_eff must lie in (0, 4h], got {h_eff}")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    lo = np.array(grid.lo)
-    hi = np.array(grid.hi)
-    eps = 1e-9 * grid.h
-    plus = x + h_eff * v
-    minus = x - h_eff * v
-    for p in (plus, minus):
-        if np.any(p < lo - eps) or np.any(p > hi + eps):
-            raise BoundaryStencilError("stencil end leaves the grid box")
-    vals = interpolate(u, np.stack([plus, x, minus]))
-    return float((vals[0] - 2.0 * vals[1] + vals[2]) / (h_eff * h_eff))
-
-
-def _exit_arm(lo, hi, x, dirv, h_eff):
-    """Clipped arm length min(h_eff, distance to the box boundary along dirv)."""
-    t = h_eff
-    for k in range(x.size):
-        d = dirv[k]
-        if d > _ARM_EPS:
-            t = min(t, (hi[k] - x[k]) / d)
-        elif d < -_ARM_EPS:
-            t = min(t, (lo[k] - x[k]) / d)
-    return max(t, 0.0)
-
-
-def _clipped_second_difference(u: GridFunction, x, v, h_eff: float) -> float:
-    """Unequal-arm second difference with arms clipped at the box boundary."""
-    grid = u.grid
-    lo = np.array(grid.lo)
-    hi = np.array(grid.hi)
-    a = _exit_arm(lo, hi, x, v, h_eff)
-    b = _exit_arm(lo, hi, x, -v, h_eff)
-    plus = np.clip(x + a * v, lo, hi)
-    minus = np.clip(x - b * v, lo, hi)
-    vals = interpolate(u, np.stack([plus, x, minus]))
-    return float(2.0 * ((vals[0] - vals[1]) / a + (vals[2] - vals[1]) / b) / (a + b))
-
-
-def _node_frame_matrix(spec: OperatorSpec, u: GridFunction, x, h_eff: float) -> np.ndarray:
-    """Assemble the m x m matrix of second differences along the frame at x."""
-    s = sigma_at(spec.structure, x)
-    m = spec.structure.m
-    n_h = np.zeros((m, m))
-    norms = np.linalg.norm(s, axis=1)
-    for i in range(m):
-        if norms[i] <= _ARM_EPS:
-            continue
-        vi = s[i] / norms[i]
-        n_h[i, i] = norms[i] ** 2 * _clipped_second_difference(u, x, vi, h_eff)
-    if spec.kind != "trace":
-        for i in range(m):
-            for j in range(i + 1, m):
-                val = 0.0
-                for w, sign in ((s[i] + s[j], 0.25), (s[i] - s[j], -0.25)):
-                    wn = float(np.linalg.norm(w))
-                    if wn <= _ARM_EPS:
-                        continue
-                    val += sign * wn**2 * _clipped_second_difference(u, x, w / wn, h_eff)
-                n_h[i, j] = n_h[j, i] = val
-    return n_h
-
-
-def discrete_operator(
-    spec: OperatorSpec, coeffs: Coefficients, u: GridFunction, node: int, h_eff: float | None = None
-) -> float:
-    """Residual F_h(u, x) - c(x) u(x) - f(x) at one interior node (flat index)."""
-    grid = u.grid
-    if grid.boundary_mask()[node]:
-        raise PreconditionError("discrete_operator is defined on interior nodes only")
-    if h_eff is None:
-        h_eff = default_h_eff_cells(grid.h) * grid.h
-    x = grid.node_coords(node)
-    n_h = _node_frame_matrix(spec, u, x, h_eff)
-    value = g_eval(spec, n_h)
-    ux = float(u.flat[node])
-    return value - coeffs.c(x) * ux - coeffs.f(x)
+        return {"schema_version": 2, **asdict(self)}
 
 
 class DiscreteOperator:
@@ -199,33 +110,22 @@ class DiscreteOperator:
         self.interior = grid.interior_indices()
         coords = grid.coords()[self.interior]
         self.coords = coords
-        n_int = coords.shape[0]
         m = structure.m
-
-        frames = np.empty((n_int, m, grid.n))
-        for r, p in enumerate(coords):
-            frames[r] = sigma_at(structure, p)
-
-        self.scales = np.einsum("rmi,rmi->rm", frames, frames)  # |X_i|^2 per node
+        frame = frames(structure, coords)
+        self.scales = np.einsum("rmi,rmi->rm", frame, frame)  # |X_i|^2 per node
         self.trace_p = self.scales.sum(axis=1)
 
-        self.diag_ops = [
-            self._directional_matrix(frames[:, i, :]) for i in range(m)
-        ]
+        self.diag_ops = [self._directional_matrix(frame[:, i, :]) for i in range(m)]
         self.cross_ops = {}
         if spec.kind != "trace":
             for i in range(m):
                 for j in range(i + 1, m):
-                    plus = self._directional_matrix(frames[:, i, :] + frames[:, j, :])
-                    minus = self._directional_matrix(frames[:, i, :] - frames[:, j, :])
+                    plus = self._directional_matrix(frame[:, i, :] + frame[:, j, :])
+                    minus = self._directional_matrix(frame[:, i, :] - frame[:, j, :])
                     self.cross_ops[(i, j)] = (plus, minus)
 
-        self.c_vec = np.array([coeffs.c(p) for p in coords])
-        self.f_vec = np.array([coeffs.f(p) for p in coords])
-        lam_eff = spec.bounds.Lam
-        c_max = float(self.c_vec.max(initial=0.0))
-        self.cfl_bound = h * h / (2.0 * lam_eff * float(self.trace_p.max()) + c_max * h * h)
-
+        self.c_vec = field_values(coeffs.c, coords, "c")
+        self.f_vec = field_values(coeffs.f, coords, "f")
         self._trace_matrix = None
 
     def _directional_matrix(self, w: np.ndarray):
@@ -331,35 +231,30 @@ class DiscreteOperator:
         return mats
 
     def operator_values(self, u_flat: np.ndarray) -> np.ndarray:
-        """G applied to the frame Hessians at every interior node."""
-        kind = self.spec.kind
-        if kind == "trace":
+        """G applied to the frame Hessians at every interior node.
+
+        The trace kind's G is linear: it applies the trace matrix, the same
+        matrix its Krylov solve iterates with, so the residual that ends the
+        Krylov solve and the one the solve reports agree to the last bit.
+        """
+        if self.spec.kind == "trace":
             return self.trace_matrix() @ u_flat
-        lam, Lam = self.spec.bounds.lam, self.spec.bounds.Lam
-        mats = self.frame_matrices(u_flat)
-        m = mats.shape[1]
-        if m == 1:
-            evals = mats[:, :, 0]
-        elif m == 2:
-            mid = (mats[:, 0, 0] + mats[:, 1, 1]) / 2.0
-            rad = np.sqrt(((mats[:, 0, 0] - mats[:, 1, 1]) / 2.0) ** 2 + mats[:, 0, 1] ** 2)
-            evals = np.stack([mid - rad, mid + rad], axis=1)
-        else:
-            evals = np.linalg.eigvalsh(mats)
-        return pucci_from_eigenvalues(kind, lam, Lam, evals)
+        return g_values(self.spec, self.frame_matrices(u_flat))
 
     def residual(self, u_flat: np.ndarray) -> np.ndarray:
         return self.operator_values(u_flat) - self.c_vec * u_flat[self.interior] - self.f_vec
 
 
 def manufactured_rhs(
-    spec: OperatorSpec, c: Callable[[np.ndarray], float], ustar: SmoothField
-) -> Callable[[np.ndarray], float]:
-    """Right-hand side f = F(D^2 u*, x) - c(x) u*(x) for a chosen exact solution."""
+    spec: OperatorSpec, c: Callable[[np.ndarray], np.ndarray], ustar: SmoothField
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Right-hand side f = F(D^2 u*, x) - c(x) u*(x) for a chosen exact solution,
+    as a function of (N, n) points."""
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return f_eval(spec, ustar.hessian(x), x) - c(x) * ustar.value(x)
+    def f(X):
+        X = np.asarray(X, dtype=float)
+        mats = frame_hessians(spec, X, ustar.hessian(X))
+        return g_values(spec, mats) - field_values(c, X, "c") * ustar.value(X)
 
     return f
 
@@ -419,31 +314,17 @@ def solve(
     Howard policy iteration: each outer step fixes the policy attaining F_h at
     the current u (op.policy_matrix) and solves its linear system by BiCGSTAB
     to tol, until the true residual meets tol. The trace kind takes one outer
-    step. cfg.dt drives no iteration, but one above the CFL bound still raises
-    ValueError. Non-convergence within cfg.max_iters Krylov steps is reported,
-    not raised; NaN or Inf in the iterates raises NumericalError.
+    step. Non-convergence within cfg.max_iters Krylov steps is reported, not
+    raised; NaN or Inf in the iterates raises NumericalError.
     """
     t0 = time.perf_counter()
     h_eff = None if cfg.h_eff_cells is None else cfg.h_eff_cells * grid.h
     op = DiscreteOperator(spec, coeffs, grid, h_eff=h_eff)
     assembly_s = time.perf_counter() - t0
 
-    if cfg.dt is None:
-        dt = 0.995 * op.cfl_bound
-    else:
-        dt = float(cfg.dt)
-        if dt > op.cfl_bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt = {dt:.3e} violates the CFL bound {op.cfl_bound:.3e}"
-            )
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-
     u_flat = np.zeros(grid.num_nodes)
     boundary = grid.boundary_mask()
-    coords = grid.coords()
-    for idx in np.nonzero(boundary)[0]:
-        u_flat[idx] = cfg.boundary(coords[idx])
+    u_flat[boundary] = field_values(cfg.boundary, grid.coords()[boundary], "boundary")
     if cfg.initial is not None:
         u_flat[op.interior] = cfg.initial.flat[op.interior]
 
@@ -468,8 +349,6 @@ def solve(
         iterations=iterations,
         final_residual=history[-1],
         converged=history[-1] <= cfg.tol,
-        dt=dt,
-        cfl_bound=op.cfl_bound,
         wall_time_s=time.perf_counter() - t0,
         method="bicgstab" if spec.kind == "trace" else "policy",
         assembly_s=assembly_s,
@@ -505,14 +384,11 @@ def two_box_sensitivity(
     u_big, rep_big = solve(spec, coeffs, big, cfg)
     if not (rep_small.converged and rep_big.converged):
         raise NumericalError("two-box sensitivity needs both solves to converge")
-    center = [(l + hi) / 2.0 for l, hi in zip(grid.lo, grid.hi)]
-    quarter = [(hi - l) / 4.0 for l, hi in zip(grid.lo, grid.hi)]
-    small_vals = u_small.values
-    big_vals = u_big.values
-    worst = 0.0
-    for idx in np.ndindex(grid.shape):
-        x = [grid.lo[k] + h * idx[k] for k in range(grid.n)]
-        if all(abs(x[k] - center[k]) <= quarter[k] + 1e-12 for k in range(grid.n)):
-            big_idx = tuple(idx[k] + pad_cells for k in range(grid.n))
-            worst = max(worst, abs(float(small_vals[idx]) - float(big_vals[big_idx])))
-    return worst
+    small, large = [], []
+    for k in range(grid.n):
+        center = (grid.lo[k] + grid.hi[k]) / 2.0
+        quarter = (grid.hi[k] - grid.lo[k]) / 4.0
+        near = np.flatnonzero(np.abs(grid.axis_coords(k) - center) <= quarter + 1e-12)
+        small.append(slice(near[0], near[-1] + 1))
+        large.append(slice(near[0] + pad_cells, near[-1] + 1 + pad_cells))
+    return float(np.abs(u_small.values[tuple(small)] - u_big.values[tuple(large)]).max())

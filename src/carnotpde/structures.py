@@ -6,6 +6,10 @@ associated degenerate diffusion matrix. Presets cover the first Heisenberg
 group, the Engel group, Euclidean space and two rank-one planar examples;
 custom structures load from a JSON description with polynomial or rational
 entries.
+
+The frame is evaluated on batches: ``sigma`` maps an (N, n) array of points,
+one per row, to the (N, m, n) stack of their frames. ``frames`` checks that
+shape; ``sigma_at`` is the one-point form.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .symmat import symmetrize
 
 @dataclass(frozen=True)
 class CarnotStructure:
+    """sigma maps (N, n) points to their (N, m, n) frames; group_law and
+    dilation act on single points."""
+
     name: str
     n: int
     m: int
@@ -41,13 +48,17 @@ def as_point(x, n: int) -> np.ndarray:
     return p
 
 
+def frames(s: CarnotStructure, X: np.ndarray) -> np.ndarray:
+    """The frames sigma(x) at the (N, n) rows X, shape (N, m, n)."""
+    mats = np.asarray(s.sigma(X), dtype=float)
+    if mats.shape != (len(X), s.m, s.n):
+        raise ValueError(f"sigma returned shape {mats.shape}, expected {(len(X), s.m, s.n)}")
+    return mats
+
+
 def sigma_at(s: CarnotStructure, x) -> np.ndarray:
     """Evaluate the horizontal frame matrix sigma(x), shape (m, n)."""
-    p = as_point(x, s.n)
-    mat = np.asarray(s.sigma(p), dtype=float)
-    if mat.shape != (s.m, s.n):
-        raise ValueError(f"sigma returned shape {mat.shape}, expected {(s.m, s.n)}")
-    return mat
+    return frames(s, as_point(x, s.n)[None, :])[0]
 
 
 def p_matrix_at(s: CarnotStructure, x) -> np.ndarray:
@@ -83,8 +94,8 @@ def engel_trace_operator(s: CarnotStructure, u: SmoothField, x) -> tuple[float, 
     if s.name != "engel1":
         raise UnsupportedOperationError("engel_trace_operator requires the engel1 preset")
     p = as_point(x, 4)
-    h = u.hessian(p)
-    g = u.gradient(p)
+    h = u.hessian(p[None, :])[0]
+    g = u.gradient(p[None, :])[0]
     mat = sigma_at(s, p)
     matrix_route = float(np.trace(mat @ h @ mat.T))
     v1 = mat[0]
@@ -113,15 +124,11 @@ def lipschitz_sigma_estimate(
     if lo.size != s.n:
         raise ValueError(f"box has {lo.size} axes, expected {s.n}")
     rng = np.random.default_rng(seed)
-    pts = [lo + (hi - lo) * rng.random(s.n) for _ in range(samples)]
+    pts = lo + (hi - lo) * rng.random((samples, s.n))
     if s.n <= 6:
-        for bits in range(2**s.n):
-            corner = np.array(
-                [hi[k] if (bits >> k) & 1 else lo[k] for k in range(s.n)]
-            )
-            pts.append(corner)
-    pts = np.array(pts)
-    mats = np.array([sigma_at(s, p) for p in pts]).reshape(len(pts), -1)
+        bits = (np.arange(2**s.n)[:, None] >> np.arange(s.n)) & 1
+        pts = np.vstack([pts, np.where(bits, hi, lo)])
+    mats = frames(s, pts).reshape(len(pts), -1)
     i, j = np.triu_indices(len(pts), 1)
     gap = np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=1))
     diff = np.sqrt(((mats[i] - mats[j]) ** 2).sum(axis=1))
@@ -133,8 +140,12 @@ def lipschitz_sigma_estimate(
 # presets
 
 
-def _sigma_heisenberg(x):
-    return np.array([[1.0, 0.0, 2.0 * x[1]], [0.0, 1.0, -2.0 * x[0]]])
+def _sigma_heisenberg(X):
+    out = np.zeros((len(X), 2, 3))
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
+    out[:, 0, 2] = 2.0 * X[:, 1]
+    out[:, 1, 2] = -2.0 * X[:, 0]
+    return out
 
 
 def _mul_heisenberg(x, y):
@@ -151,8 +162,16 @@ def _dil_heisenberg(t, x):
     return np.array([t * x[0], t * x[1], t * t * x[2]])
 
 
-def _sigma_engel(x):
-    return np.array([[1.0, 0.0, -x[1], -x[2]], [0.0, 1.0, 0.0, 0.0]])
+def _sigma_engel(X):
+    out = np.zeros((len(X), 2, 4))
+    out[:, 0, 0] = out[:, 1, 1] = 1.0
+    out[:, 0, 2] = -X[:, 1]
+    out[:, 0, 3] = -X[:, 2]
+    return out
+
+
+def _constant_frame(mat: np.ndarray):
+    return lambda X: np.tile(mat, (len(X), 1, 1))
 
 
 def _mul_engel(x, y):
@@ -193,13 +212,12 @@ def heisenberg_sqrt_transposed_variant(x) -> np.ndarray:
 
 
 def euclidean(n: int) -> CarnotStructure:
-    eye = np.eye(n)
     return CarnotStructure(
         name=f"euclidean:{n}",
         n=n,
         m=n,
         step=1,
-        sigma=lambda x: eye,
+        sigma=_constant_frame(np.eye(n)),
         group_law=lambda x, y: x + y,
         dilation=lambda t, x: t * x,
         lipschitz_sigma=0.0,
@@ -233,15 +251,17 @@ def engel1() -> CarnotStructure:
 
 
 def line2d() -> CarnotStructure:
-    mat = np.array([[1.0, 0.0]])
+    frame = _constant_frame(np.array([[1.0, 0.0]]))
     return CarnotStructure(
-        name="line2d", n=2, m=1, step=1, sigma=lambda x: mat, lipschitz_sigma=0.0
+        name="line2d", n=2, m=1, step=1, sigma=frame, lipschitz_sigma=0.0
     )
 
 
 def grushin_like2d() -> CarnotStructure:
-    def sigma(x):
-        return np.array([[x[0] / (1.0 + x[0] * x[0]), 0.0]])
+    def sigma(X):
+        out = np.zeros((len(X), 1, 2))
+        out[:, 0, 0] = X[:, 0] / (1.0 + X[:, 0] * X[:, 0])
+        return out
 
     # sup |d/dt t/(1+t^2)| = 1 at t = 0
     return CarnotStructure(
@@ -271,21 +291,23 @@ def preset(name: str) -> CarnotStructure:
 
 
 def _entry_callable(entry, n: int):
+    """The entry as a function of the (N, n) rows X, shape (N,)."""
     if isinstance(entry, dict):
         num = _check_terms(entry["num"], n)
         den = _check_terms(entry["den"], n)
 
-        def rational(x):
-            d = _poly_value(den, x)
-            if d == 0.0:
+        def rational(X):
+            d = _poly_value(den, X)
+            if not d.all():
+                x = X[np.argmin(d != 0.0)]
                 raise NumericalError(
                     f"rational sigma entry has a vanishing denominator at x = {list(map(float, x))}"
                 )
-            return _poly_value(num, x) / d
+            return _poly_value(num, X) / d
 
         return rational
     parsed = _check_terms(entry, n)
-    return lambda x: _poly_value(parsed, x)
+    return lambda X: _poly_value(parsed, X)
 
 
 def structure_from_json(desc: dict) -> CarnotStructure:
@@ -303,8 +325,9 @@ def structure_from_json(desc: dict) -> CarnotStructure:
         raise ValueError(f"entries must be an {m} x {n} nested list")
     fns = [[_entry_callable(rows[i][j], n) for j in range(n)] for i in range(m)]
 
-    def sigma(x):
-        return np.array([[fns[i][j](x) for j in range(n)] for i in range(m)])
+    def sigma(X):
+        X = np.asarray(X, dtype=float)
+        return np.stack([np.stack([fn(X) for fn in row], axis=-1) for row in fns], axis=1)
 
     lip = desc.get("lipschitz_sigma")
     return CarnotStructure(

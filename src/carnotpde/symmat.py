@@ -80,10 +80,6 @@ def eigh(a: np.ndarray, max_sweeps: int = 100) -> Spectrum:
                 c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
 
-                cp = work[:, p].copy()
-                cq = work[:, q].copy()
-                work[:, p] = c * cp - s * cq
-                work[:, q] = s * cp + c * cq
                 rp = work[p, :].copy()
                 rq = work[q, :].copy()
                 work[p, :] = c * rp - s * rq

@@ -27,7 +27,7 @@ def report(num: int, label: str, ok: bool, detail: str, elapsed: float, budget: 
 def heisenberg_manufactured(c_value: float):
     spec = cp.trace_operator(cp.preset("heisenberg1"))
     ustar = cp.polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)  # x1^2 + x2
-    c = lambda x: c_value
+    c = cp.constant_field(c_value, 3).value
     f = cp.manufactured_rhs(spec, c, ustar)
     coeffs = cp.Coefficients(
         c=c, f=f, L_c=0.0, beta=1.0, L_f=c_value * np.sqrt(5.0), beta_prime=1.0, c0=c_value
@@ -219,7 +219,7 @@ def test_criterion_6_manufactured_convergence():
     # convex quartic: quadratics sit in the scheme's exactness class, so a
     # higher-order profile is needed for a measurable refinement ratio
     ustar2 = cp.polynomial_field([[1.0, 4, 0], [1.0, 0, 2]], 2)
-    c2 = lambda x: 1.0
+    c2 = cp.constant_field(1.0, 2).value
     f2 = cp.manufactured_rhs(spec2, c2, ustar2)
     coeffs2 = cp.Coefficients(
         c=c2, f=f2, L_c=0.0, beta=1.0, L_f=5.0, beta_prime=1.0, c0=1.0
@@ -304,36 +304,36 @@ def test_criterion_9_holder_frame_exponent_gap():
     t0 = time.perf_counter()
     alpha, level, eta, gamma = 0.5, 1.0, 1.1, 0.5
 
-    rough = CarnotStructure(
-        name="holder-frame",
-        n=2,
-        m=1,
-        step=1,
-        sigma=lambda x: np.array([[math.sqrt(abs(x[0])), 0.0]]),
-    )
-    smooth = cp.preset("line2d")
+    def first_axis_frame(name, profile):
+        def sigma(X):
+            out = np.zeros((len(X), 1, 2))
+            out[:, 0, 0] = profile(X[:, 0])
+            return out
 
-    def rhs_exponent(structure_sigma):
+        return CarnotStructure(name=name, n=2, m=1, step=1, sigma=sigma)
+
+    rough = first_axis_frame("holder-frame", lambda t: np.sqrt(np.abs(t)))
+
+    def rhs_exponent(structure):
         radii = np.geomspace(1e-3, 1.0, 8)
         values = []
         zero = np.zeros((2, 2))
         for r in radii:
-            sx = structure_sigma(np.array([r, 0.0]))
-            sy = structure_sigma(np.zeros(2))
+            sx = cp.sigma_at(structure, [r, 0.0])
+            sy = cp.sigma_at(structure, [0.0, 0.0])
             _, rhs = cp.sums_trace_bound(sx, sy, zero, zero, level, alpha, float(r), eta)
             values.append(rhs)
         slope = np.polyfit(np.log(radii), np.log(values), 1)[0]
         return float(slope)
 
-    slope_rough = rhs_exponent(rough.sigma)
+    slope_rough = rhs_exponent(rough)
     elapsed = time.perf_counter() - t0
     expected = alpha - 2.0 + 2.0 * gamma
     # a merely gamma-Holder frame drives the right-hand side exponent below
     # alpha, so the contradiction step cannot close; a Lipschitz frame
     # (gamma = 1) sits exactly at alpha
     ok = abs(slope_rough - expected) <= 1e-6 and slope_rough < alpha
-    smooth_sigma = lambda x: np.array([[x[0], 0.0]])
-    slope_lip = rhs_exponent(smooth_sigma)
+    slope_lip = rhs_exponent(first_axis_frame("lipschitz-frame", lambda t: t))
     ok = ok and abs(slope_lip - alpha) <= 1e-6
     report(
         9,

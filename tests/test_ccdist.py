@@ -73,10 +73,9 @@ def _frame_with(value, threshold=0.35):
     """Heisenberg frame whose first entry is value wherever x1 > threshold."""
     base = preset("heisenberg1").sigma
 
-    def sigma(x):
-        frame = np.array(base(x), dtype=float)
-        if x[0] > threshold:
-            frame[0, 0] = value
+    def sigma(X):
+        frame = np.array(base(X), dtype=float)
+        frame[X[:, 0] > threshold, 0, 0] = value
         return frame
 
     return CarnotStructure(name="broken", n=3, m=2, step=2, sigma=sigma)

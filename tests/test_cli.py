@@ -71,6 +71,8 @@ class TestSolveCommand:
         assert code == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["converged"] is True
+        assert report["schema_version"] == 2
+        assert "dt" not in report and "cfl_bound" not in report
         assert report["final_residual"] <= 1e-6
         assert report["method"] == "bicgstab"
         assert report["nnz"] > 0 and report["assembly_s"] > 0.0

@@ -40,13 +40,13 @@ class TestGrid:
 class TestInterpolation:
     def test_exact_on_nodes(self):
         g = Grid((0.0, 0.0), (1.0, 1.0), (5, 5))
-        u = from_callable(g, lambda x: x[0] + 10 * x[1])
+        u = from_callable(g, lambda X: X[:, 0] + 10 * X[:, 1])
         for idx in (0, 7, 24):
             assert value_at(u, g.node_coords(idx)) == pytest.approx(float(u.flat[idx]), abs=1e-14)
 
     def test_exact_on_multilinear(self):
         g = Grid((0.0, 0.0), (1.0, 1.0), (5, 5))
-        u = from_callable(g, lambda x: 2.0 + 3.0 * x[0] - x[1] + 0.5 * x[0] * x[1])
+        u = from_callable(g, lambda X: 2.0 + 3.0 * X[:, 0] - X[:, 1] + 0.5 * X[:, 0] * X[:, 1])
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, size=(50, 2))
         got = interpolate(u, pts)
@@ -55,20 +55,20 @@ class TestInterpolation:
 
     def test_outside_box_rejected(self):
         g = Grid((0.0,), (1.0,), (5,))
-        u = from_callable(g, lambda x: x[0])
+        u = from_callable(g, lambda X: X[:, 0])
         with pytest.raises(ValueError):
             interpolate(u, np.array([[1.5]]))
 
     def test_closed_box_edges_ok(self):
         g = Grid((0.0,), (1.0,), (5,))
-        u = from_callable(g, lambda x: x[0])
+        u = from_callable(g, lambda X: X[:, 0])
         assert interpolate(u, np.array([[1.0]]))[0] == pytest.approx(1.0)
 
 
 class TestCsv:
     def test_roundtrip_values(self, tmp_path):
         g = Grid((0.0, 0.0), (1.0, 1.0), (3, 3))
-        u = from_callable(g, lambda x: x[0] * 2 + x[1])
+        u = from_callable(g, lambda X: X[:, 0] * 2 + X[:, 1])
         path = tmp_path / "dump.csv"
         to_csv(u, path)
         rows = path.read_text().strip().splitlines()

@@ -11,6 +11,7 @@ from carnotpde import (
     Grid,
     SolveConfig,
     bundle_for_instance,
+    constant_field,
     fit_alpha,
     from_callable,
     holder_seminorm,
@@ -155,8 +156,8 @@ def _ref_holder_seminorm(u, alpha, seed):
     return best
 
 
-def _step_function(x):
-    return 1.0 if x[0] + 0.5 * x[1] - 0.25 * x[2] > 0.1 else 0.0
+def _step_function(X):
+    return np.where(X[:, 0] + 0.5 * X[:, 1] - 0.25 * X[:, 2] > 0.1, 1.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +165,7 @@ def heisenberg_verify_solution():
     struct = preset("heisenberg1")
     spec = trace_operator(struct)
     ustar = polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)
-    c = lambda x: 16.0
+    c = constant_field(16.0, 3).value
     coeffs = Coefficients(
         c=c,
         f=manufactured_rhs(spec, c, ustar),
@@ -181,20 +182,20 @@ def heisenberg_verify_solution():
 
 
 ORACLE_CASES = {
-    "line-sqrt": (lambda: from_callable(LINE, lambda x: math.sqrt(abs(x[0]))), 0),
+    "line-sqrt": (lambda: from_callable(LINE, lambda X: np.sqrt(np.abs(X[:, 0]))), 0),
     "square-33": (
         lambda: from_callable(
-            Grid((-1, -1), (1, 1), (33, 33)), lambda x: math.sin(3 * x[0]) * x[1] ** 2
+            Grid((-1, -1), (1, 1), (33, 33)), lambda X: np.sin(3 * X[:, 0]) * X[:, 1] ** 2
         ),
         0,
     ),
     "step-9": (lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (9, 9, 9)), _step_function), 0),
     "stratified-17-seed0": (
-        lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda x: x[0] ** 2 + x[1]),
+        lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda X: X[:, 0] ** 2 + X[:, 1]),
         0,
     ),
     "stratified-17-seed3": (
-        lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda x: x[0] ** 2 + x[1]),
+        lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda X: X[:, 0] ** 2 + X[:, 1]),
         3,
     ),
 }
@@ -228,7 +229,7 @@ def _check_against_reference(u, seed):
 
 class TestOffsetTableMatchesPairScan:
     def test_zero_increment_bins(self):
-        u = from_callable(Grid((-1, -1), (1, 1), (9, 9)), lambda x: 2.5)
+        u = from_callable(Grid((-1, -1), (1, 1), (9, 9)), lambda X: np.full(len(X), 2.5))
         ref = _ref_binned_increments(u, 0)
         table = binned_increments(u)
         assert [row["distance"] for row in table] == [row["distance"] for row in ref]
@@ -253,68 +254,68 @@ class TestOffsetTableMatchesPairScan:
 
 class TestSeminorm:
     def test_constant(self):
-        u = from_callable(LINE, lambda x: 4.2)
+        u = from_callable(LINE, lambda X: np.full(len(X), 4.2))
         assert holder_seminorm(u, 0.7) == 0.0
 
     def test_linear(self):
-        u = from_callable(LINE, lambda x: x[0])
+        u = from_callable(LINE, lambda X: X[:, 0])
         assert holder_seminorm(u, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_square_root(self):
-        u = from_callable(LINE, lambda x: math.sqrt(abs(x[0])))
+        u = from_callable(LINE, lambda X: np.sqrt(np.abs(X[:, 0])))
         assert holder_seminorm(u, 0.5) == pytest.approx(1.0, rel=0.02)
 
     def test_monotone_in_exponent_for_subunit_distances(self):
         # on a box of diameter 1 every pair distance is <= 1, so r^(-alpha)
         # grows with alpha and the seminorm cannot decrease
-        u = from_callable(LINE, lambda x: math.sqrt(abs(x[0])))
+        u = from_callable(LINE, lambda X: np.sqrt(np.abs(X[:, 0])))
         values = [holder_seminorm(u, a) for a in (0.2, 0.4, 0.6, 0.8, 1.0)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_alpha_validation(self):
-        u = from_callable(LINE, lambda x: x[0])
+        u = from_callable(LINE, lambda X: X[:, 0])
         with pytest.raises(ValueError):
             holder_seminorm(u, 0.0)
 
 
 class TestFitAlpha:
     def test_linear_profile(self):
-        u = from_callable(LINE, lambda x: x[0])
+        u = from_callable(LINE, lambda X: X[:, 0])
         alpha, level = fit_alpha(u)
         assert alpha == pytest.approx(1.0, abs=0.05)
         assert level == pytest.approx(1.0, abs=0.05)
 
     def test_square_root_profile(self):
-        u = from_callable(LINE, lambda x: math.sqrt(abs(x[0])))
+        u = from_callable(LINE, lambda X: np.sqrt(np.abs(X[:, 0])))
         alpha, _ = fit_alpha(u)
         assert alpha == pytest.approx(0.5, abs=0.05)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.0])
     def test_power_profiles(self, gamma):
-        u = from_callable(LINE, lambda x: abs(x[0]) ** gamma)
+        u = from_callable(LINE, lambda X: np.abs(X[:, 0]) ** gamma)
         alpha, _ = fit_alpha(u)
         assert alpha == pytest.approx(gamma, abs=0.05)
 
     def test_constant_degenerate(self):
-        u = from_callable(LINE, lambda x: 1.0)
+        u = from_callable(LINE, lambda X: np.ones(len(X)))
         alpha, level = fit_alpha(u)
         assert math.isnan(alpha)
         assert level == 0.0
 
     def test_violation_nonpositive_all_pairs(self):
-        u = from_callable(LINE, lambda x: math.sqrt(abs(x[0])))
+        u = from_callable(LINE, lambda X: np.sqrt(np.abs(X[:, 0])))
         alpha, level = fit_alpha(u)
         assert max_quotient_violation(u, alpha, level) <= 0.0
 
     def test_violation_nonpositive_stratified(self):
         grid = Grid((-1, -1, -1), (1, 1, 1), (17, 17, 17))  # 4913 > all-pairs cap
-        u = from_callable(grid, lambda x: x[0] ** 2 + x[1])
+        u = from_callable(grid, lambda X: X[:, 0] ** 2 + X[:, 1])
         alpha, level = fit_alpha(u, seed=3)
         assert max_quotient_violation(u, alpha, level, seed=3) <= 0.0
 
     def test_stratified_pair_budget(self):
         grid = Grid((-1, -1, -1), (1, 1, 1), (17, 17, 17))
-        u = from_callable(grid, lambda x: x[0])
+        u = from_callable(grid, lambda X: X[:, 0])
         count = pair_count(u, seed=0)
         assert 100_000 <= count <= 1_200_000
 
@@ -322,14 +323,14 @@ class TestFitAlpha:
         "grid", [LINE, Grid((-1, -1, -1), (1, 1, 1), (17, 17, 17))], ids=["exhaustive", "stratified"]
     )
     def test_bins_count_each_unordered_pair_once(self, grid):
-        u = from_callable(grid, lambda x: x[0] ** 2)
+        u = from_callable(grid, lambda X: X[:, 0] ** 2)
         total = sum(row["pairs"] for row in binned_increments(u, seed=2))
         assert total == pair_count(u, seed=2)
         if grid is LINE:
             assert total == 257 * 256 // 2
 
     def test_binned_table_shape(self):
-        u = from_callable(LINE, lambda x: x[0])
+        u = from_callable(LINE, lambda X: X[:, 0])
         table = binned_increments(u)
         assert len(table) == 12
         assert all(set(row) == {"distance", "max_increment", "pairs"} for row in table)
@@ -340,7 +341,7 @@ def smooth_euclidean_instance():
     struct = preset("euclidean:2")
     spec = trace_operator(struct)
     ustar = polynomial_field([[1.0, 1, 0], [0.2, 0, 2]], 2)  # x1 + 0.2 x2^2
-    c = lambda x: 1.0
+    c = constant_field(1.0, 2).value
     f = manufactured_rhs(spec, c, ustar)
     coeffs = Coefficients(c=c, f=f, L_c=0.0, beta=1.0, L_f=2.0, beta_prime=1.0, c0=1.0)
     grid = Grid((-1, -1), (1, 1), (33, 33))
@@ -375,7 +376,7 @@ class TestVerifyTheorem:
         ustar = polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)
         grid = Grid((-1, -1, -1), (1, 1, 1), (9, 9, 9))
         for c0, expected in ((16.0, True), (1.0, False)):
-            c = lambda x, v=c0: v
+            c = constant_field(c0, 3).value
             f = manufactured_rhs(spec, c, ustar)
             coeffs = Coefficients(
                 c=c, f=f, L_c=0.0, beta=1.0, L_f=c0 * np.sqrt(5.0), beta_prime=1.0, c0=c0
@@ -391,7 +392,7 @@ class TestVerifyTheorem:
         struct = preset("heisenberg1")
         spec = trace_operator(struct)
         ustar = polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)
-        c = lambda x: 1.0
+        c = constant_field(1.0, 3).value
         f = manufactured_rhs(spec, c, ustar)
         coeffs = Coefficients(
             c=c, f=f, L_c=0.0, beta=1.0, L_f=np.sqrt(5.0), beta_prime=1.0, c0=1.0
@@ -416,7 +417,7 @@ class TestVerifyTheorem:
         struct = structure_from_json(desc)
         spec = trace_operator(struct)
         ustar = polynomial_field([[1.0, 2, 0]], 2)
-        c = lambda x: 2.0
+        c = constant_field(2.0, 2).value
         f = manufactured_rhs(spec, c, ustar)
         coeffs = Coefficients(c=c, f=f, L_c=0.0, beta=1.0, L_f=2.0, beta_prime=1.0, c0=2.0)
         grid = Grid((-1, -1), (1, 1), (17, 17))

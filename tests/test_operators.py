@@ -22,6 +22,7 @@ from carnotpde import (
     sigma_at,
     trace_operator,
 )
+from carnotpde.operators import KINDS, pucci_from_eigenvalues
 from carnotpde.symmat import eigh, symmetrize
 
 
@@ -109,6 +110,29 @@ class TestGEval:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             g_eval(trace_operator(HEIS), np.eye(3))  # G acts on m = 2 here
+
+
+class TestOneRouteToG:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_g_eval_matches_jacobi_route(self, m, kind):
+        # LAPACK-free reference: eigenvalues from the cyclic Jacobi eigh
+        struct = preset(f"euclidean:{m}")
+        bounds = EllipticityBounds(1.0, 1.0) if kind == "trace" else EllipticityBounds(0.5, 2.5)
+        spec = OperatorSpec(kind, bounds, struct)
+        rng = np.random.default_rng(20 + m)
+        mats = [symmetrize(rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-3, 3)) for _ in range(300)]
+        v = rng.normal(size=m)
+        mats += [np.zeros((m, m)), 3.0 * np.eye(m), np.outer(v, v), -np.outer(v, v)]
+        mats += [np.eye(m) + 1e-9 * symmetrize(rng.normal(size=(m, m)))]
+        for n_mat in mats:
+            evals = eigh(n_mat).eigenvalues
+            if kind == "trace":
+                want = float(evals.sum())
+            else:
+                want = float(pucci_from_eigenvalues(kind, 0.5, 2.5, evals))
+            scale = max(1.0, float(np.abs(n_mat).max()))
+            assert abs(g_eval(spec, n_mat) - want) <= 1e-12 * scale
 
 
 class TestFEval:

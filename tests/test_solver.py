@@ -1,6 +1,7 @@
 """Unit tests for the directional scheme and its policy-iteration solve: one
 BiCGSTAB solve for the trace kind, Howard steps for the Pucci kinds, checked
-against the damped explicit iteration kept here as a reference."""
+against the damped explicit iteration and the per-node scheme kept here as
+references."""
 
 from dataclasses import replace
 
@@ -10,32 +11,45 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from carnotpde import (
+    CarnotStructure,
     Coefficients,
     DiscreteOperator,
     Grid,
     SolveConfig,
-    directional_second_difference,
-    discrete_operator,
+    constant_field,
+    f_eval,
     from_callable,
+    g_eval,
     manufactured_rhs,
     polynomial_field,
     preset,
     pucci_operator,
+    sigma_at,
     solve,
     trace_operator,
+    trace_p,
     two_box_sensitivity,
 )
-from carnotpde.errors import BoundaryStencilError, NumericalError, PreconditionError
+from carnotpde.errors import NumericalError
+from carnotpde.grids import interpolate
 from carnotpde.solver import default_h_eff_cells
 
 HEIS = preset("heisenberg1")
 EUC2 = preset("euclidean:2")
+_ARM_EPS = 1e-12
 
 
-def heisenberg_instance(c_value=1.0, shape=(9, 9, 9)):
-    spec = trace_operator(HEIS)
+def constant_coeffs(n, c_value=1.0, f_value=0.0, **holder):
+    data = dict(L_c=0.0, beta=1.0, L_f=0.0, beta_prime=1.0, c0=c_value)
+    data.update(holder)
+    c = constant_field(c_value, n).value
+    return Coefficients(c=c, f=constant_field(f_value, n).value, **data)
+
+
+def heisenberg_instance(c_value=1.0, shape=(9, 9, 9), structure=HEIS):
+    spec = trace_operator(structure)
     ustar = polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)  # x1^2 + x2
-    c = lambda x: c_value
+    c = constant_field(c_value, 3).value
     f = manufactured_rhs(spec, c, ustar)
     coeffs = Coefficients(
         c=c, f=f, L_c=0.0, beta=1.0, L_f=c_value * np.sqrt(5.0), beta_prime=1.0, c0=c_value
@@ -52,7 +66,7 @@ def pucci_instance(kind, structure=EUC2, c_value=1.0, shape=(17, 17)):
     ustar = polynomial_field(
         [[1.0, 4, 0, *pad], [1.0, 1, 1, *pad], [-1.0, 0, 2, *pad]], structure.n
     )
-    c = lambda x: c_value
+    c = constant_field(c_value, structure.n).value
     coeffs = Coefficients(
         c=c, f=manufactured_rhs(spec, c, ustar), L_c=0.0, beta=1.0, L_f=1.0, beta_prime=1.0,
         c0=c_value,
@@ -67,10 +81,10 @@ def _explicit_reference(spec, coeffs, grid, cfg):
     h^2 / (2 Lambda max Tr P + max(c) h^2) that makes the update order
     preserving. Returns the node values and the true max residual."""
     op = DiscreteOperator(spec, coeffs, grid)
-    dt = 0.995 * op.cfl_bound
-    u_flat, coords = np.zeros(grid.num_nodes), grid.coords()
-    for idx in np.nonzero(grid.boundary_mask())[0]:
-        u_flat[idx] = cfg.boundary(coords[idx])
+    h2 = grid.h**2
+    dt = 0.995 * h2 / (2.0 * spec.bounds.Lam * op.trace_p.max() + op.c_vec.max(initial=0.0) * h2)
+    u_flat, mask = np.zeros(grid.num_nodes), grid.boundary_mask()
+    u_flat[mask] = cfg.boundary(grid.coords()[mask])
     for _ in range(cfg.max_iters):
         new_int = u_flat[op.interior] + dt * op.residual(u_flat)
         step = float(np.abs(new_int - u_flat[op.interior]).max()) / dt
@@ -83,66 +97,138 @@ def _explicit_reference(spec, coeffs, grid, cfg):
     raise AssertionError("explicit reference did not converge")
 
 
+def _exit_arm(lo, hi, x, dirv, h_eff):
+    """Clipped arm length min(h_eff, distance to the box boundary along dirv)."""
+    t = h_eff
+    for k in range(x.size):
+        d = dirv[k]
+        if d > _ARM_EPS:
+            t = min(t, (hi[k] - x[k]) / d)
+        elif d < -_ARM_EPS:
+            t = min(t, (lo[k] - x[k]) / d)
+    return max(t, 0.0)
+
+
+def _clipped_second_difference(u, x, v, h_eff):
+    """Unequal-arm second difference with arms clipped at the box boundary."""
+    lo = np.array(u.grid.lo)
+    hi = np.array(u.grid.hi)
+    a = _exit_arm(lo, hi, x, v, h_eff)
+    b = _exit_arm(lo, hi, x, -v, h_eff)
+    plus = np.clip(x + a * v, lo, hi)
+    minus = np.clip(x - b * v, lo, hi)
+    vals = interpolate(u, np.stack([plus, x, minus]))
+    return float(2.0 * ((vals[0] - vals[1]) / a + (vals[2] - vals[1]) / b) / (a + b))
+
+
+def _node_residual(spec, coeffs, u, node, h_eff=None):
+    """The scheme one interior node at a time, kept as a test oracle for
+    DiscreteOperator: F_h(u, x) - c(x) u(x) - f(x) at the flat index node,
+    from scalar clipped second differences along the frame at x and, for the
+    Pucci kinds, along X_i +/- X_j for the polarized cross entries."""
+    grid = u.grid
+    if h_eff is None:
+        h_eff = default_h_eff_cells(grid.h) * grid.h
+    x = grid.node_coords(node)
+    s = sigma_at(spec.structure, x)
+    m = spec.structure.m
+    n_h = np.zeros((m, m))
+    norms = np.linalg.norm(s, axis=1)
+    for i in range(m):
+        if norms[i] > _ARM_EPS:
+            n_h[i, i] = norms[i] ** 2 * _clipped_second_difference(u, x, s[i] / norms[i], h_eff)
+    if spec.kind != "trace":
+        for i in range(m):
+            for j in range(i + 1, m):
+                val = 0.0
+                for w, sign in ((s[i] + s[j], 0.25), (s[i] - s[j], -0.25)):
+                    wn = float(np.linalg.norm(w))
+                    if wn > _ARM_EPS:
+                        val += sign * wn**2 * _clipped_second_difference(u, x, w / wn, h_eff)
+                n_h[i, j] = n_h[j, i] = val
+    c, f = coeffs.c(x[None, :])[0], coeffs.f(x[None, :])[0]
+    return g_eval(spec, n_h) - c * float(u.flat[node]) - f
+
+
 def solve_instance(name):
     if name == "trace":
         return heisenberg_instance()[:4]
     return pucci_instance(name)[:4]
 
 
+def residual_at(op, u, nodes):
+    """op.residual(u) at the given flat node indices."""
+    rows = np.searchsorted(op.interior, nodes)
+    assert np.array_equal(op.interior[rows], nodes)
+    return op.residual(u.flat)[rows]
+
+
+def directional_value(u, x, v, h_eff):
+    """The diag_ops row at node x of the one-field frame v, applied to u."""
+    grid = u.grid
+    v = np.asarray(v, dtype=float)
+    frame = CarnotStructure("row", grid.n, 1, 1, sigma=lambda X: np.tile(v, (len(X), 1, 1)))
+    op = DiscreteOperator(trace_operator(frame), constant_coeffs(grid.n), grid, h_eff=h_eff)
+    row = int(np.flatnonzero(np.abs(op.coords - x).max(axis=1) <= 1e-12)[0])
+    return float((op.diag_ops[0] @ u.flat)[row])
+
+
 class TestDirectionalDifference:
     def test_affine_annihilated(self):
         g = Grid((-1, -1), (1, 1), (9, 9))
-        u = from_callable(g, lambda x: 3.0 + 2.0 * x[0] - x[1])
+        u = from_callable(g, lambda X: 3.0 + 2.0 * X[:, 0] - X[:, 1])
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        got = directional_second_difference(u, [0.0, 0.0], v, g.h)
+        got = directional_value(u, [0.0, 0.0], v, g.h)
         assert got == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("cells", [1, 2, 3])
     def test_axis_quadratic_exact(self, cells):
         g = Grid((-1, -1, -1), (1, 1, 1), (9, 9, 9))
-        u = from_callable(g, lambda x: x[0] ** 2)
-        got = directional_second_difference(u, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], cells * g.h)
+        u = from_callable(g, lambda X: X[:, 0] ** 2)
+        got = directional_value(u, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], cells * g.h)
         assert got == pytest.approx(2.0, rel=1e-12)
 
     def test_mixed_quadratic_along_diagonal(self):
         # u = x1 x2 is multilinear, so interpolation is exact and the
         # second derivative along the diagonal is recovered sharply
         g = Grid((-1, -1, -1), (1, 1, 1), (9, 9, 9))
-        u = from_callable(g, lambda x: x[0] * x[1])
+        u = from_callable(g, lambda X: X[:, 0] * X[:, 1])
         v = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        got = directional_second_difference(u, [0.0, 0.0, 0.0], v, g.h)
+        got = directional_value(u, [0.0, 0.0, 0.0], v, g.h)
         assert got == pytest.approx(1.0, abs=1e-9)
 
-    def test_stencil_leaving_box_raises(self):
+    def test_arm_leaving_box_is_clipped(self):
+        # the arm toward the face is cut to the one spacing left; the
+        # unequal-arm difference is still exact on a quadratic along the axis
         g = Grid((-1, -1), (1, 1), (9, 9))
-        u = from_callable(g, lambda x: 0.0)
-        with pytest.raises(BoundaryStencilError):
-            directional_second_difference(u, [0.75, 0.0], [1.0, 0.0], 4.0 * g.h)
+        u = from_callable(g, lambda X: X[:, 0] ** 2 - 3.0 * X[:, 0])
+        got = directional_value(u, [0.75, 0.0], [1.0, 0.0], 4.0 * g.h)
+        assert got == pytest.approx(2.0, rel=1e-12)
 
     def test_h_eff_range_validated(self):
         g = Grid((-1, -1), (1, 1), (9, 9))
-        u = from_callable(g, lambda x: 0.0)
+        u = from_callable(g, lambda X: np.zeros(len(X)))
         with pytest.raises(ValueError):
-            directional_second_difference(u, [0.0, 0.0], [1.0, 0.0], 5.0 * g.h)
+            directional_value(u, [0.0, 0.0], [1.0, 0.0], 5.0 * g.h)
 
 
 class TestDiscreteOperator:
     def test_constant_solution_zero_residual(self):
         spec = trace_operator(HEIS)
         k = 2.0
-        coeffs = Coefficients(
-            c=lambda x: 1.0, f=lambda x: -k, L_c=0.0, beta=1.0, L_f=0.0, beta_prime=1.0, c0=1.0
-        )
+        coeffs = constant_coeffs(3, f_value=-k)
         grid = Grid((-1, -1, -1), (1, 1, 1), (9, 9, 9))
-        u = from_callable(grid, lambda x: k)
+        u = from_callable(grid, lambda X: np.full(len(X), k))
+        op = DiscreteOperator(spec, coeffs, grid, h_eff=grid.h)
         node = grid.interior_indices()[17]
-        assert abs(discrete_operator(spec, coeffs, u, node, h_eff=grid.h)) <= 1e-12
+        assert abs(residual_at(op, u, [node])[0]) <= 1e-12
+        assert abs(_node_residual(spec, coeffs, u, node, h_eff=grid.h)) <= 1e-12
 
     def test_manufactured_residual_small(self):
         spec, coeffs, grid, _, ustar = heisenberg_instance()
         u = from_callable(grid, ustar.value)
-        interior = grid.interior_indices()
-        worst = max(abs(discrete_operator(spec, coeffs, u, n)) for n in interior[:80])
+        op = DiscreteOperator(spec, coeffs, grid)
+        worst = np.abs(residual_at(op, u, grid.interior_indices()[:80])).max()
         assert worst <= 2.5 * grid.h
 
     def test_engel_quadratic(self):
@@ -150,8 +236,8 @@ class TestDiscreteOperator:
         spec = trace_operator(engel)
         ustar = polynomial_field([[1.0, 0, 2, 0, 0]], 4)  # x2^2
         coeffs = Coefficients(
-            c=lambda x: 1.0,
-            f=lambda x: 2.0 - ustar.value(x),
+            c=constant_field(1.0, 4).value,
+            f=lambda X: 2.0 - ustar.value(X),
             L_c=0.0,
             beta=1.0,
             L_f=2.0,
@@ -160,15 +246,9 @@ class TestDiscreteOperator:
         )
         grid = Grid((-1,) * 4, (1,) * 4, (7, 7, 7, 7))
         u = from_callable(grid, ustar.value)
-        interior = grid.interior_indices()
-        worst = max(abs(discrete_operator(spec, coeffs, u, n)) for n in interior[:60])
+        op = DiscreteOperator(spec, coeffs, grid)
+        worst = np.abs(residual_at(op, u, grid.interior_indices()[:60])).max()
         assert worst <= 2.5 * grid.h
-
-    def test_boundary_node_rejected(self):
-        spec, coeffs, grid, _, ustar = heisenberg_instance()
-        u = from_callable(grid, ustar.value)
-        with pytest.raises(PreconditionError):
-            discrete_operator(spec, coeffs, u, 0)
 
     def test_consistency_on_quadratics(self):
         # interior nodes at least 2h from the boundary reproduce
@@ -178,8 +258,6 @@ class TestDiscreteOperator:
         # gives Tr P * sum_k |d_kk q| * h^2 / (2 h_eff^2), an O(h) envelope
         # under the default stencil-width policy
         rng = np.random.default_rng(6)
-        from carnotpde import f_eval, trace_p
-
         for struct, spec in ((HEIS, trace_operator(HEIS)), (EUC2, pucci_operator(EUC2, 1.0, 2.0))):
             n = struct.n
             terms = []
@@ -188,15 +266,7 @@ class TestDiscreteOperator:
                 terms.append([float(rng.normal()), *(1 if k == i else 0 for k in range(n))])
             terms.append([float(rng.normal()), *([1] * 2 + [0] * (n - 2))])
             q = polynomial_field(terms, n)
-            coeffs = Coefficients(
-                c=lambda x: 1.0,
-                f=lambda x: 0.0,
-                L_c=0.0,
-                beta=1.0,
-                L_f=0.0,
-                beta_prime=1.0,
-                c0=1.0,
-            )
+            coeffs = constant_coeffs(n)
             grid = Grid((-1,) * n, (1,) * n, (17,) * n)
             h_eff = default_h_eff_cells(grid.h) * grid.h
             u = from_callable(grid, q.value)
@@ -210,25 +280,41 @@ class TestDiscreteOperator:
                     for k in range(n)
                 )
             ]
-            hess_diag_sum = sum(abs(q.hessian(np.zeros(n))[k, k]) for k in range(n))
+            hess_diag_sum = sum(abs(q.hessian(np.zeros((1, n)))[0, k, k]) for k in range(n))
             trp_max = max(trace_p(struct, coords[idx]) for idx in deep)
             envelope = trp_max * hess_diag_sum * grid.h**2 / h_eff**2
+            picked = deep[:: max(1, len(deep) // 64)]
+            scheme = residual_at(DiscreteOperator(spec, coeffs, grid), u, picked)
             worst = 0.0
-            for idx in deep[:: max(1, len(deep) // 64)]:
-                x = coords[idx]
-                exact = f_eval(spec, q.hessian(x), x) - coeffs.c(x) * q.value(x) - coeffs.f(x)
-                worst = max(worst, abs(discrete_operator(spec, coeffs, u, idx) - exact))
+            for idx, value in zip(picked, scheme):
+                x = coords[idx][None, :]
+                exact = f_eval(spec, q.hessian(x)[0], x[0]) - coeffs.c(x)[0] * q.value(x)[0]
+                exact -= coeffs.f(x)[0]
+                worst = max(worst, abs(value - exact))
             assert worst <= envelope
 
     def test_single_node_matches_vectorized(self):
         spec, coeffs, grid, _, ustar = heisenberg_instance()
         op = DiscreteOperator(spec, coeffs, grid)
         rng = np.random.default_rng(7)
-        u = from_callable(grid, lambda x: float(np.sin(x[0]) + x[1] * x[2]))
+        u = from_callable(grid, lambda X: np.sin(X[:, 0]) + X[:, 1] * X[:, 2])
         res = op.residual(u.flat)
         for pick in rng.integers(0, op.interior.size, size=24):
             node = int(op.interior[pick])
-            single = discrete_operator(spec, coeffs, u, node)
+            single = _node_residual(spec, coeffs, u, node)
+            assert single == pytest.approx(float(res[pick]), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+    @pytest.mark.parametrize("structure, shape", [("heisenberg1", (9, 9, 9)), ("engel1", (7,) * 4)])
+    def test_single_node_matches_vectorized_pucci(self, kind, structure, shape):
+        # the polarized cross stencils, including clipped arms next to the faces
+        spec, coeffs, grid, _, _ = pucci_instance(kind, preset(structure), shape=shape)
+        op = DiscreteOperator(spec, coeffs, grid)
+        rng = np.random.default_rng(8)
+        u = from_callable(grid, lambda X: np.sin(X[:, 0] + 2.0 * X[:, 1]) + X[:, 1] * X[:, 2] ** 2)
+        res = op.residual(u.flat)
+        for pick in rng.integers(0, op.interior.size, size=24):
+            single = _node_residual(spec, coeffs, u, int(op.interior[pick]))
             assert single == pytest.approx(float(res[pick]), rel=1e-9, abs=1e-9)
 
     def test_default_stencil_width(self):
@@ -238,14 +324,77 @@ class TestDiscreteOperator:
         assert default_h_eff_cells(1.0) == 1
 
 
+class TestBatchProtocol:
+    @pytest.mark.parametrize("kind", ["trace", "pucci_plus"])
+    def test_call_counts_do_not_grow_with_the_grid(self, kind):
+        # every callable is evaluated once per batch, never once per node
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(X):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(X)
+
+            return wrapper
+
+        ustar = polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)
+        seen = []
+        for shape in ((9, 9, 9), (13, 13, 13)):
+            counts.clear()
+            structure = replace(HEIS, sigma=counted("sigma", HEIS.sigma))
+            spec = trace_operator(structure)
+            if kind != "trace":
+                spec = pucci_operator(structure, 1.0, 2.0)
+            c = counted("c", constant_field(1.0, 3).value)
+            f = counted("f", manufactured_rhs(spec, c, ustar))
+            coeffs = Coefficients(c=c, f=f, L_c=0.0, beta=1.0, L_f=1.0, beta_prime=1.0, c0=1.0)
+            cfg = SolveConfig(boundary=counted("boundary", ustar.value))
+            _, rep = solve(spec, coeffs, Grid((-1,) * 3, (1,) * 3, shape), cfg)
+            assert rep.converged
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert set(seen[0]) == {"sigma", "c", "f", "boundary"}
+
+    @pytest.mark.parametrize("name", ["sigma", "c", "f", "boundary"])
+    def test_per_point_callable_rejected(self, name):
+        # functions written for one point return one point's shape on a batch
+        spec, coeffs, grid, cfg, _ = heisenberg_instance()
+        if name == "sigma":
+            frame = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            spec = trace_operator(replace(HEIS, sigma=lambda x: frame))
+        elif name == "boundary":
+            cfg = SolveConfig(boundary=lambda x: 0.0)
+        else:
+            coeffs = replace(coeffs, **{name: lambda x: 1.0})
+        with pytest.raises(ValueError, match="returned shape"):
+            solve(spec, coeffs, grid, cfg)
+
+    def test_manufactured_rhs_matches_pointwise_f_eval(self):
+        for kind in ("trace", "pucci_plus", "pucci_minus"):
+            for structure in (HEIS, preset("engel1"), preset("euclidean:3"), preset("line2d")):
+                if kind == "trace":
+                    spec = trace_operator(structure)
+                else:
+                    spec = pucci_operator(structure, 0.5, 2.0, plus=kind == "pucci_plus")
+                n = structure.n
+                rng = np.random.default_rng(9)
+                terms = [[float(rng.normal()), *rng.integers(0, 3, size=n)] for _ in range(6)]
+                ustar = polynomial_field(terms, n)
+                c = polynomial_field([[2.0] + [0] * n, [0.5] + [2] + [0] * (n - 1)], n).value
+                X = rng.uniform(-1.0, 1.0, size=(40, n))
+                got = manufactured_rhs(spec, c, ustar)(X)
+                for x, value in zip(X, got):
+                    p = x[None, :]
+                    want = f_eval(spec, ustar.hessian(p)[0], x) - c(p)[0] * ustar.value(p)[0]
+                    assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestSolve:
     def test_zero_data_gives_zero_solution(self):
         spec = trace_operator(HEIS)
-        coeffs = Coefficients(
-            c=lambda x: 1.0, f=lambda x: 0.0, L_c=0.0, beta=1.0, L_f=0.0, beta_prime=1.0, c0=1.0
-        )
+        coeffs = constant_coeffs(3)
         grid = Grid((-1, -1, -1), (1, 1, 1), (9, 9, 9))
-        u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=lambda x: 0.0))
+        u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=constant_field(0.0, 3).value))
         assert rep.converged
         assert rep.iterations == 0
         assert np.abs(u.values).max() == 0.0
@@ -277,8 +426,8 @@ class TestSolve:
         for _ in range(3):
             dg, df = rng.uniform(0.0, 0.2, size=2)
             k = rng.uniform(0.0, 3.0, size=3)
-            f2 = lambda x, df=df, k=k: coeffs.f(x) - df * (1.0 + np.sin(k @ x))
-            g2 = lambda x, dg=dg, k=k: ustar.value(x) + dg * (1.0 + np.cos(k @ x))
+            f2 = lambda X, df=df, k=k: coeffs.f(X) - df * (1.0 + np.sin(X @ k))
+            g2 = lambda X, dg=dg, k=k: ustar.value(X) + dg * (1.0 + np.cos(X @ k))
             coeffs2 = replace(coeffs, f=f2, L_f=coeffs.L_f + df * np.linalg.norm(k))
             u2, rep2 = solve(spec, coeffs2, grid, SolveConfig(boundary=g2))
             assert rep2.converged
@@ -290,13 +439,6 @@ class TestSolve:
         u2, r2 = solve(spec, coeffs, grid, cfg)
         assert np.array_equal(u1.values, u2.values)
         assert r1.iterations == r2.iterations
-
-    def test_cfl_validation(self):
-        spec, coeffs, grid, _, ustar = heisenberg_instance()
-        op = DiscreteOperator(spec, coeffs, grid)
-        cfg = SolveConfig(boundary=ustar.value, dt=op.cfl_bound * 2.0)
-        with pytest.raises(ValueError):
-            solve(spec, coeffs, grid, cfg)
 
     @pytest.mark.parametrize("name", ["trace", "pucci_plus"])
     def test_non_convergence_reported(self, name):
@@ -325,7 +467,8 @@ class TestSolve:
 
     def test_non_finite_data_raises(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance()
-        bad = replace(coeffs, f=lambda x: np.nan if np.allclose(x, 0.0) else coeffs.f(x))
+        at_origin = lambda X: np.isclose(X, 0.0).all(axis=1)
+        bad = replace(coeffs, f=lambda X: np.where(at_origin(X), np.nan, coeffs.f(X)))
         with pytest.raises(NumericalError):
             solve(spec, bad, grid, cfg)
 
@@ -362,9 +505,9 @@ class TestSolve:
     def test_extremal_kind_solve(self):
         spec = pucci_operator(EUC2, 1.0, 2.0, plus=True)
         ustar = polynomial_field([[1.0, 2, 0], [1.0, 0, 2]], 2)
-        c = lambda x: 1.0
+        c = constant_field(1.0, 2).value
         f = manufactured_rhs(spec, c, ustar)
-        assert f(np.zeros(2)) == pytest.approx(8.0)  # Lambda * tr(2 I) - |0|^2
+        assert f(np.zeros((1, 2)))[0] == pytest.approx(8.0)  # Lambda * tr(2 I) - |0|^2
         coeffs = Coefficients(
             c=c, f=f, L_c=0.0, beta=1.0, L_f=2.0 * np.sqrt(2.0), beta_prime=1.0, c0=1.0
         )
@@ -405,13 +548,38 @@ class TestSolve:
         gap = two_box_sensitivity(spec, coeffs, grid, cfg, pad_cells=2)
         assert 0.0 <= gap < 1.0
 
+    def test_two_box_sensitivity_matches_node_loop(self):
+        spec, coeffs, _, cfg, _ = heisenberg_instance()
+        grid = Grid((-1, -1, -1), (1, 1, 0), (9, 9, 5))
+        pad = 2
+        h = grid.h
+        big = Grid(
+            tuple(lo - pad * h for lo in grid.lo),
+            tuple(hi + pad * h for hi in grid.hi),
+            tuple(n + 2 * pad for n in grid.shape),
+        )
+        small_vals = solve(spec, coeffs, grid, cfg)[0].values
+        big_vals = solve(spec, coeffs, big, cfg)[0].values
+        center = [(lo + hi) / 2.0 for lo, hi in zip(grid.lo, grid.hi)]
+        quarter = [(hi - lo) / 4.0 for lo, hi in zip(grid.lo, grid.hi)]
+        worst, compared = 0.0, 0
+        for idx in np.ndindex(grid.shape):
+            x = [grid.lo[k] + h * idx[k] for k in range(grid.n)]
+            if all(abs(x[k] - center[k]) <= quarter[k] + 1e-12 for k in range(grid.n)):
+                big_idx = tuple(i + pad for i in idx)
+                worst = max(worst, abs(float(small_vals[idx]) - float(big_vals[big_idx])))
+                compared += 1
+        assert compared == 5 * 5 * 3
+        assert two_box_sensitivity(spec, coeffs, grid, cfg, pad_cells=pad) == worst
+
     def test_report_fields(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance()
         _, rep = solve(spec, coeffs, grid, cfg)
         payload = rep.to_dict()
-        for key in ("iterations", "final_residual", "converged", "dt", "wall_time_s"):
+        for key in ("iterations", "final_residual", "converged", "wall_time_s"):
             assert key in payload
-        assert payload["schema_version"] == 1
+        assert "dt" not in payload and "cfl_bound" not in payload
+        assert payload["schema_version"] == 2
         assert payload["method"] == "bicgstab"
         assert 0.0 < payload["assembly_s"] <= payload["wall_time_s"]
         op = DiscreteOperator(spec, coeffs, grid)

@@ -1,5 +1,7 @@
 """Unit tests for the structure presets and frame operations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from carnotpde import (
 )
 from carnotpde.errors import NumericalError, UnsupportedOperationError
 from carnotpde.fields import constant_field
+from carnotpde.structures import frames
 
 
 class TestSigma:
@@ -304,6 +307,62 @@ class TestCustomStructure:
         with pytest.raises(NumericalError, match=r"x = \[0\.5, 0\.25\]"):
             sigma_at(s, [0.5, 0.25])
 
+    def test_vanishing_denominator_inside_a_batch(self):
+        desc = {
+            "n": 2,
+            "m": 1,
+            "entries": [[{"num": [[1.0, 0, 0]], "den": [[1.0, 1, 0], [-0.5, 0, 0]]}, [[0.0, 0, 0]]]],
+        }
+        s = structure_from_json(desc)
+        X = np.array([[0.0, 0.0], [0.25, 1.0], [0.5, -2.0], [0.5, 3.0]])
+        with pytest.raises(NumericalError, match=r"x = \[0\.5, -2\.0\]"):
+            frames(s, X)
+        assert_allclose(frames(s, X[:2])[:, 0, 0], [-2.0, -4.0])
+
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             structure_from_json({"n": 2, "m": 2, "entries": [[[[1.0, 0, 0]]]]})
+
+
+class TestBatchedFrames:
+    JSON_STRUCTURE = {
+        "name": "mixed",
+        "n": 3,
+        "m": 2,
+        "entries": [
+            [[[1.0, 0, 0, 0]], [[0.0, 0, 0, 0]], [[2.0, 0, 1, 0], [-1.0, 1, 0, 2]]],
+            [
+                [[0.0, 0, 0, 0]],
+                {"num": [[1.0, 1, 0, 0]], "den": [[1.0, 0, 0, 0], [1.0, 2, 0, 0]]},
+                {"num": [[3.0, 0, 0, 1], [1.0, 0, 0, 0]], "den": [[2.0, 0, 0, 0], [1.0, 0, 2, 0]]},
+            ],
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["heisenberg1", "engel1", "euclidean:1", "euclidean:3", "line2d", "grushin-like2d", "json"],
+    )
+    def test_batch_equals_stacked_rows(self, name):
+        s = structure_from_json(self.JSON_STRUCTURE) if name == "json" else preset(name)
+        X = np.random.default_rng(11).uniform(-2.0, 2.0, size=(50, s.n))
+        batch = frames(s, X)
+        assert batch.shape == (50, s.m, s.n)
+        assert np.array_equal(batch, np.stack([sigma_at(s, x) for x in X]))
+
+    def test_json_entries_match_their_formulas(self):
+        s = structure_from_json(self.JSON_STRUCTURE)
+        x1, x2, x3 = 0.5, -1.5, 2.0
+        want = [
+            [1.0, 0.0, 2.0 * x2 - x1 * x3**2],
+            [0.0, x1 / (1.0 + x1**2), (3.0 * x3 + 1.0) / (2.0 + x2**2)],
+        ]
+        assert_allclose(sigma_at(s, [x1, x2, x3]), want, rtol=1e-15)
+
+    def test_wrong_shape_rejected(self):
+        # a frame written for one point returns one (m, n) matrix for the batch
+        s = replace(preset("heisenberg1"), sigma=lambda x: np.eye(3)[:2])
+        with pytest.raises(ValueError, match="returned shape"):
+            frames(s, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="returned shape"):
+            sigma_at(s, [0.0, 0.0, 0.0])
