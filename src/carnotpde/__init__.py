@@ -9,7 +9,6 @@ monotone directional scheme, and verifies the Holder-regularity ingredients
 from .ccdist import CCResult, cc_distance_estimate, cc_search
 from .doubling import (
     ConstantBundle,
-    DoublingParams,
     growth_condition_margin,
     growth_margin_asymptotic,
     holder_constant_bound,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -279,11 +280,7 @@ def cmd_cc_distance(args) -> int:
             "a": list(map(float, cc["a"])),
             "b": list(map(float, cc["b"])),
             "resolution": float(cc["resolution"]),
-            "distance": result.distance,
-            "nodes_settled": result.nodes_settled,
-            "levels": result.levels,
-            "frontier_peak": result.frontier_peak,
-            "elapsed_s": result.elapsed_s,
+            **asdict(result),
         },
     )
     print(f"cc-distance: {result.distance:.6g}")

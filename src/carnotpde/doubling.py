@@ -9,37 +9,13 @@ at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InadmissibleExponentError, SingularPointError
 from .structures import CarnotStructure, frames
-
-
-@dataclass(frozen=True)
-class DoublingParams:
-    """Parameters of Phi(x, y) = u(x) - u(y) - L|x-y|^alpha - delta|x|^2 - epsilon."""
-
-    L: float
-    alpha: float
-    delta: float = 0.0
-    epsilon: float = 0.0
-    mu: float = 1.0
-    eta: float = 1.1
-
-    def __post_init__(self):
-        if self.L <= 0.0:
-            raise ValueError("L must be positive")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.delta < 0.0 or self.epsilon < 0.0:
-            raise ValueError("delta and epsilon must be nonnegative")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
-        if self.eta <= 1.0:
-            raise ValueError("eta must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -67,17 +43,7 @@ class ConstantBundle:
             raise ValueError("u_inf must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "c0": self.c0,
-            "cbar": self.cbar,
-            "Lambda": self.Lambda,
-            "C": self.C,
-            "L_c": self.L_c,
-            "beta": self.beta,
-            "L_f": self.L_f,
-            "beta_prime": self.beta_prime,
-            "u_inf": self.u_inf,
-        }
+        return asdict(self)
 
 
 def phi_value(x, y, L: float, alpha: float) -> float:
@@ -233,27 +199,16 @@ def holder_constant_bound(k: ConstantBundle, alpha: float) -> float:
     return float((total / denom) ** (1.0 / (1.0 + g_hi - alpha)))
 
 
-_ASYMPTOTIC_MARGIN = {
-    # limsup of Tr(P(x))/|x|^2 for each preset, minus c0/(2 Lambda) at call time
-    "heisenberg1": 4.0,
-    "engel1": 1.0,
-    "line2d": 0.0,
-    "grushin-like2d": 0.0,
-}
-
-
 def growth_margin_asymptotic(s: CarnotStructure, c0: float, Lambda: float) -> float | None:
-    """Analytic value of limsup Tr(P(x))/|x|^2 - c0/(2 Lambda) for the presets.
+    """Analytic value of limsup Tr(P(x))/|x|^2 - c0/(2 Lambda), from the
+    structure's growth_limsup.
 
-    Returns None for structures without a known closed form.
+    Returns None for structures without a known closed form, which includes
+    every frame loaded from JSON whatever its name.
     """
-    if s.name.startswith("euclidean:"):
-        limsup = 0.0
-    elif s.name in _ASYMPTOTIC_MARGIN:
-        limsup = _ASYMPTOTIC_MARGIN[s.name]
-    else:
+    if s.growth_limsup is None:
         return None
-    return limsup - c0 / (2.0 * Lambda)
+    return s.growth_limsup - c0 / (2.0 * Lambda)
 
 
 def growth_condition_margin(

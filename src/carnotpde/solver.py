@@ -7,12 +7,16 @@ boundary, where the unequal-arm (Shortley-Weller) second difference keeps the
 stencil monotone and exact on quadratics. Cross entries of the frame Hessian
 are recovered by polarization along X_i +/- X_j, so the frame Hessian M_h(u)
 is linear in u and F_h(u) = sup (pucci_plus) or inf (pucci_minus) of
-tr(A M_h(u)) over A with spectrum in [lambda, Lambda]. Every kind is solved by
-Howard policy iteration (Bokanowski-Maroso-Zidani 2009): fix the policy A that
-attains F_h at the current u, solve the linear system L_A u - c u = f in the
-interior values by Jacobi-preconditioned BiCGSTAB (van der Vorst 1992), and
-repeat. The trace kind's policy is the identity, so its one system
-T_int u - c u = f - T_bd g is solved in one outer step.
+tr(A M_h(u)) over A with spectrum in [lambda, Lambda].
+
+The solver sees the scheme only through DiscreteOperator.policy_matrix: the
+sparse L_A of the policy A that attains F_h at u, so that L_A u = F_h(u). Every
+kind is solved by Howard policy iteration (Bokanowski-Maroso-Zidani 2009):
+each step takes the policy at the current u, measures the residual
+f - (L_A u - c u) once, and runs one Jacobi-preconditioned BiCGSTAB cycle
+(van der Vorst 1992) on L_A u - c u = f in the interior values from it. A
+Krylov restart is simply the next step. The trace kind's policy is the
+identity, so each of its steps reuses the one trace matrix.
 
 Frames, coefficients and Dirichlet data are evaluated once per solve on the
 (N, n) array of the nodes that need them, so c, f and the boundary callable
@@ -72,9 +76,9 @@ class SolveReport:
     wall_time_s: float
     method: str  # "bicgstab" (trace kind) or "policy" (Pucci kinds)
     assembly_s: float
-    nnz: int  # stored nonzeros of the directional stencils
-    outer_iterations: int  # policy steps; `iterations` counts Krylov steps
-    residual_history: list  # true max residual before each policy step and after the last
+    nnz: int  # stored nonzeros of the directional stencils, one per cross pair
+    outer_iterations: int  # policy steps, one BiCGSTAB cycle each; `iterations` counts Krylov steps
+    residual_history: list  # max residual at the start of each policy step and at the end
 
     def to_dict(self) -> dict:
         return {"schema_version": 2, **asdict(self)}
@@ -83,10 +87,12 @@ class SolveReport:
 class DiscreteOperator:
     """Precomputed sparse stencils for the directional scheme on one grid.
 
-    Builds, per frame direction (and per polarization pair for non-trace
-    kinds), a sparse matrix mapping full node vectors to second-difference
-    values at the interior nodes. The center coefficient of each row is set to
-    the negated off-center row sum so constants are annihilated to roundoff.
+    Builds, per frame direction, a sparse matrix mapping full node vectors to
+    second-difference values at the interior nodes, and for non-trace kinds
+    one matrix D+ - D- per polarization pair (i, j), the difference of the
+    second differences along X_i + X_j and X_i - X_j. The center coefficient
+    of each row is set to the negated off-center row sum so constants are
+    annihilated to roundoff.
     """
 
     def __init__(
@@ -122,7 +128,7 @@ class DiscreteOperator:
                 for j in range(i + 1, m):
                     plus = self._directional_matrix(frame[:, i, :] + frame[:, j, :])
                     minus = self._directional_matrix(frame[:, i, :] - frame[:, j, :])
-                    self.cross_ops[(i, j)] = (plus, minus)
+                    self.cross_ops[(i, j)] = plus - minus
 
         self.c_vec = field_values(coeffs.c, coords, "c")
         self.f_vec = field_values(coeffs.f, coords, "f")
@@ -200,21 +206,25 @@ class DiscreteOperator:
 
     def policy_matrix(self, u_flat: np.ndarray):
         """The sparse L_A with L_A @ v = tr(A M_h(v)) for the policy A that
-        attains F_h at u_flat, so L_A @ u_flat = operator_values(u_flat).
+        attains F_h at u_flat, so L_A @ u_flat = F_h(u_flat).
 
         Per node A = V diag(a) V^T from the eigenpairs of M_h(u), with
         a = Lambda on positive eigenvalues and lambda otherwise (swapped for
-        pucci_minus). The trace kind's policy is the identity.
+        pucci_minus). The trace kind's policy is the identity. Raises
+        NumericalError when a frame Hessian is not finite.
         """
         if self.spec.kind == "trace":
             return self.trace_matrix()
         lam, Lam = self.spec.bounds.lam, self.spec.bounds.Lam
         if self.spec.kind == "pucci_minus":
             lam, Lam = Lam, lam
-        evals, vecs = np.linalg.eigh(self.frame_matrices(u_flat))
+        mats = self.frame_matrices(u_flat)
+        if not np.isfinite(mats).all():
+            raise NumericalError("frame Hessian is not finite: non-finite data or iterate")
+        evals, vecs = np.linalg.eigh(mats)
         pol = np.einsum("rik,rk,rjk->rij", vecs, np.where(evals > 0.0, Lam, lam), vecs)
         terms = [sp.diags(pol[:, i, i]) @ op for i, op in enumerate(self.diag_ops)]
-        terms += [sp.diags(pol[:, i, j] / 2) @ (p - q) for (i, j), (p, q) in self.cross_ops.items()]
+        terms += [sp.diags(pol[:, i, j] / 2) @ op for (i, j), op in self.cross_ops.items()]
         return sum(terms[1:], terms[0]).tocsr()
 
     def frame_matrices(self, u_flat: np.ndarray) -> np.ndarray:
@@ -224,22 +234,15 @@ class DiscreteOperator:
         mats = np.zeros((n_int, m, m))
         for i, op in enumerate(self.diag_ops):
             mats[:, i, i] = op @ u_flat
-        for (i, j), (plus, minus) in self.cross_ops.items():
-            val = 0.25 * (plus @ u_flat - minus @ u_flat)
+        for (i, j), op in self.cross_ops.items():
+            val = 0.25 * (op @ u_flat)
             mats[:, i, j] = val
             mats[:, j, i] = val
         return mats
 
     def operator_values(self, u_flat: np.ndarray) -> np.ndarray:
-        """G applied to the frame Hessians at every interior node.
-
-        The trace kind's G is linear: it applies the trace matrix, the same
-        matrix its Krylov solve iterates with, so the residual that ends the
-        Krylov solve and the one the solve reports agree to the last bit.
-        """
-        if self.spec.kind == "trace":
-            return self.trace_matrix() @ u_flat
-        return g_values(self.spec, self.frame_matrices(u_flat))
+        """F_h at every interior node: the policy matrix at u_flat applied to it."""
+        return self.policy_matrix(u_flat) @ u_flat
 
     def residual(self, u_flat: np.ndarray) -> np.ndarray:
         return self.operator_values(u_flat) - self.c_vec * u_flat[self.interior] - self.f_vec
@@ -259,13 +262,15 @@ def manufactured_rhs(
     return f
 
 
-def _bicgstab(op: DiscreteOperator, lin, u_flat: np.ndarray, cfg: SolveConfig, iterations: int):
-    """Jacobi-preconditioned BiCGSTAB on lin[:, interior] - diag(c), in place on u_flat.
+def _bicgstab(
+    op: DiscreteOperator, lin, r: np.ndarray, u_flat: np.ndarray, cfg: SolveConfig, iterations: int
+):
+    """One Jacobi-preconditioned BiCGSTAB cycle on lin[:, interior] - diag(c), in place on u_flat.
 
-    It (re)starts, with the true linear residual f - (lin u - c u) as shadow
-    residual, at the start, on breakdown and when the recurred residual meets
-    tol. Returns the Krylov step count, continued from ``iterations`` and
-    capped at cfg.max_iters.
+    The cycle starts from the residual r = f - (lin u - c u), which is also its
+    shadow residual, and ends on breakdown, when the recurred residual meets
+    tol, or at cfg.max_iters. Returns the Krylov step count, continued from
+    ``iterations``.
     """
     interior, pad = op.interior, np.zeros_like(u_flat)
     inv_diag = 1.0 / (np.asarray(lin[np.arange(interior.size), interior]).ravel() - op.c_vec)
@@ -277,33 +282,27 @@ def _bicgstab(op: DiscreteOperator, lin, u_flat: np.ndarray, cfg: SolveConfig, i
     def dot(a, b):  # numpy's own sum, not BLAS ddot, whose threads stall on a busy host
         return float(np.sum(a * b))
 
-    while True:
-        r = -(lin @ u_flat - op.c_vec * u_flat[interior] - op.f_vec)
-        res = float(np.abs(r).max())
-        if not np.isfinite(res):
-            raise NumericalError(f"BiCGSTAB diverged by step {iterations}")
-        if res <= cfg.tol or iterations >= cfg.max_iters:
-            return iterations
-        rhat, rho, alpha, omega, p, v = r.copy(), 1.0, 1.0, 1.0, 0.0, 0.0
-        while iterations < cfg.max_iters:
-            iterations += 1
-            rho, rho_old = dot(rhat, r), rho
-            p = r + (rho / rho_old) * (alpha / omega) * (p - omega * v)
-            phat = inv_diag * p
-            v = matvec(phat)
-            rv = dot(rhat, v)
-            if rho == 0.0 or rv == 0.0:
-                break
-            alpha = rho / rv
-            s = r - alpha * v
-            shat = inv_diag * s
-            t = matvec(shat)
-            tt = dot(t, t)
-            omega = dot(t, s) / tt if tt > 0.0 else 0.0
-            u_flat[interior] += alpha * phat + omega * shat
-            r = s - omega * t
-            if omega == 0.0 or not np.abs(r).max() > cfg.tol:
-                break
+    rhat, rho, alpha, omega, p, v = r, 1.0, 1.0, 1.0, 0.0, 0.0
+    while iterations < cfg.max_iters:
+        iterations += 1
+        rho, rho_old = dot(rhat, r), rho
+        p = r + (rho / rho_old) * (alpha / omega) * (p - omega * v)
+        phat = inv_diag * p
+        v = matvec(phat)
+        rv = dot(rhat, v)
+        if rho == 0.0 or rv == 0.0:
+            break
+        alpha = rho / rv
+        s = r - alpha * v
+        shat = inv_diag * s
+        t = matvec(shat)
+        tt = dot(t, t)
+        omega = dot(t, s) / tt if tt > 0.0 else 0.0
+        u_flat[interior] += alpha * phat + omega * shat
+        r = s - omega * t
+        if omega == 0.0 or not np.abs(r).max() > cfg.tol:
+            break
+    return iterations
 
 
 def solve(
@@ -311,11 +310,13 @@ def solve(
 ) -> tuple[GridFunction, SolveReport]:
     """Solve to a max-norm residual max|F_h(u) - c u - f| at or below cfg.tol.
 
-    Howard policy iteration: each outer step fixes the policy attaining F_h at
-    the current u (op.policy_matrix) and solves its linear system by BiCGSTAB
-    to tol, until the true residual meets tol. The trace kind takes one outer
-    step. Non-convergence within cfg.max_iters Krylov steps is reported, not
-    raised; NaN or Inf in the iterates raises NumericalError.
+    Howard policy iteration: each step builds the policy matrix L_A at the
+    current u (op.policy_matrix), records max|f - (L_A u - c u)| and, unless
+    that meets tol or cfg.max_iters Krylov steps are spent, runs one BiCGSTAB
+    cycle on L_A's system. A Krylov restart is the next step, so the report's
+    outer_iterations counts the cycles. Non-convergence within cfg.max_iters
+    is reported, not raised; NaN or Inf in the data or the iterates raises
+    NumericalError.
     """
     t0 = time.perf_counter()
     h_eff = None if cfg.h_eff_cells is None else cfg.h_eff_cells * grid.h
@@ -328,23 +329,18 @@ def solve(
     if cfg.initial is not None:
         u_flat[op.interior] = cfg.initial.flat[op.interior]
 
-    def true_residual(iterations):
-        res = float(np.abs(op.residual(u_flat)).max())
-        if not np.isfinite(res):
-            raise NumericalError(f"solve diverged by Krylov step {iterations}")
-        return res
-
     iterations = outer = 0
-    history = [true_residual(0)]
-    while history[-1] > cfg.tol and iterations < cfg.max_iters:
-        start = iterations
-        iterations = _bicgstab(op, op.policy_matrix(u_flat), u_flat, cfg, iterations)
-        outer += 1
-        history.append(true_residual(iterations))
-        if iterations == start:  # u already solves this policy's system to tol
+    history = []
+    while True:
+        lin = op.policy_matrix(u_flat)
+        r = op.f_vec - (lin @ u_flat - op.c_vec * u_flat[op.interior])
+        history.append(float(np.abs(r).max()))
+        if not np.isfinite(history[-1]):
+            raise NumericalError(f"solve diverged by Krylov step {iterations}")
+        if history[-1] <= cfg.tol or iterations >= cfg.max_iters:
             break
-    nnz = sum(a.nnz for a in op.diag_ops)
-    nnz += sum(plus.nnz + minus.nnz for plus, minus in op.cross_ops.values())
+        iterations = _bicgstab(op, lin, r, u_flat, cfg, iterations)
+        outer += 1
     report = SolveReport(
         iterations=iterations,
         final_residual=history[-1],
@@ -352,7 +348,7 @@ def solve(
         wall_time_s=time.perf_counter() - t0,
         method="bicgstab" if spec.kind == "trace" else "policy",
         assembly_s=assembly_s,
-        nnz=nnz,
+        nnz=sum(a.nnz for a in [*op.diag_ops, *op.cross_ops.values()]),
         outer_iterations=outer,
         residual_history=history,
     )

@@ -26,8 +26,9 @@ from .symmat import symmetrize
 
 @dataclass(frozen=True)
 class CarnotStructure:
-    """sigma maps (N, n) points to their (N, m, n) frames; group_law and
-    dilation act on single points."""
+    """sigma maps (N, n) points to their (N, m, n) frames; group_law acts on
+    single points. growth_limsup is the analytic limsup of Tr P(x) / |x|^2 as
+    |x| grows, known for the presets only."""
 
     name: str
     n: int
@@ -35,8 +36,8 @@ class CarnotStructure:
     step: int
     sigma: Callable[[np.ndarray], np.ndarray]
     group_law: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    dilation: Callable[[float, np.ndarray], np.ndarray] | None = None
     lipschitz_sigma: float | None = None
+    growth_limsup: float | None = None
 
 
 def as_point(x, n: int) -> np.ndarray:
@@ -76,12 +77,6 @@ def group_mul(s: CarnotStructure, x, y) -> np.ndarray:
     if s.group_law is None:
         raise UnsupportedOperationError(f"structure {s.name!r} has no group law")
     return np.asarray(s.group_law(as_point(x, s.n), as_point(y, s.n)), dtype=float)
-
-
-def dilate(s: CarnotStructure, t: float, x) -> np.ndarray:
-    if s.dilation is None:
-        raise UnsupportedOperationError(f"structure {s.name!r} has no dilations")
-    return np.asarray(s.dilation(float(t), as_point(x, s.n)), dtype=float)
 
 
 def engel_trace_operator(s: CarnotStructure, u: SmoothField, x) -> tuple[float, float]:
@@ -158,10 +153,6 @@ def _mul_heisenberg(x, y):
     )
 
 
-def _dil_heisenberg(t, x):
-    return np.array([t * x[0], t * x[1], t * t * x[2]])
-
-
 def _sigma_engel(X):
     out = np.zeros((len(X), 2, 4))
     out[:, 0, 0] = out[:, 1, 1] = 1.0
@@ -183,10 +174,6 @@ def _mul_engel(x, y):
             x[3] + y[3] + 0.5 * y[0] * y[0] * x[1] - y[0] * x[2],
         ]
     )
-
-
-def _dil_engel(t, x):
-    return np.array([t * x[0], t * x[1], t**2 * x[2], t**3 * x[3]])
 
 
 def heisenberg_sqrt_transposed_variant(x) -> np.ndarray:
@@ -219,8 +206,8 @@ def euclidean(n: int) -> CarnotStructure:
         step=1,
         sigma=_constant_frame(np.eye(n)),
         group_law=lambda x, y: x + y,
-        dilation=lambda t, x: t * x,
         lipschitz_sigma=0.0,
+        growth_limsup=0.0,
     )
 
 
@@ -232,8 +219,8 @@ def heisenberg1() -> CarnotStructure:
         step=2,
         sigma=_sigma_heisenberg,
         group_law=_mul_heisenberg,
-        dilation=_dil_heisenberg,
         lipschitz_sigma=2.0,
+        growth_limsup=4.0,  # Tr P = 2 + 4 (x1^2 + x2^2)
     )
 
 
@@ -245,15 +232,15 @@ def engel1() -> CarnotStructure:
         step=3,
         sigma=_sigma_engel,
         group_law=_mul_engel,
-        dilation=_dil_engel,
         lipschitz_sigma=1.0,
+        growth_limsup=1.0,  # Tr P = 2 + x2^2 + x3^2
     )
 
 
 def line2d() -> CarnotStructure:
     frame = _constant_frame(np.array([[1.0, 0.0]]))
     return CarnotStructure(
-        name="line2d", n=2, m=1, step=1, sigma=frame, lipschitz_sigma=0.0
+        name="line2d", n=2, m=1, step=1, sigma=frame, lipschitz_sigma=0.0, growth_limsup=0.0
     )
 
 
@@ -265,7 +252,13 @@ def grushin_like2d() -> CarnotStructure:
 
     # sup |d/dt t/(1+t^2)| = 1 at t = 0
     return CarnotStructure(
-        name="grushin-like2d", n=2, m=1, step=1, sigma=sigma, lipschitz_sigma=1.0
+        name="grushin-like2d",
+        n=2,
+        m=1,
+        step=1,
+        sigma=sigma,
+        lipschitz_sigma=1.0,
+        growth_limsup=0.0,
     )
 
 

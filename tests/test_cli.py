@@ -12,6 +12,15 @@ from carnotpde.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+HEISENBERG_AS_JSON = {
+    "name": "heisenberg1",
+    "n": 3,
+    "m": 2,
+    "entries": [
+        [[[1.0, 0, 0, 0]], [[0.0, 0, 0, 0]], [[2.0, 0, 1, 0]]],
+        [[[0.0, 0, 0, 0]], [[1.0, 0, 0, 0]], [[-2.0, 1, 0, 0]]],
+    ],
+}
 
 
 def run(*argv) -> int:
@@ -117,6 +126,13 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"structure": "heisenberg1", "unknown_field": 1}))
         assert run("solve", "--config", str(bad), "--out", str(tmp_path)) == 2
 
+    def test_output_dir_key_is_rejected(self, tmp_path):
+        config = json.loads((CONFIGS / "line2d.json").read_text())
+        config["output_dir"] = str(tmp_path / "elsewhere")
+        path = tmp_path / "with_output_dir.json"
+        path.write_text(json.dumps(config))
+        assert run("solve", "--config", str(path), "--out", str(tmp_path)) == 2
+
     def test_non_convergence_exit(self, tmp_path):
         config = json.loads((CONFIGS / "heisenberg_verify_lowc.json").read_text())
         config["solver"]["max_iters"] = 2
@@ -164,6 +180,17 @@ class TestVerifyCommand:
         assert code == 4
         report = json.loads((tmp_path / "holder_report.json").read_text())
         assert report["hypothesis_verdicts"]["growth_condition"] is False
+
+    def test_json_frame_named_like_a_preset_is_box_local(self, tmp_path):
+        # the Heisenberg frame loaded from JSON gets no analytic growth answer
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        config["structure"] = HEISENBERG_AS_JSON
+        path = tmp_path / "json_heisenberg.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "holder_report.json").read_text())
+        assert report["growth_box_local"] is True
+        assert report["hypothesis_verdicts"]["growth_condition"] is True
 
 
 class TestGeometryCommands:
@@ -238,6 +265,18 @@ class TestGeometryCommands:
             )
         )
         assert run("growth-check", "--config", str(config), "--out", str(tmp_path)) == 4
+
+    def test_growth_check_ignores_a_preset_name(self, tmp_path):
+        # Tr P / |x|^2 reaches 9 on the x1 axis, far above c0 / (2 Lambda)
+        frame = {"name": "euclidean:2", "n": 2, "m": 1, "entries": [[[[3.0, 1, 0]], [[0.0, 0, 0]]]]}
+        config = tmp_path / "growth.json"
+        config.write_text(
+            json.dumps({"structure": frame, "growth": {"c0": 1, "Lambda": 1, "radii": [1, 2, 4]}})
+        )
+        assert run("growth-check", "--config", str(config), "--out", str(tmp_path)) == 4
+        report = json.loads((tmp_path / "growth_report.json").read_text())
+        assert report["asymptotic_margin"] is None and report["box_local"] is True
+        assert report["margins"][-1] == pytest.approx(8.5)
 
     def test_cc_requires_section(self, tmp_path):
         config = tmp_path / "nocc.json"

@@ -13,10 +13,11 @@ from carnotpde import (
     phi_hessian_square,
     preset,
     sigma_at,
+    structure_from_json,
     sums_trace_bound,
     touching_pair,
 )
-from carnotpde.doubling import DoublingParams, finite_difference_hessian, phi_value
+from carnotpde.doubling import finite_difference_hessian, phi_value
 from carnotpde.errors import InadmissibleExponentError, SingularPointError
 from carnotpde.symmat import eigh
 
@@ -226,11 +227,7 @@ class TestHolderConstantBound:
         assert holder_constant_bound(bundle(L_f=1.0, L_c=1.0, u_inf=2.0), alpha) > base
         assert holder_constant_bound(bundle(L_f=1.0, L_c=1.0, c0=2.0), alpha) < base
 
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            DoublingParams(L=1.0, alpha=0.5, eta=1.0)
-        with pytest.raises(ValueError):
-            DoublingParams(L=1.0, alpha=1.5)
+    def test_bundle_validation(self):
         with pytest.raises(ValueError):
             ConstantBundle(
                 c0=1.0, cbar=2.0, Lambda=1.0, C=1.0, L_c=0.0, beta=1.0, L_f=0.0,
@@ -260,8 +257,15 @@ class TestGrowthMargin:
         assert growth_margin_asymptotic(preset("heisenberg1"), 1.0, 1.0) == pytest.approx(3.5)
         assert growth_margin_asymptotic(preset("euclidean:3"), 2.0, 1.0) == pytest.approx(-1.0)
         assert growth_margin_asymptotic(preset("engel1"), 4.0, 1.0) == pytest.approx(-1.0)
-        custom = preset("heisenberg1")
-        object.__setattr__(custom, "name", "mystery")
+        renamed = preset("heisenberg1")
+        object.__setattr__(renamed, "name", "mystery")
+        assert growth_margin_asymptotic(renamed, 1.0, 1.0) == pytest.approx(3.5)
+        # a JSON frame has no closed form, even when named like a preset
+        frame = [
+            [[[1.0, 0, 0, 0]], [], [[2.0, 0, 1, 0]]],
+            [[], [[1.0, 0, 0, 0]], [[-2.0, 1, 0, 0]]],
+        ]
+        custom = structure_from_json({"name": "heisenberg1", "n": 3, "m": 2, "entries": frame})
         assert growth_margin_asymptotic(custom, 1.0, 1.0) is None
 
     def test_radii_must_increase(self):

@@ -1,5 +1,7 @@
 """Unit tests for grids, grid functions and interpolation."""
 
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -76,6 +78,23 @@ class TestCsv:
         assert len(rows) == 10
         first = [float(v) for v in rows[1].split(",")]
         assert first == [0.0, 0.0, 0.0]
+
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        # the reference is the csv.writer dump of repr(float(.)) per entry;
+        # blocks of 4 rows put block boundaries inside the 9-row grid
+        monkeypatch.setattr("carnotpde.grids._CSV_BLOCK_ROWS", 4)
+        g = Grid((-1.0, -1.0), (1.0, 1.0), (3, 3))
+        values = np.array([-0.0, 0.1, 1e-05, 1e16, np.nan, -2.5, 1.0 / 3.0, 7.0, -1e-300])
+        u = GridFunction(g, values)
+        path = tmp_path / "dump.csv"
+        to_csv(u, path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "value"])
+            for p, v in zip(g.coords(), values):
+                writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
+        assert path.read_bytes() == ref.read_bytes()
 
     def test_shape_mismatch(self):
         g = Grid((0.0,), (1.0,), (5,))

@@ -1,5 +1,5 @@
-"""Unit tests for the directional scheme and its policy-iteration solve: one
-BiCGSTAB solve for the trace kind, Howard steps for the Pucci kinds, checked
+"""Unit tests for the directional scheme and its policy-iteration solve: Howard
+steps of one BiCGSTAB cycle each, the trace kind's policy fixed, checked
 against the damped explicit iteration and the per-node scheme kept here as
 references."""
 
@@ -32,6 +32,7 @@ from carnotpde import (
 )
 from carnotpde.errors import NumericalError
 from carnotpde.grids import interpolate
+from carnotpde.operators import g_values
 from carnotpde.solver import default_h_eff_cells
 
 HEIS = preset("heisenberg1")
@@ -75,6 +76,13 @@ def pucci_instance(kind, structure=EUC2, c_value=1.0, shape=(17, 17)):
     return spec, coeffs, grid, SolveConfig(boundary=ustar.value), ustar
 
 
+def _closed_form_residual(op, u_flat):
+    """F_h(u) - c u - f with F_h = G of the frame Hessians in closed form,
+    independent of the policy matrices the solve uses."""
+    values = g_values(op.spec, op.frame_matrices(u_flat))
+    return values - op.c_vec * u_flat[op.interior] - op.f_vec
+
+
 def _explicit_reference(spec, coeffs, grid, cfg):
     """The damped explicit iteration u <- u + dt (F_h(u) - c u - f) that solved
     the Pucci kinds before policy iteration, with dt just under the CFL bound
@@ -86,12 +94,12 @@ def _explicit_reference(spec, coeffs, grid, cfg):
     u_flat, mask = np.zeros(grid.num_nodes), grid.boundary_mask()
     u_flat[mask] = cfg.boundary(grid.coords()[mask])
     for _ in range(cfg.max_iters):
-        new_int = u_flat[op.interior] + dt * op.residual(u_flat)
+        new_int = u_flat[op.interior] + dt * _closed_form_residual(op, u_flat)
         step = float(np.abs(new_int - u_flat[op.interior]).max()) / dt
         assert np.isfinite(step)
         u_flat[op.interior] = new_int
         if step <= cfg.tol:
-            exact = float(np.abs(op.residual(u_flat)).max())
+            exact = float(np.abs(_closed_form_residual(op, u_flat)).max())
             if exact <= cfg.tol:
                 return u_flat, exact
     raise AssertionError("explicit reference did not converge")
@@ -389,6 +397,15 @@ class TestBatchProtocol:
                     assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+POLICY_CASES = [
+    ("euclidean:2", 1.0, (17, 17)),
+    ("euclidean:2", 0.05, (17, 17)),
+    ("heisenberg1", 1.0, (9, 9, 9)),
+    ("engel1", 1.0, (7, 7, 7, 7)),
+    ("euclidean:3", 1.0, (9, 9, 9)),  # m = 3: LAPACK eigh in the policy
+]
+
+
 class TestSolve:
     def test_zero_data_gives_zero_solution(self):
         spec = trace_operator(HEIS)
@@ -448,29 +465,65 @@ class TestSolve:
         assert rep.iterations == 3
         assert rep.final_residual == rep.residual_history[-1] > cfg.tol
 
-    def test_policy_step_without_progress_ends_the_solve(self, monkeypatch):
-        # a policy whose system u already solves to tol adds no Krylov step,
-        # so repeating it would loop forever; the solve reports instead
+    def test_every_policy_step_spends_a_krylov_step(self, monkeypatch):
+        # policies that never agree keep the residual above tol; each step
+        # must still spend a Krylov step, so the budget ends the solve
         spec, coeffs, grid, cfg = solve_instance("pucci_plus")
         calls = []
 
-        def fixed_policy(op, u_flat):
+        def alternating_policy(op, u_flat):
             calls.append(1)
-            assert len(calls) <= 3, "policy step repeated without progress"
-            return op.trace_matrix()
+            assert len(calls) <= 51, "policy step spent no Krylov step"
+            return op.trace_matrix() * (1.0 if len(calls) % 2 else 2.0)
 
-        monkeypatch.setattr(DiscreteOperator, "policy_matrix", fixed_policy)
-        _, rep = solve(spec, coeffs, grid, cfg)
+        monkeypatch.setattr(DiscreteOperator, "policy_matrix", alternating_policy)
+        _, rep = solve(spec, coeffs, grid, replace(cfg, max_iters=50))
         assert not rep.converged
-        assert rep.outer_iterations == len(calls) == 2
-        assert rep.residual_history[-1] == rep.residual_history[-2] > cfg.tol
+        assert rep.iterations == 50
+        assert len(calls) == rep.outer_iterations + 1 <= 51
 
-    def test_non_finite_data_raises(self):
-        spec, coeffs, grid, cfg, _ = heisenberg_instance()
-        at_origin = lambda X: np.isclose(X, 0.0).all(axis=1)
-        bad = replace(coeffs, f=lambda X: np.where(at_origin(X), np.nan, coeffs.f(X)))
+    def test_policy_matrix_is_the_solve_view_of_the_scheme(self, monkeypatch):
+        # one policy matrix per step and one at the end, and no closed-form G
+        spec = pucci_operator(EUC2, 1.0, 2.0)
+        coeffs = constant_coeffs(2, f_value=1.0)
+        grid = Grid((-1, -1), (1, 1), (17, 17))
+        cfg = SolveConfig(boundary=polynomial_field([[1.0, 1, 1], [-1.0, 0, 2]], 2).value)
+        calls = []
+        policy = DiscreteOperator.policy_matrix
+
+        def counted_policy(op, u_flat):
+            calls.append(1)
+            return policy(op, u_flat)
+
+        def no_g_values(*args):
+            raise AssertionError("solve evaluated the closed-form G")
+
+        monkeypatch.setattr(DiscreteOperator, "policy_matrix", counted_policy)
+        monkeypatch.setattr("carnotpde.solver.g_values", no_g_values)
+        _, rep = solve(spec, coeffs, grid, cfg)
+        assert rep.converged and rep.outer_iterations >= 2
+        assert len(calls) == rep.outer_iterations + 1
+
+    @pytest.mark.parametrize("where", ["f", "boundary"])
+    @pytest.mark.parametrize("name", ["trace", "euclidean:2", "euclidean:3"])
+    def test_non_finite_data_raises(self, name, where):
+        if name == "trace":
+            spec, coeffs, grid, cfg, _ = heisenberg_instance()
+        else:
+            shape = (17, 17) if name == "euclidean:2" else (9, 9, 9)
+            spec, coeffs, grid, cfg, _ = pucci_instance("pucci_plus", preset(name), shape=shape)
+        point = np.zeros(grid.n)
+        if where == "boundary":
+            point[0] = -1.0  # a face centre, which its interior neighbours' stencils reach
+        at_point = lambda X: np.isclose(X, point).all(axis=1)
+        if where == "f":
+            f0 = coeffs.f
+            coeffs = replace(coeffs, f=lambda X: np.where(at_point(X), np.nan, f0(X)))
+        else:
+            g0 = cfg.boundary
+            cfg = replace(cfg, boundary=lambda X: np.where(at_point(X), np.nan, g0(X)))
         with pytest.raises(NumericalError):
-            solve(spec, bad, grid, cfg)
+            solve(spec, coeffs, grid, cfg)
 
     @pytest.mark.parametrize("name", ["trace", "pucci_plus"])
     def test_warm_start_shortens_iteration(self, name):
@@ -519,16 +572,7 @@ class TestSolve:
         assert np.abs(u.values - exact.values).max() <= 0.02
 
     @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
-    @pytest.mark.parametrize(
-        "structure, c_value, shape",
-        [
-            ("euclidean:2", 1.0, (17, 17)),
-            ("euclidean:2", 0.05, (17, 17)),
-            ("heisenberg1", 1.0, (9, 9, 9)),
-            ("engel1", 1.0, (7, 7, 7, 7)),
-            ("euclidean:3", 1.0, (9, 9, 9)),  # m = 3: eigvalsh in the residual
-        ],
-    )
+    @pytest.mark.parametrize("structure, c_value, shape", POLICY_CASES)
     def test_policy_solve_matches_explicit_reference(self, kind, structure, c_value, shape):
         spec, coeffs, grid, cfg, _ = pucci_instance(kind, preset(structure), c_value, shape)
         u, rep = solve(spec, coeffs, grid, cfg)
@@ -542,6 +586,19 @@ class TestSolve:
         reference, reference_residual = _explicit_reference(spec, coeffs, grid, cfg)
         assert reference_residual <= cfg.tol
         assert np.abs(u.flat - reference).max() <= 2.0 * cfg.tol / coeffs.c0
+
+    @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+    @pytest.mark.parametrize("structure, c_value, shape", POLICY_CASES)
+    def test_policy_values_match_closed_form_g(self, kind, structure, c_value, shape):
+        # L_A u for the policy attaining F_h at u is G of the frame Hessians
+        spec, coeffs, grid, cfg, _ = pucci_instance(kind, preset(structure), c_value, shape)
+        u, _ = solve(spec, coeffs, grid, cfg)
+        op = DiscreteOperator(spec, coeffs, grid)
+        rng = np.random.default_rng(9)
+        for u_flat in (u.flat, rng.normal(size=grid.num_nodes)):
+            closed = g_values(spec, op.frame_matrices(u_flat))
+            scale = max(1.0, float(np.abs(closed).max()))
+            assert np.abs(op.operator_values(u_flat) - closed).max() <= 1e-12 * scale
 
     def test_two_box_sensitivity_finite(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance(shape=(9, 9, 9))
