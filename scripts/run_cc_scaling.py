@@ -3,7 +3,10 @@
 
 For targets (0, 0, t) the control distance should scale like sqrt(t); the
 script prints the estimates and the ratio d(t)/sqrt(t) at one or more
-resolutions, plus the horizontal sanity distance to (1, 0, 0).
+resolutions, plus the horizontal sanity distance to (1, 0, 0). Next to each
+distance it prints the states the search settled and its own time.
+
+    PYTHONPATH=src python scripts/run_cc_scaling.py --heights 0.25 0.5 --resolutions 0.1 0.05
 """
 
 import argparse
@@ -22,14 +25,19 @@ def main():
     s = cp.preset("heisenberg1")
     for res in args.resolutions:
         t0 = time.perf_counter()
-        axis = cp.cc_distance_estimate(s, [0, 0, 0], [1, 0, 0], res)
-        print(f"\nresolution {res}: d((0,0,0),(1,0,0)) = {axis:.4f}")
-        print(f"{'t':>6} {'d(t)':>8} {'d/sqrt(t)':>10}")
+        axis = cp.cc_search(s, [0, 0, 0], [1, 0, 0], res)
+        print(
+            f"\nresolution {res}: d((0,0,0),(1,0,0)) = {axis.distance:.4f} "
+            f"({axis.nodes_settled} states, {axis.elapsed_s:.3f}s)"
+        )
+        print(f"{'t':>6} {'d(t)':>8} {'d/sqrt(t)':>10} {'settled':>9} {'search_s':>9}")
         for t in args.heights:
-            d = cp.cc_distance_estimate(s, [0, 0, 0], [0, 0, t], res)
-            print(f"{t:>6.2f} {d:>8.4f} {d / math.sqrt(t):>10.4f}")
+            r = cp.cc_search(s, [0, 0, 0], [0, 0, t], res)
+            print(
+                f"{t:>6.2f} {r.distance:>8.4f} {r.distance / math.sqrt(t):>10.4f} "
+                f"{r.nodes_settled:>9} {r.elapsed_s:>9.3f}"
+            )
         print(f"({time.perf_counter() - t0:.1f}s)")
-
 
 if __name__ == "__main__":
     main()

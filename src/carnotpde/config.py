@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ConfigError
 from .fields import SmoothField, constant_field, polynomial_field
@@ -23,6 +25,17 @@ def _schema() -> dict:
         return json.load(fh)
 
 
+@functools.cache
+def _validator():
+    """Validator for the packaged schema, built once per process.
+
+    Unlike jsonschema.validate, it does not check the schema itself on every
+    load; the test suite does that once.
+    """
+    schema = _schema()
+    return validator_for(schema)(schema)
+
+
 def load_config(path) -> dict:
     """Read and schema-validate a run configuration file."""
     try:
@@ -32,10 +45,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config fails schema validation: {exc.message}") from exc
+    error = best_match(_validator().iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config fails schema validation: {error.message}") from error
     return raw
 
 

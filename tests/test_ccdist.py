@@ -1,12 +1,13 @@
 """Unit tests for the control-graph distance estimator."""
 
 import heapq
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from carnotpde import CarnotStructure, cc_distance_estimate, cc_search, preset
-from carnotpde.ccdist import default_box
+from carnotpde.ccdist import _cell_lattice, default_box
 from carnotpde.errors import NoPathError, NumericalError
 from carnotpde.structures import as_point, sigma_at
 
@@ -161,6 +162,24 @@ class TestMetricProperties:
         with pytest.raises(ValueError):
             cc_distance_estimate(preset("euclidean:2"), [0, 0], [1, 0], 0.0)
 
+    @pytest.mark.parametrize(
+        "resolution,kwargs",
+        [
+            (np.inf, {}),
+            (np.nan, {}),
+            (0.1, {"goal_tol": np.inf}),
+            (0.1, {"goal_tol": np.nan}),
+            (0.1, {"goal_tol": -0.05}),
+            (0.1, {"box": [(np.nan, 1.0), (-1.0, 1.0), (-1.0, 1.0)]}),
+            (0.1, {"box": [(-1.0, 1.0), (-1.0, np.nan), (-1.0, 1.0)]}),
+        ],
+    )
+    def test_non_finite_inputs_are_rejected(self, resolution, kwargs):
+        # an infinite resolution or goal_tol once returned 0 at once, a NaN one
+        # searched the whole box and raised NoPathError
+        with pytest.raises(ValueError):
+            cc_search(preset("heisenberg1"), [0, 0, 0], [0.5, 0, 0], resolution, **kwargs)
+
 
 # (preset, a, b, keyword arguments), all at resolution 0.1
 EQUIVALENCE_QUERIES = [
@@ -181,6 +200,23 @@ EQUIVALENCE_QUERIES = [
     # a tie at the tolerance: |gap|^2 of the state (0.2, 0.1, 0) rounds to either
     # side of tol^2 depending on whether its multiply-adds are fused
     ("euclidean:3", [0, 0, 0], [0.195, 0.079, 0.021], {"goal_tol": 0.030116440692751198}),
+    # box bounds off the cell lattice, with states in the last cell of each axis
+    (
+        "heisenberg1",
+        [0, 0, 0],
+        [0.3, 0.2, 0.1],
+        {"box": [(-0.23, 0.61), (-0.17, 0.43), (-0.07, 0.31)]},
+    ),
+    # states on the faces x1 = 0.2 and x2 = 0.2 of a box whose lower corner is off the lattice
+    ("euclidean:2", [0, 0], [0.2, -0.1], {"box": [(-0.23, 0.2), (-0.17, 0.2)]}),
+    # infinite bounds leave no finite lattice
+    ("heisenberg1", [0, 0, 0], [0.3, -0.2, 0.15], {"box": [(-np.inf, np.inf)] * 3}),
+    (
+        "heisenberg1",
+        [0, 0, 0],
+        [0.3, -0.2, 0.15],
+        {"box": [(-np.inf, 1.0), (-1.0, np.inf), (-1.0, 1.0)]},
+    ),
 ]
 
 
@@ -215,6 +251,48 @@ class TestHeapEquivalence:
         with pytest.raises(NoPathError) as new:
             cc_search(s, a, b, 0.1, max_nodes=result.nodes_settled - 1)
         assert str(new.value) == str(ref.value)
+
+
+class TestVisitedSets:
+    def test_bitmap_and_sorted_keys_agree(self):
+        # a box of 61^3 cells: the bitmap runs while 61^3 <= 8 * n * max_nodes
+        s = preset("heisenberg1")
+        a, b, box = [0, 0, 0], [0.5, 0.0, 0.0], [(-1.5, 1.5)] * 3
+        lo, hi = np.array(box).T
+        cells = 61**3
+        bitmap_budget = -(-cells // (8 * s.n))
+        assert _cell_lattice(lo, hi, 0.05, 8.0 * s.n * bitmap_budget) is not None
+        assert _cell_lattice(lo, hi, 0.05, 8.0 * s.n * (bitmap_budget - 1)) is None
+
+        def figures(max_nodes):
+            result = asdict(cc_search(s, a, b, 0.1, box, max_nodes=max_nodes))
+            del result["elapsed_s"]
+            return result
+
+        on_bitmap = figures(bitmap_budget)
+        assert on_bitmap["nodes_settled"] <= bitmap_budget - 1
+        assert figures(bitmap_budget - 1) == on_bitmap
+        expected, popped = _heap_reference(s, a, b, 0.1, box)
+        assert (on_bitmap["distance"], on_bitmap["nodes_settled"]) == (expected, popped)
+
+    def test_huge_box_takes_the_sorted_keys(self):
+        lo, hi = np.array([(-1e7, 1e7)] * 3).T
+        assert _cell_lattice(lo, hi, 0.05, 8.0 * 3 * 2_000_000) is None
+
+
+class TestBenchmarkQueries:
+    @pytest.mark.parametrize(
+        "b,figures",
+        [
+            ([1, 0, 0], (1.0000000000000002, 27303, 20, 6084)),
+            ([0, 0, 0.25], (1.0000000000000002, 28151, 20, 6083)),
+            ([0, 0, 0.5], (1.4000000000000006, 99267, 28, 11500)),
+        ],
+    )
+    def test_heisenberg_figures_at_resolution_005(self, b, figures):
+        # too slow for the heap oracle; the literals were measured with the sorted keys
+        r = cc_search(preset("heisenberg1"), [0, 0, 0], b, 0.05)
+        assert (r.distance, r.nodes_settled, r.levels, r.frontier_peak) == figures
 
 
 class TestNonFiniteFrames:

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from jsonschema.validators import validator_for
 
 from carnotpde.cli import main
+from carnotpde.config import _schema
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -126,6 +128,11 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"structure": "heisenberg1", "unknown_field": 1}))
         assert run("solve", "--config", str(bad), "--out", str(tmp_path)) == 2
 
+    def test_packaged_schema_is_a_valid_schema(self):
+        # load_config validates configs without checking the schema itself
+        schema = _schema()
+        validator_for(schema).check_schema(schema)
+
     def test_output_dir_key_is_rejected(self, tmp_path):
         config = json.loads((CONFIGS / "line2d.json").read_text())
         config["output_dir"] = str(tmp_path / "elsewhere")
@@ -217,6 +224,24 @@ class TestGeometryCommands:
     def test_cc_bad_endpoints_are_config_errors(self, tmp_path, capsys, cc):
         config = tmp_path / "cc.json"
         config.write_text(json.dumps({"structure": "heisenberg1", "cc": cc}))
+        assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "cc_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": [0, 0, 0], "b": [1, 0, 0], "resolution": Infinity}',
+            '{"a": [0, 0, 0], "b": [1, 0, 0], "resolution": NaN}',
+            '{"a": [0, 0, 0], "b": [1, 0, 0], "resolution": 0.1,'
+            ' "box": [[NaN, 2], [-1, 1], [-1, 1]]}',
+        ],
+        ids=["infinite_resolution", "nan_resolution", "nan_box_bound"],
+    )
+    def test_cc_non_finite_values_are_config_errors(self, tmp_path, capsys, text):
+        # Python's json reads NaN and Infinity, and the schema lets both through
+        config = tmp_path / "cc.json"
+        config.write_text('{"structure": "heisenberg1", "cc": ' + text + "}")
         assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "cc_report.json").exists()
