@@ -2,8 +2,11 @@
 
 Subcommands: lemma-check, solve, verify, cc-distance, growth-check. Every run
 is driven by a single JSON config (validated against the shipped schema) plus
-the flags --config, --out, --trials, --seed. Exit codes: 0 success, 1 property
-failure, 2 config error, 3 non-convergence / no path, 4 hypothesis failure.
+the flags --config and --out. lemma-check also takes --trials (a positive draw
+count), and lemma-check, verify and growth-check take --seed (nonnegative) to
+override the config seed; solve and cc-distance use no randomness. Exit codes:
+0 success, 1 property failure, 2 config error or bad flag, 3 non-convergence /
+no path, 4 hypothesis failure.
 """
 
 from __future__ import annotations
@@ -316,6 +319,18 @@ def cmd_growth_check(args) -> int:
     return 0 if satisfied else 4
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least `low`, else a usage error (exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="carnotpde",
@@ -323,18 +338,24 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
-        "lemma-check": (cmd_lemma_check, False),
-        "solve": (cmd_solve, True),
-        "verify": (cmd_verify, True),
-        "cc-distance": (cmd_cc_distance, True),
-        "growth-check": (cmd_growth_check, True),
+        "lemma-check": (cmd_lemma_check, False, ("--trials", "--seed")),
+        "solve": (cmd_solve, True, ()),
+        "verify": (cmd_verify, True, ("--seed",)),
+        "cc-distance": (cmd_cc_distance, True, ()),
+        "growth-check": (cmd_growth_check, True, ("--seed",)),
     }
-    for name, (_, config_required) in specs.items():
+    for name, (_, config_required, flags) in specs.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=config_required, help="path to a run config JSON")
         p.add_argument("--out", default="out", help="output directory for reports")
-        p.add_argument("--trials", type=int, default=1000, help="randomized trial count")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if "--trials" in flags:
+            p.add_argument(
+                "--trials", type=_int_at_least(1), default=1000, help="randomized trial count"
+            )
+        if "--seed" in flags:
+            p.add_argument(
+                "--seed", type=_int_at_least(0), default=None, help="override the config seed"
+            )
     args = parser.parse_args(argv)
     handler = specs[args.command][0]
     try:

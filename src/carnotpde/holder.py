@@ -5,9 +5,15 @@ their increments are one slice difference |u[x + o] - u[x]|. One pass over
 offsets tabulates each offset's maximal increment and pair count, over every
 lexicographically positive offset (each unordered pair once) up to 4096 nodes
 and otherwise over a seeded stratified sample (about one million pairs spread
-over geometric distance bins). fit_alpha regresses the log of the per-bin
-maximal increment against log distance; verify_theorem reduces one table to
-the fitted modulus and adds the hypothesis checks and the seminorm bound.
+over geometric distance bins). The exhaustive pass batches the grid's shortest
+axis: for each offset along the other axes it takes the source and destination
+lines, forms every |A[i] - B[j]| and reads all offsets j - i along the short
+axis from that block at once, in chunks of at most SCAN_BUDGET elements, so
+its scratch memory is bounded. Each offset keeps its first maximal pair in
+row-major (src, dst) order, as a scan offset by offset would. fit_alpha
+regresses the log of the per-bin maximal increment against log distance;
+verify_theorem reduces one table to the fitted modulus and adds the
+hypothesis checks and the seminorm bound.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from itertools import islice, product
 from typing import Iterator
 
 import numpy as np
@@ -35,13 +42,21 @@ ALL_PAIRS_NODE_CAP = 4096
 PAIR_BUDGET = 1_000_000
 NUM_BINS = 12
 GROWTH_TOL = 1e-9
+# The exhaustive scan's blocks of line differences, and the candidate cells it
+# reduces at once, hold at most this many elements each.
+SCAN_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
 class _OffsetTable:
     """One row per scanned offset, ordered by the row's first maximal pair:
     row-major (src, dst) when exhaustive, sampling order when stratified.
-    distance is that pair's coordinate distance, or h|o| when sampled."""
+    distance is that pair's coordinate distance, or h|o| when sampled.
+
+    The exhaustive table comes from _line_scan, which batches the shortest
+    axis and works in blocks of at most SCAN_BUDGET elements. Of an offset's
+    pairs with the maximal increment, its first is the one with the smallest
+    flat source index, the source being the pair's lower-indexed node."""
 
     distance: np.ndarray
     max_inc: np.ndarray
@@ -56,14 +71,14 @@ def _bin_edges(grid: Grid) -> np.ndarray:
     return np.geomspace(grid.h, diam * (1.0 + 1e-12), NUM_BINS + 1)
 
 
-def _increments(values: np.ndarray, offset) -> tuple[np.ndarray, tuple] | None:
+def _increments(values: np.ndarray, offset) -> np.ndarray | None:
     """|u(x + offset) - u(x)| over the block of source nodes x of every pair
-    realizing the lattice offset, and that block's slices; None if no pair does."""
+    realizing the lattice offset; None if no pair does."""
     if any(abs(o) >= size for o, size in zip(offset, values.shape)):
         return None
     src = tuple(slice(max(-o, 0), size - max(o, 0)) for o, size in zip(offset, values.shape))
     dst = tuple(slice(max(o, 0), size - max(-o, 0)) for o, size in zip(offset, values.shape))
-    return np.abs(values[dst] - values[src]), src
+    return np.abs(values[dst] - values[src])
 
 
 def _sampled_offsets(u: GridFunction, seed: int) -> Iterator[tuple[float, np.ndarray]]:
@@ -95,10 +110,10 @@ def _sampled_offsets(u: GridFunction, seed: int) -> Iterator[tuple[float, np.nda
             if key in seen:
                 continue
             seen.add(key)
-            found = _increments(u.values, offset)
-            if found is None:
+            inc = _increments(u.values, offset)
+            if inc is None:
                 continue
-            inc = found[0].ravel()
+            inc = inc.ravel()
             remaining = quota - got
             if inc.size > remaining:
                 inc = inc[rng.integers(0, inc.size, size=remaining)]
@@ -106,27 +121,108 @@ def _sampled_offsets(u: GridFunction, seed: int) -> Iterator[tuple[float, np.nda
             yield dist, inc
 
 
+def _axis_slices(size: int, sign: int) -> list:
+    """For o = 1 - size .. size - 1, the slice of the nodes x on the axis
+    whose partner x + sign * o is on the axis too."""
+    o = sign * np.arange(1 - size, size)
+    lo = np.maximum(-o, 0)
+    return list(map(slice, lo.tolist(), (lo + size - np.abs(o)).tolist()))
+
+
+def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(max_inc, src, dst, pairs) of every lexicographically positive lattice
+    offset: its maximal increment, its first maximal pair (flat indices, the
+    smallest src among the maximal pairs, src < dst) and its pair count.
+
+    The shortest axis, of length L, is moved first and batched; a 1-D grid is
+    taken as shape (1, N). For each lexicographically nonnegative offset `lead`
+    of the other axes, A and B are the (L, lines) source and destination lines,
+    and cell (i, j) of |A[i] - B[j]| holds the pairs of offset (lead, j - i).
+    Per chunk of lines, each cell keeps its first maximal line, so the pair
+    with the smallest source index. The cells of each diagonal j - i are then
+    reduced to the diagonal's maximum and the smallest source index reaching
+    it. Chunks of lines and groups of leads are sized so that no block exceeds
+    SCAN_BUDGET elements. A lead has at most N / L lines, so its lines are
+    split only when N * L > SCAN_BUDGET: under the node cap, on 2-D grids whose
+    short side exceeds 16 nodes.
+    """
+    shape = values.shape if values.ndim > 1 else (1,) + values.shape
+    flat = values.ravel()
+    n = len(shape)
+    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+    a = int(np.argmin(shape))
+    L = shape[a]
+    lead_shape = shape[:a] + shape[a + 1 :]
+    lead_strides = np.delete(strides, a)
+    lines = np.moveaxis(values.reshape(shape), a, 0)
+    span = 2 * np.array(lead_shape) - 1
+    leads = np.indices(span).reshape(n - 1, -1).T - span // 2
+    leads = leads[len(leads) // 2 :]  # zero, then the lexicographically positive ones
+    blocks = np.array(lead_shape) - np.abs(leads)
+    src_lo = np.maximum(-leads, 0)
+    colon = slice(None)
+    chunk = max(1, SCAN_BUDGET // (L * L))
+    chunks = -(-blocks.prod(axis=1) // chunk)
+    parts = [(colon, colon, slice(c, c + chunk)) for c in range(0, int(chunks[0]) * chunk, chunk)]
+    # the source and destination slices and the chunk count of every lead; the
+    # product runs in the lexicographic order of np.indices, negative leads first
+    skip = len(leads) - 1
+    src_cuts = islice(product([colon], *(_axis_slices(s, 1) for s in lead_shape)), skip, None)
+    dst_cuts = islice(product([colon], *(_axis_slices(s, -1) for s in lead_shape)), skip, None)
+    cuts = zip(src_cuts, dst_cuts, chunks.tolist())
+    group = max(1, SCAN_BUDGET // (L * L * int(chunks[0])))
+    diag = np.arange(1 - L, L)
+    dlen = L - np.abs(diag)
+    dstart = np.concatenate(([0], np.cumsum(dlen)[:-1]))
+    ii, jj = np.divmod(np.arange(L * L), L)
+    by_diag = np.lexsort((ii, jj - ii))  # cells (i, j) by diagonal j - i, then i
+    never = np.iinfo(np.int64).max
+    out = []
+    for k0 in range(0, len(leads), group):
+        g = slice(k0, k0 + group)
+        # one row of cells per chunk: the first line p reaching the cell's maximum
+        firsts = np.empty((int(chunks[g].sum()), L, L), dtype=np.intp)
+        row = 0
+        for src, dst, k in islice(cuts, group):
+            A = lines[src].reshape(L, 1, -1)
+            B = lines[dst].reshape(1, L, -1)
+            for part in parts[:k]:
+                m = np.subtract(A[part], B[part])
+                np.abs(m, out=m).argmax(axis=2, out=firsts[row])
+                row += 1
+        # p becomes a flat source index
+        owner = np.repeat(np.arange(len(chunks[g])), chunks[g])
+        first_row = np.concatenate(([0], np.cumsum(chunks[g])[:-1]))
+        p = firsts.reshape(-1, L * L)[:, by_diag]
+        p += ((np.arange(len(owner)) - first_row[owner]) * chunk)[:, None]
+        src = ii[by_diag] * strides[a]
+        for t in range(n - 2, -1, -1):
+            p, coord = np.divmod(p, blocks[g][owner, t : t + 1])
+            src = src + (coord + src_lo[g][owner, t : t + 1]) * lead_strides[t]
+        delta = (leads[g] @ lead_strides)[:, None] + diag * strides[a]
+        inc = np.abs(flat[src + np.repeat(delta, dlen, axis=1)[owner]] - flat[src])
+        top = np.maximum.reduceat(np.maximum.reduceat(inc, dstart, axis=1), first_row)
+        hit = np.where(inc == np.repeat(top, dlen, axis=1)[owner], src, never)
+        first = np.minimum.reduceat(np.minimum.reduceat(hit, dstart, axis=1), first_row)
+        out.append((top, first, delta, blocks[g].prod(axis=1)[:, None] * dlen))
+    max_inc, first, delta, pairs = (np.concatenate(x) for x in zip(*out))
+    keep = np.ones(delta.shape, dtype=bool)
+    keep[0] = diag > 0  # the zero lead's positive offsets only
+    max_inc, first, delta, pairs = max_inc[keep], first[keep], delta[keep], pairs[keep]
+    src = np.where(delta > 0, first, first + delta)
+    return max_inc, src, src + np.abs(delta), pairs
+
+
 def _offset_table(u: GridFunction, seed: int) -> _OffsetTable:
     grid = u.grid
     if grid.num_nodes > ALL_PAIRS_NODE_CAP:
         rows = [(dist, inc.max(), inc.size) for dist, inc in _sampled_offsets(u, seed)]
         return _OffsetTable(*np.array(rows, dtype=float).reshape(-1, 3).T)
-    span = 2 * np.array(grid.shape) - 1
-    offsets = np.indices(span).reshape(grid.n, -1).T - span // 2  # in lexicographic order
-    offsets = offsets[len(offsets) // 2 + 1 :]  # those after 0 are the positive ones
-    index = np.arange(grid.num_nodes).reshape(grid.shape)
-    max_inc = np.empty(len(offsets))
-    src = np.empty(len(offsets), dtype=np.int64)
-    for k, offset in enumerate(offsets.tolist()):
-        inc, from_x = _increments(u.values, offset)
-        first = inc.argmax()
-        max_inc[k], src[k] = inc.flat[first], index[from_x].flat[first]
-    dst = src + offsets @ (np.array(index.strides) // index.itemsize)
+    max_inc, src, dst, pairs = _line_scan(u.values)
     order = np.lexsort((dst, src))
     coords = grid.coords()
     diff = coords[src[order]] - coords[dst[order]]
-    pairs = (np.array(grid.shape) - np.abs(offsets[order])).prod(axis=1)
-    return _OffsetTable(np.sqrt((diff * diff).sum(axis=1)), max_inc[order], pairs)
+    return _OffsetTable(np.sqrt((diff * diff).sum(axis=1)), max_inc[order], pairs[order])
 
 
 def _binned(grid: Grid, table: _OffsetTable) -> list[dict]:

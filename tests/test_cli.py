@@ -60,6 +60,14 @@ class TestLemmaCheck:
         code = run("lemma-check", "--trials", "10", "--config", str(config), "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3", "x"])
+    def test_trials_below_one_is_a_usage_error(self, tmp_path, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            run("lemma-check", "--trials", trials, "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "lemma_report.json").exists()
+
     def test_deterministic_reports(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -307,3 +315,35 @@ class TestGeometryCommands:
         config = tmp_path / "nocc.json"
         config.write_text(json.dumps({"structure": "heisenberg1"}))
         assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 2
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", ["lemma-check", "verify", "growth-check"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        name = "growth_heisenberg.json" if command == "growth-check" else "heisenberg_verify.json"
+        config = CONFIGS / name
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--seed", "-1", "--config", str(config), "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--seed", "5"),
+            ("cc-distance", "--seed", "5"),
+            ("verify", "--trials", "5"),
+            ("solve", "--trials", "5"),
+            ("growth-check", "--trials", "5"),
+            ("cc-distance", "--trials", "5"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_flag_nothing_reads_is_a_usage_error(self, tmp_path, capsys, argv):
+        config = CONFIGS / "heisenberg_verify_lowc.json"
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--config", str(config), "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

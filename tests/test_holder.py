@@ -1,6 +1,8 @@
 """Unit tests for Holder modulus estimation and theorem verification."""
 
 import math
+import tracemalloc
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -22,11 +24,14 @@ from carnotpde import (
     trace_operator,
     verify_theorem,
 )
+from carnotpde import holder
 from carnotpde.errors import PreconditionError
+from carnotpde.grids import GridFunction
 from carnotpde.holder import (
     ALL_PAIRS_NODE_CAP,
     NUM_BINS,
     PAIR_BUDGET,
+    _offset_table,
     binned_increments,
     max_quotient_violation,
     pair_count,
@@ -250,6 +255,90 @@ class TestOffsetTableMatchesPairScan:
         assert sum(row["pairs"] for row in report.increments) == report.pair_count
         assert report.max_violation == 0.0
         assert report.scan_s > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Reference offset table: one slice difference per lexicographically positive
+# lattice offset, each offset's first maximal pair in row-major (src, dst)
+# order. The batched scan in carnotpde.holder must reproduce it bit for bit.
+
+
+def _ref_offset_table(u):
+    grid = u.grid
+    span = 2 * np.array(grid.shape) - 1
+    offsets = np.indices(span).reshape(grid.n, -1).T - span // 2  # in lexicographic order
+    offsets = offsets[len(offsets) // 2 + 1 :]  # those after 0 are the positive ones
+    index = np.arange(grid.num_nodes).reshape(grid.shape)
+    max_inc = np.empty(len(offsets))
+    src = np.empty(len(offsets), dtype=np.int64)
+    for k, offset in enumerate(offsets.tolist()):
+        from_x = tuple(slice(max(-o, 0), size - max(o, 0)) for o, size in zip(offset, grid.shape))
+        to_x = tuple(slice(max(o, 0), size - max(-o, 0)) for o, size in zip(offset, grid.shape))
+        inc = np.abs(u.values[to_x] - u.values[from_x])
+        first = inc.argmax()
+        max_inc[k], src[k] = inc.flat[first], index[from_x].flat[first]
+    dst = src + offsets @ (np.array(index.strides) // index.itemsize)
+    order = np.lexsort((dst, src))
+    coords = grid.coords()
+    diff = coords[src[order]] - coords[dst[order]]
+    pairs = (np.array(grid.shape) - np.abs(offsets[order])).prod(axis=1)
+    return np.sqrt((diff * diff).sum(axis=1)), max_inc[order], pairs
+
+
+def _lattice_grid(shape):
+    return Grid((0.0,) * len(shape), tuple((s - 1) / 8.0 for s in shape), shape)
+
+
+def _tie_heavy(shape):
+    """u drawn from {0, 1, 2}: most offsets have many maximal pairs."""
+    rng = np.random.default_rng(sum(shape))
+    return GridFunction(_lattice_grid(shape), rng.integers(0, 3, size=shape).astype(float))
+
+
+TIE_SHAPES = [(5, 7, 3), (9, 11), (3, 3, 3, 3), (3, 1365)]
+TABLE_CASES = {
+    **{name: make for name, (make, _) in ORACLE_CASES.items() if not name.startswith("stratified")},
+    **{"ties-" + "x".join(map(str, s)): partial(_tie_heavy, s) for s in TIE_SHAPES},
+    "constant-9x9": lambda: GridFunction(_lattice_grid((9, 9)), np.full((9, 9), 2.5)),
+}
+
+
+def _assert_table_matches_loop(u):
+    assert u.grid.num_nodes <= ALL_PAIRS_NODE_CAP
+    table = _offset_table(u, 0)
+    distance, max_inc, pairs = _ref_offset_table(u)
+    assert np.array_equal(table.distance, distance)
+    assert np.array_equal(table.max_inc, max_inc)
+    assert np.array_equal(table.pairs, pairs)
+
+
+class TestLineScanMatchesPerOffsetLoop:
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_cases(self, case):
+        _assert_table_matches_loop(TABLE_CASES[case]())
+
+    def test_heisenberg_verify_solution(self, heisenberg_verify_solution):
+        _assert_table_matches_loop(heisenberg_verify_solution[2])
+
+    @pytest.mark.parametrize("budget", [5, 40, 300])
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (9, 11), (3, 3, 3, 3)])
+    def test_chunks_and_groups(self, monkeypatch, shape, budget):
+        # a small budget splits the lines of one offset into chunks and the
+        # offsets into groups, which at the default budget only 2-D grids near
+        # the node cap do
+        monkeypatch.setattr(holder, "SCAN_BUDGET", budget)
+        _assert_table_matches_loop(_tie_heavy(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 1365), (4096,)])
+    def test_scratch_memory_is_bounded(self, shape):
+        u = _tie_heavy(shape)
+        tracemalloc.start()
+        try:
+            _offset_table(u, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSeminorm:
