@@ -33,7 +33,6 @@ from .structures import (
     p_matrix_at,
     preset,
     sigma_at,
-    structure_from_json,
 )
 
 SCHEMA_VERSION = 1
@@ -172,11 +171,10 @@ def cmd_lemma_check(args) -> int:
     trials = args.trials
     extra = None
     if args.config:
-        raw = load_config(args.config)
-        desc = raw.get("structure")
-        if isinstance(desc, dict):
-            extra = structure_from_json(desc)
-        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+        setup = build_setup(load_config(args.config), need_solve=False)
+        if isinstance(setup.raw["structure"], dict):
+            extra = setup.structure
+        seed = args.seed if args.seed is not None else setup.seed
     suites = {
         "spectra_factorization": _suite_spectra(trials, seed, extra),
         "trace_rearrangement": _suite_trace_identity(trials, seed),
@@ -301,7 +299,7 @@ def cmd_growth_check(args) -> int:
         setup.structure, float(g["c0"]), float(g["Lambda"]), g["radii"], seed=seed
     )
     asym = doubling.growth_margin_asymptotic(setup.structure, float(g["c0"]), float(g["Lambda"]))
-    satisfied = (asym is not None and asym <= 1e-9) or (asym is None and margins[-1] <= 1e-9)
+    satisfied = doubling.growth_satisfied(asym, margins)
     _write_json(
         Path(args.out),
         "growth_report.json",

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import InadmissibleExponentError, SingularPointError
 from .structures import CarnotStructure, frames
 
+GROWTH_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ConstantBundle:
@@ -209,6 +211,13 @@ def growth_margin_asymptotic(s: CarnotStructure, c0: float, Lambda: float) -> fl
     if s.growth_limsup is None:
         return None
     return s.growth_limsup - c0 / (2.0 * Lambda)
+
+
+def growth_satisfied(asymptotic: float | None, margins: Sequence[float] | None) -> bool:
+    """The growth-condition verdict: the analytic margin when there is one,
+    else the margin at the largest sampled radius, is at most GROWTH_TOL."""
+    margin = margins[-1] if asymptotic is None else asymptotic
+    return bool(margin <= GROWTH_TOL)
 
 
 def growth_condition_margin(

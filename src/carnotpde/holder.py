@@ -8,8 +8,9 @@ and otherwise over a seeded stratified sample (about one million pairs spread
 over geometric distance bins). The exhaustive pass batches the grid's shortest
 axis: for each offset along the other axes it takes the source and destination
 lines, forms every |A[i] - B[j]| and reads all offsets j - i along the short
-axis from that block at once, in chunks of at most SCAN_BUDGET elements, so
-its scratch memory is bounded. Each offset keeps its first maximal pair in
+axis from that block at once. Under the node cap a block has at most 262,144
+elements (2 MiB), and offsets are reduced in groups of at most SCAN_BUDGET, so
+the scratch memory is bounded. Each offset keeps its first maximal pair in
 row-major (src, dst) order, as a scan offset by offset would. fit_alpha
 regresses the log of the per-bin maximal increment against log distance;
 verify_theorem reduces one table to the fitted modulus and adds the
@@ -30,6 +31,7 @@ from .doubling import (
     ConstantBundle,
     growth_condition_margin,
     growth_margin_asymptotic,
+    growth_satisfied,
     holder_constant_bound,
 )
 from .errors import InadmissibleExponentError, PreconditionError
@@ -41,9 +43,10 @@ from .structures import lipschitz_sigma_estimate
 ALL_PAIRS_NODE_CAP = 4096
 PAIR_BUDGET = 1_000_000
 NUM_BINS = 12
-GROWTH_TOL = 1e-9
-# The exhaustive scan's blocks of line differences, and the candidate cells it
-# reduces at once, hold at most this many elements each.
+# sigma is sampled at this many points for its Lipschitz estimate
+LIPSCHITZ_SAMPLES = 128
+# The exhaustive scan reduces the candidate cells of its offsets in groups of at
+# most this many (one lead's L * L cells if those are more).
 SCAN_BUDGET = 1 << 16
 
 
@@ -54,8 +57,9 @@ class _OffsetTable:
     distance is that pair's coordinate distance, or h|o| when sampled.
 
     The exhaustive table comes from _line_scan, which batches the shortest
-    axis and works in blocks of at most SCAN_BUDGET elements. Of an offset's
-    pairs with the maximal increment, its first is the one with the smallest
+    axis, forms one whole block of line differences per lead (at most 2 MiB)
+    and reduces groups of at most SCAN_BUDGET cells. Of an offset's pairs
+    with the maximal increment, its first is the one with the smallest
     flat source index, the source being the pair's lower-indexed node."""
 
     distance: np.ndarray
@@ -138,13 +142,13 @@ def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     taken as shape (1, N). For each lexicographically nonnegative offset `lead`
     of the other axes, A and B are the (L, lines) source and destination lines,
     and cell (i, j) of |A[i] - B[j]| holds the pairs of offset (lead, j - i).
-    Per chunk of lines, each cell keeps its first maximal line, so the pair
-    with the smallest source index. The cells of each diagonal j - i are then
-    reduced to the diagonal's maximum and the smallest source index reaching
-    it. Chunks of lines and groups of leads are sized so that no block exceeds
-    SCAN_BUDGET elements. A lead has at most N / L lines, so its lines are
-    split only when N * L > SCAN_BUDGET: under the node cap, on 2-D grids whose
-    short side exceeds 16 nodes.
+    Each cell keeps its first maximal line, so the pair with the smallest
+    source index. The cells of each diagonal j - i are then reduced to the
+    diagonal's maximum and the smallest source index reaching it, for a group
+    of leads at a time, at most SCAN_BUDGET cells in all.
+    A lead's block is formed whole: L <= N^(1/n) and a lead has at most N / L
+    lines, so the block has at most L * N elements, 64 * 4096 = 262,144
+    (2 MiB) under the node cap.
     """
     shape = values.shape if values.ndim > 1 else (1,) + values.shape
     flat = values.ravel()
@@ -161,16 +165,13 @@ def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     blocks = np.array(lead_shape) - np.abs(leads)
     src_lo = np.maximum(-leads, 0)
     colon = slice(None)
-    chunk = max(1, SCAN_BUDGET // (L * L))
-    chunks = -(-blocks.prod(axis=1) // chunk)
-    parts = [(colon, colon, slice(c, c + chunk)) for c in range(0, int(chunks[0]) * chunk, chunk)]
-    # the source and destination slices and the chunk count of every lead; the
-    # product runs in the lexicographic order of np.indices, negative leads first
+    # the source and destination slices of every lead; the product runs in the
+    # lexicographic order of np.indices, negative leads first
     skip = len(leads) - 1
     src_cuts = islice(product([colon], *(_axis_slices(s, 1) for s in lead_shape)), skip, None)
     dst_cuts = islice(product([colon], *(_axis_slices(s, -1) for s in lead_shape)), skip, None)
-    cuts = zip(src_cuts, dst_cuts, chunks.tolist())
-    group = max(1, SCAN_BUDGET // (L * L * int(chunks[0])))
+    cuts = zip(src_cuts, dst_cuts)
+    group = max(1, SCAN_BUDGET // (L * L))
     diag = np.arange(1 - L, L)
     dlen = L - np.abs(diag)
     dstart = np.concatenate(([0], np.cumsum(dlen)[:-1]))
@@ -180,30 +181,22 @@ def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     out = []
     for k0 in range(0, len(leads), group):
         g = slice(k0, k0 + group)
-        # one row of cells per chunk: the first line p reaching the cell's maximum
-        firsts = np.empty((int(chunks[g].sum()), L, L), dtype=np.intp)
-        row = 0
-        for src, dst, k in islice(cuts, group):
-            A = lines[src].reshape(L, 1, -1)
-            B = lines[dst].reshape(1, L, -1)
-            for part in parts[:k]:
-                m = np.subtract(A[part], B[part])
-                np.abs(m, out=m).argmax(axis=2, out=firsts[row])
-                row += 1
+        # one row of cells per lead: the first line p reaching the cell's maximum
+        firsts = np.empty((len(leads[g]), L, L), dtype=np.intp)
+        for row, (src, dst) in enumerate(islice(cuts, group)):
+            m = np.subtract(lines[src].reshape(L, 1, -1), lines[dst].reshape(1, L, -1))
+            np.abs(m, out=m).argmax(axis=2, out=firsts[row])
         # p becomes a flat source index
-        owner = np.repeat(np.arange(len(chunks[g])), chunks[g])
-        first_row = np.concatenate(([0], np.cumsum(chunks[g])[:-1]))
         p = firsts.reshape(-1, L * L)[:, by_diag]
-        p += ((np.arange(len(owner)) - first_row[owner]) * chunk)[:, None]
         src = ii[by_diag] * strides[a]
         for t in range(n - 2, -1, -1):
-            p, coord = np.divmod(p, blocks[g][owner, t : t + 1])
-            src = src + (coord + src_lo[g][owner, t : t + 1]) * lead_strides[t]
+            p, coord = np.divmod(p, blocks[g, t : t + 1])
+            src = src + (coord + src_lo[g, t : t + 1]) * lead_strides[t]
         delta = (leads[g] @ lead_strides)[:, None] + diag * strides[a]
-        inc = np.abs(flat[src + np.repeat(delta, dlen, axis=1)[owner]] - flat[src])
-        top = np.maximum.reduceat(np.maximum.reduceat(inc, dstart, axis=1), first_row)
-        hit = np.where(inc == np.repeat(top, dlen, axis=1)[owner], src, never)
-        first = np.minimum.reduceat(np.minimum.reduceat(hit, dstart, axis=1), first_row)
+        inc = np.abs(flat[src + np.repeat(delta, dlen, axis=1)] - flat[src])
+        top = np.maximum.reduceat(inc, dstart, axis=1)
+        hit = np.where(inc == np.repeat(top, dlen, axis=1), src, never)
+        first = np.minimum.reduceat(hit, dstart, axis=1)
         out.append((top, first, delta, blocks[g].prod(axis=1)[:, None] * dlen))
     max_inc, first, delta, pairs = (np.concatenate(x) for x in zip(*out))
     keep = np.ones(delta.shape, dtype=bool)
@@ -321,7 +314,6 @@ def bundle_for_instance(
     coeffs: Coefficients,
     u: GridFunction,
     eta: float = 1.1,
-    samples: int = 128,
     seed: int = 0,
 ) -> ConstantBundle:
     """Assemble the constants the seminorm bound needs from a solved instance.
@@ -330,7 +322,7 @@ def bundle_for_instance(
     bound of sigma on the grid box.
     """
     box = list(zip(u.grid.lo, u.grid.hi))
-    lip = lipschitz_sigma_estimate(spec.structure, box, samples=samples, seed=seed)
+    lip = lipschitz_sigma_estimate(spec.structure, box, samples=LIPSCHITZ_SAMPLES, seed=seed)
     return ConstantBundle(
         c0=coeffs.c0,
         cbar=coeffs.c0,
@@ -363,25 +355,20 @@ def verify_theorem(
         raise PreconditionError("verify_theorem requires a converged solve")
     s = spec.structure
     box = list(zip(u.grid.lo, u.grid.hi))
-    lip_samples = 128
-    lip = lipschitz_sigma_estimate(s, box, samples=lip_samples, seed=seed)
+    lip = lipschitz_sigma_estimate(s, box, samples=LIPSCHITZ_SAMPLES, seed=seed)
 
     asym = growth_margin_asymptotic(s, bundle.c0, bundle.Lambda)
-    if asym is not None:
-        growth_ok = asym <= GROWTH_TOL
-        box_local = False
-    else:
+    margins = None
+    if asym is None:
         if growth_radii is None:
             r_max = min((hi - lo) / 2.0 for lo, hi in box)
             growth_radii = list(np.geomspace(r_max / 8.0, r_max, 6))
         margins = growth_condition_margin(s, bundle.c0, bundle.Lambda, growth_radii, seed=seed)
-        growth_ok = margins[-1] <= GROWTH_TOL
-        box_local = True
 
     verdicts = {
         "c0_positive": bool(bundle.c0 > 0.0),
         "lipschitz_sigma": bool(np.isfinite(lip)),
-        "growth_condition": bool(growth_ok),
+        "growth_condition": growth_satisfied(asym, margins),
     }
 
     t0 = time.perf_counter()
@@ -393,16 +380,12 @@ def verify_theorem(
         raise PreconditionError("constant solution: Holder exponent is undefined")
     violation = float(table.quotients(alpha_fit).max(initial=-math.inf) - l_fit)
 
-    clam = bundle.C * bundle.Lambda
-    admissible = alpha_fit < bundle.c0 / clam if clam > 0.0 else True
-    if admissible:
-        try:
-            bound = holder_constant_bound(bundle, alpha_fit)
-        except InadmissibleExponentError:
-            bound = math.inf
-            admissible = False
-    else:
+    try:
+        bound = holder_constant_bound(bundle, alpha_fit)
+        admissible = True
+    except InadmissibleExponentError:
         bound = math.inf
+        admissible = False
 
     return HolderReport(
         alpha_fit=alpha_fit,
@@ -412,10 +395,10 @@ def verify_theorem(
         theorem_bound=bound,
         hypothesis_verdicts=verdicts,
         admissible_alpha=admissible,
-        l_fit_within_bound=bool(l_fit <= bound),
-        growth_box_local=box_local,
+        l_fit_within_bound=admissible and bool(l_fit <= bound),
+        growth_box_local=asym is None,
         lipschitz_estimate=float(lip),
-        lipschitz_samples=lip_samples,
+        lipschitz_samples=LIPSCHITZ_SAMPLES,
         seed=seed,
         increments=increments,
         scan_s=scan_s,

@@ -163,17 +163,15 @@ def _random_symmetric(rng, count: int, dim: int) -> np.ndarray:
     return (x + np.transpose(x, (0, 2, 1))) / 2.0
 
 
-def sandwich_check(
-    spec: OperatorSpec, trials: int, seed: int = 0, dim: int | None = None
-) -> PropertyReport:
-    """Draw ordered pairs B <= A and verify lam*Tr(A-B) <= G(A)-G(B) <= Lam*Tr(A-B).
+def sandwich_check(spec: OperatorSpec, trials: int, seed: int = 0) -> PropertyReport:
+    """Draw ordered m x m pairs B <= A and verify lam*Tr(A-B) <= G(A)-G(B) <= Lam*Tr(A-B).
 
     For the trace kind the bracket is taken with lambda = Lambda = 1.
     Tolerance is 1e-9 relative to the trial scale.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    d = spec.structure.m if dim is None else dim
+    d = spec.structure.m
     lam, Lam = spec.bounds.lam, spec.bounds.Lam
     rng = np.random.default_rng(seed)
     a = _random_symmetric(rng, trials, d)

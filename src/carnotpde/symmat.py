@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NotPSDError, NumericalError, PreconditionError
 
 MAX_DIM = 64
+MAX_SWEEPS = 100
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -42,10 +43,10 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def eigh(a: np.ndarray, max_sweeps: int = 100) -> Spectrum:
+def eigh(a: np.ndarray) -> Spectrum:
     """Eigendecomposition of a small dense symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps are capped at ``max_sweeps``; rotations below the working threshold
+    Sweeps are capped at MAX_SWEEPS; rotations below the working threshold
     are skipped. Raises NumericalError if the off-diagonal mass has not been
     annihilated when the cap is reached.
     """
@@ -60,7 +61,7 @@ def eigh(a: np.ndarray, max_sweeps: int = 100) -> Spectrum:
     scale = max(1.0, float(np.abs(work).max()))
     stop = 1e-14 * scale
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = float(np.abs(np.triu(work, 1)).max())
         if off <= stop:
             converged = True
@@ -100,7 +101,7 @@ def eigh(a: np.ndarray, max_sweeps: int = 100) -> Spectrum:
         off = float(np.abs(np.triu(work, 1)).max())
         if off > stop:
             raise NumericalError(
-                f"Jacobi sweep cap {max_sweeps} reached with off-diagonal {off:.3e}"
+                f"Jacobi sweep cap {MAX_SWEEPS} reached with off-diagonal {off:.3e}"
             )
     e = np.diag(work).copy()
     order = np.argsort(e, kind="stable")
@@ -142,14 +143,15 @@ def spectra_match_lemma(sigma: np.ndarray, tol: float = 1e-8) -> SpectraMatchRep
     """Check that sigma sigma^T is strictly positive and shares its spectrum with
     sigma^T sigma up to n - m appended zeros.
 
-    Requires full row rank (smallest singular value > 1e-10).
+    Requires full row rank (smallest singular value > 1e-10), which no factor
+    with more rows than columns has.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2:
         raise ValueError("sigma must be a matrix")
     m, n = sigma.shape
     if m > n:
-        raise ValueError(f"expected m <= n, got shape {sigma.shape}")
+        raise PreconditionError(f"sigma is rank deficient ({m} rows exceed {n} columns)")
     gram_h = symmetrize(sigma @ sigma.T)
     eh = eigh(gram_h).eigenvalues
     smallest_sv = sqrt(max(float(eh.min()), 0.0))

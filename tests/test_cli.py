@@ -60,6 +60,34 @@ class TestLemmaCheck:
         code = run("lemma-check", "--trials", "10", "--config", str(config), "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "structure",
+        [
+            # a missing row
+            {"n": 2, "m": 2, "entries": [[[[1.0, 0, 0]], [[0.0, 0, 0]]]]},
+            # a term with one exponent too few
+            {"n": 2, "m": 1, "entries": [[[[1.0, 0]], [[1.0, 0, 0]]]]},
+            "nosuch",
+        ],
+        ids=["missing-row", "short-term", "unknown-preset"],
+    )
+    def test_bad_structure_is_config_error(self, tmp_path, capsys, structure):
+        config = tmp_path / "bad_structure.json"
+        config.write_text(json.dumps({"structure": structure}))
+        code = run("lemma-check", "--trials", "10", "--config", str(config), "--out", str(tmp_path))
+        assert code == 2
+        assert "config error: bad structure description" in capsys.readouterr().err
+        assert not (tmp_path / "lemma_report.json").exists()
+
+    def test_frame_with_more_rows_than_columns_is_precondition_error(self, tmp_path, capsys):
+        config = tmp_path / "tall_sigma.json"
+        rows = [[[[1.0, 0, 0]], [[0.0, 0, 0]]], [[[0.0, 0, 0]], [[1.0, 0, 0]]]]
+        rows.append([[[1.0, 1, 0]], [[1.0, 0, 1]]])
+        config.write_text(json.dumps({"structure": {"n": 2, "m": 3, "entries": rows}}))
+        code = run("lemma-check", "--trials", "10", "--config", str(config), "--out", str(tmp_path))
+        assert code == 2
+        assert "rank deficient" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", ["0", "-3", "x"])
     def test_trials_below_one_is_a_usage_error(self, tmp_path, capsys, trials):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ from carnotpde import (
     sums_trace_bound,
     touching_pair,
 )
-from carnotpde.doubling import finite_difference_hessian, phi_value
+from carnotpde.doubling import GROWTH_TOL, finite_difference_hessian, growth_satisfied, phi_value
 from carnotpde.errors import InadmissibleExponentError, SingularPointError
 from carnotpde.symmat import eigh
 
@@ -271,3 +271,12 @@ class TestGrowthMargin:
     def test_radii_must_increase(self):
         with pytest.raises(ValueError):
             growth_condition_margin(preset("euclidean:2"), 1.0, 1.0, [2.0, 1.0])
+
+    def test_verdict_prefers_the_analytic_margin(self):
+        # the analytic margin decides whatever the samples say
+        assert growth_satisfied(0.0, [5.0]) is True
+        assert growth_satisfied(GROWTH_TOL, None) is True
+        assert growth_satisfied(2 * GROWTH_TOL, [-1.0]) is False
+        # without one, the margin at the largest radius decides
+        assert growth_satisfied(None, [5.0, GROWTH_TOL]) is True
+        assert growth_satisfied(None, [-5.0, 2 * GROWTH_TOL]) is False

@@ -1,5 +1,6 @@
 """Unit tests for Holder modulus estimation and theorem verification."""
 
+import dataclasses
 import math
 import tracemalloc
 from functools import partial
@@ -295,7 +296,8 @@ def _tie_heavy(shape):
     return GridFunction(_lattice_grid(shape), rng.integers(0, 3, size=shape).astype(float))
 
 
-TIE_SHAPES = [(5, 7, 3), (9, 11), (3, 3, 3, 3), (3, 1365)]
+# (64, 64) has the largest block a lead can form under the node cap
+TIE_SHAPES = [(5, 7, 3), (9, 11), (3, 3, 3, 3), (3, 1365), (64, 64)]
 TABLE_CASES = {
     **{name: make for name, (make, _) in ORACLE_CASES.items() if not name.startswith("stratified")},
     **{"ties-" + "x".join(map(str, s)): partial(_tie_heavy, s) for s in TIE_SHAPES},
@@ -323,13 +325,12 @@ class TestLineScanMatchesPerOffsetLoop:
     @pytest.mark.parametrize("budget", [5, 40, 300])
     @pytest.mark.parametrize("shape", [(5, 7, 3), (9, 11), (3, 3, 3, 3)])
     def test_chunks_and_groups(self, monkeypatch, shape, budget):
-        # a small budget splits the lines of one offset into chunks and the
-        # offsets into groups, which at the default budget only 2-D grids near
-        # the node cap do
+        # a small budget splits the leads into many groups, down to one lead
+        # per group; a lead's lines are never split
         monkeypatch.setattr(holder, "SCAN_BUDGET", budget)
         _assert_table_matches_loop(_tie_heavy(shape))
 
-    @pytest.mark.parametrize("shape", [(3, 1365), (4096,)])
+    @pytest.mark.parametrize("shape", [(3, 1365), (4096,), (64, 64)])
     def test_scratch_memory_is_bounded(self, shape):
         u = _tie_heavy(shape)
         tracemalloc.start()
@@ -453,11 +454,20 @@ class TestVerifyTheorem:
     def test_requires_converged_solve(self, smooth_euclidean_instance):
         spec, coeffs, u, rep = smooth_euclidean_instance
         bundle = bundle_for_instance(spec, coeffs, u)
-        import dataclasses
-
         broken = dataclasses.replace(rep, converged=False)
         with pytest.raises(PreconditionError):
             verify_theorem(spec, coeffs, u, bundle, broken)
+
+    def test_inadmissible_alpha_has_no_bound(self, smooth_euclidean_instance):
+        spec, coeffs, u, rep = smooth_euclidean_instance
+        bundle = bundle_for_instance(spec, coeffs, u)
+        # C Lambda = 10 c0 puts the admissible range at alpha < 0.1
+        big = dataclasses.replace(bundle, C=10.0 * bundle.c0 / bundle.Lambda)
+        report = verify_theorem(spec, coeffs, u, big, rep)
+        assert report.alpha_fit >= big.c0 / (big.C * big.Lambda)
+        assert report.admissible_alpha is False
+        assert report.theorem_bound == math.inf
+        assert report.l_fit_within_bound is False
 
     def test_growth_verdict_depends_on_c0(self):
         struct = preset("heisenberg1")

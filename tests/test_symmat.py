@@ -151,6 +151,11 @@ class TestSpectraMatch:
         with pytest.raises(PreconditionError):
             symmat.spectra_match_lemma(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
 
+    def test_more_rows_than_columns_is_rank_deficient(self):
+        # sigma sigma^T is 3 x 3 with rank at most 2
+        with pytest.raises(PreconditionError, match="rank deficient"):
+            symmat.spectra_match_lemma(np.arange(6.0).reshape(3, 2) + np.eye(3, 2))
+
 
 class TestTraceIdentity:
     def test_identity_factors(self):
