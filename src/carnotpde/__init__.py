@@ -2,7 +2,8 @@
 
 The package models operators F(M, x) = G(sigma(x) M sigma(x)^T) for an m x n
 frame matrix sigma, solves F(D^2 u, x) - c(x) u = f(x) on box grids with a
-monotone directional scheme, and verifies the Holder-regularity ingredients
+directional scheme (monotone for the trace kind; the polarization cross term
+of the Pucci kinds is not), and verifies the Holder-regularity ingredients
 (matrix identities, doubling calculus, growth condition, fitted modulus).
 """
 

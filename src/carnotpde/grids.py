@@ -7,14 +7,13 @@ flat indexing, boundary masks, multilinear interpolation and CSV dumps.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fields import field_values
-
-_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -131,11 +130,16 @@ def multilinear_weights(grid: Grid, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     idx = np.empty((k_count, corners), dtype=np.int64)
     w = np.empty((k_count, corners))
     strides = np.array([int(np.prod(grid.shape[k + 1 :])) for k in range(n)], dtype=np.int64)
-    base_flat = base @ strides
-    for c in range(corners):
-        bits = np.array([(c >> k) & 1 for k in range(n)], dtype=np.int64)
-        idx[:, c] = base_flat + bits @ strides
-        w[:, c] = np.prod(np.where(bits, frac, 1.0 - frac), axis=1)
+    idx[:, 0] = base @ strides
+    w[:, 0] = 1.0
+    # corner c has bit k set when it takes the upper node on axis k; doubling
+    # axis by axis multiplies each corner's factors in axis order
+    for k in range(n):
+        half = 2**k
+        f = frac[:, k : k + 1]
+        np.add(idx[:, :half], strides[k], out=idx[:, half : 2 * half])
+        np.multiply(w[:, :half], f, out=w[:, half : 2 * half])
+        w[:, :half] *= 1.0 - f
     return idx, w
 
 
@@ -153,12 +157,15 @@ def to_csv(gf: GridFunction, path) -> None:
 
     The bytes are those of csv.writer's default dialect (comma separated,
     CRLF line ends) over repr of each float, the shortest text that reads
-    back to the same value. Rows become Python lists one block at a time:
-    the whole 32^3 table as lists would add about 7 MB to peak memory.
+    back to the same value. A coordinate takes one of shape[k] values, so
+    each axis value is formatted once; the file is written one line of the
+    last axis at a time, which keeps memory bounded.
     """
-    table = np.column_stack([gf.grid.coords(), gf.flat])
+    grid = gf.grid
+    texts = [[repr(x) + "," for x in grid.axis_coords(k).tolist()] for k in range(grid.n)]
+    last = texts[-1]
+    lines = gf.values.reshape(-1, grid.shape[-1])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"x{k + 1}" for k in range(gf.grid.n)] + ["value"]) + "\r\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.write(",".join([f"x{k + 1}" for k in range(grid.n)] + ["value"]) + "\r\n")
+        for lead, line in zip(map("".join, itertools.product(*texts[:-1])), lines):
+            fh.write("".join([lead + x + repr(v) + "\r\n" for x, v in zip(last, line.tolist())]))

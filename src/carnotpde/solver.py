@@ -1,4 +1,4 @@
-"""Monotone grid solver for F(D^2 u, x) - c(x) u = f(x) with Dirichlet data.
+"""Grid solver for F(D^2 u, x) - c(x) u = f(x) with Dirichlet data.
 
 The discretization is semi-Lagrangian: second differences along the horizontal
 fields X_i(x) (rows of sigma at the node), with multilinear interpolation at
@@ -8,6 +8,12 @@ stencil monotone and exact on quadratics. Cross entries of the frame Hessian
 are recovered by polarization along X_i +/- X_j, so the frame Hessian M_h(u)
 is linear in u and F_h(u) = sup (pucci_plus) or inf (pucci_minus) of
 tr(A M_h(u)) over A with spectrum in [lambda, Lambda].
+
+The trace matrix and every directional stencil are monotone: no off-centre
+weight is negative. The polarization cross term (A_ij/2)(D+ - D-) of the
+Pucci kinds is not, since D- enters with a negative weight, so raising u at
+one node can lower F_h at another, and Howard's convergence on those kinds
+is observed rather than guaranteed.
 
 The solver sees the scheme only through DiscreteOperator.policy_matrix: the
 sparse L_A of the policy A that attains F_h at u, so that L_A u = F_h(u). Every
@@ -30,7 +36,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fields import SmoothField, field_values
@@ -76,6 +81,7 @@ class SolveReport:
     wall_time_s: float
     method: str  # "bicgstab" (trace kind) or "policy" (Pucci kinds)
     assembly_s: float
+    solve_s: float  # the policy and Krylov loop alone; assembly_s + solve_s <= wall_time_s
     nnz: int  # stored nonzeros of the directional stencils, one per cross pair
     outer_iterations: int  # policy steps, one BiCGSTAB cycle each; `iterations` counts Krylov steps
     residual_history: list  # max residual at the start of each policy step and at the end
@@ -137,8 +143,31 @@ class DiscreteOperator:
     def _directional_matrix(self, w: np.ndarray):
         """Sparse second-difference operator along the per-node fields w.
 
-        Returns (csr (n_int x num_nodes), scale) where the rows already carry
+        Returns the (n_int x num_nodes) CSR matrix whose rows already carry
         the |w|^2 scaling, so csr @ u approximates w^T D^2u w at each node.
+        Each row lists its plus corners, minus corners, then the centre, the
+        order in which duplicate columns are summed.
+        """
+        # imported here, not at module level, so commands that build no
+        # stencil do not pay for it
+        import scipy.sparse as sp
+
+        idx_p, w_p, idx_m, w_m = self._arm_ends(w)
+        center = -(w_p + w_m).sum(axis=1)
+        n_int, width = w.shape[0], 2 * w_p.shape[1] + 1
+        indices = np.column_stack([idx_p, idx_m, self.interior]).ravel()
+        data = np.column_stack([w_p, w_m, center]).ravel()
+        indptr = np.arange(n_int + 1) * width
+        mat = sp.csr_matrix((data, indices, indptr), shape=(n_int, self.grid.num_nodes))
+        mat.sum_duplicates()
+        return mat
+
+    def _arm_ends(self, w: np.ndarray):
+        """Interpolation stencils of the two arm ends along the per-node fields w.
+
+        Returns (idx_p, w_p, idx_m, w_m), each (n_int, 2^n): the corner indices
+        of the plus and minus ends and their weights, scaled by |w|^2 and the
+        unequal-arm factor 2 / (a (a_plus + a_minus)).
         """
         grid = self.grid
         lo = np.array(grid.lo)
@@ -185,19 +214,9 @@ class DiscreteOperator:
 
         idx_p, w_p = multilinear_weights(grid, ends[0])
         idx_m, w_m = multilinear_weights(grid, ends[1])
-        corners = idx_p.shape[1]
-        rows = np.repeat(np.arange(n_int), corners)
-        data_p = (w_p * (scale * cp)[:, None]).ravel()
-        data_m = (w_m * (scale * cm)[:, None]).ravel()
-        center = -(w_p * (scale * cp)[:, None] + w_m * (scale * cm)[:, None]).sum(axis=1)
-        all_rows = np.concatenate([rows, rows, np.arange(n_int)])
-        all_cols = np.concatenate([idx_p.ravel(), idx_m.ravel(), self.interior])
-        all_data = np.concatenate([data_p, data_m, center])
-        mat = sp.coo_matrix(
-            (all_data, (all_rows, all_cols)), shape=(n_int, grid.num_nodes)
-        ).tocsr()
-        mat.sum_duplicates()
-        return mat
+        w_p *= (scale * cp)[:, None]
+        w_m *= (scale * cm)[:, None]
+        return idx_p, w_p, idx_m, w_m
 
     def trace_matrix(self):
         if self._trace_matrix is None:
@@ -215,6 +234,8 @@ class DiscreteOperator:
         """
         if self.spec.kind == "trace":
             return self.trace_matrix()
+        import scipy.sparse as sp
+
         lam, Lam = self.spec.bounds.lam, self.spec.bounds.Lam
         if self.spec.kind == "pucci_minus":
             lam, Lam = Lam, lam
@@ -331,6 +352,7 @@ def solve(
 
     iterations = outer = 0
     history = []
+    t1 = time.perf_counter()
     while True:
         lin = op.policy_matrix(u_flat)
         r = op.f_vec - (lin @ u_flat - op.c_vec * u_flat[op.interior])
@@ -341,6 +363,7 @@ def solve(
             break
         iterations = _bicgstab(op, lin, r, u_flat, cfg, iterations)
         outer += 1
+    solve_s = time.perf_counter() - t1
     report = SolveReport(
         iterations=iterations,
         final_residual=history[-1],
@@ -348,6 +371,7 @@ def solve(
         wall_time_s=time.perf_counter() - t0,
         method="bicgstab" if spec.kind == "trace" else "policy",
         assembly_s=assembly_s,
+        solve_s=solve_s,
         nnz=sum(a.nnz for a in [*op.diag_ops, *op.cross_ops.values()]),
         outer_iterations=outer,
         residual_history=history,

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, artifacts, exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from jsonschema.validators import validator_for
 
 from carnotpde.cli import main
-from carnotpde.config import _schema
+from carnotpde.config import _schema, build_setup, load_config
+from carnotpde.solver import solve
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -153,6 +155,16 @@ class TestSolveCommand:
     def test_bundled_planar_instance(self, tmp_path):
         code = run("solve", "--config", str(CONFIGS / "line2d.json"), "--out", str(tmp_path))
         assert code == 0
+        # solution.csv holds the bytes csv.writer gives for the solved grid
+        setup = build_setup(load_config(CONFIGS / "line2d.json"), need_solve=True)
+        u, _ = solve(setup.spec, setup.coeffs, setup.grid, setup.solve_cfg)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "value"])
+            for p, v in zip(u.grid.coords(), u.flat):
+                writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
+        assert (tmp_path / "solution.csv").read_bytes() == ref.read_bytes()
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -237,6 +249,31 @@ class TestVerifyCommand:
 
 
 class TestGeometryCommands:
+    def test_commands_without_a_stencil_leave_scipy_sparse_unloaded(self, tmp_path):
+        # importing scipy.sparse takes about 0.14 s of a cold start
+        script = (
+            "import sys\n"
+            "import carnotpde\n"
+            "from carnotpde.config import build_setup, load_config\n"
+            "from carnotpde.cli import main\n"
+            "build_setup(load_config(sys.argv[1]), need_solve=True)\n"
+            "loaded = ['scipy.sparse' in sys.modules]\n"
+            "code = main(['cc-distance', '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+            "print(code, loaded[0], 'scipy.sparse' in sys.modules)\n"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        argv = [CONFIGS / "heisenberg_verify.json", CONFIGS / "cc_heisenberg.json", tmp_path]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+        )
+        assert proc.stdout.splitlines()[-1:] == ["0 False False"], proc.stderr
+        assert (tmp_path / "cc_report.json").exists()
+
     def test_cc_distance(self, tmp_path):
         code = run(
             "cc-distance", "--config", str(CONFIGS / "cc_heisenberg.json"), "--out", str(tmp_path)

@@ -7,6 +7,36 @@ import pytest
 from numpy.testing import assert_allclose
 
 from carnotpde import Grid, GridFunction, from_callable, interpolate, to_csv, value_at
+from carnotpde.grids import multilinear_weights
+
+
+def _ref_multilinear_weights(grid, pts):
+    """The per-corner loop multilinear_weights replaced: one np.where and one
+    np.prod per corner, each corner's factors multiplied in axis order."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n = grid.n
+    t = (pts - np.array(grid.lo)) / grid.h
+    base = np.clip(np.floor(t).astype(np.int64), 0, np.array(grid.shape) - 2)
+    frac = np.clip(t - base, 0.0, 1.0)
+    frac[frac < 1e-9] = 0.0
+    frac[frac > 1.0 - 1e-9] = 1.0
+    strides = np.array([int(np.prod(grid.shape[k + 1 :])) for k in range(n)], dtype=np.int64)
+    base_flat = base @ strides
+    idx = np.empty((pts.shape[0], 2**n), dtype=np.int64)
+    w = np.empty((pts.shape[0], 2**n))
+    for c in range(2**n):
+        bits = np.array([(c >> k) & 1 for k in range(n)], dtype=np.int64)
+        idx[:, c] = base_flat + bits @ strides
+        w[:, c] = np.prod(np.where(bits, frac, 1.0 - frac), axis=1)
+    return idx, w
+
+
+def _csv_writer_dump(path, grid, values):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{k + 1}" for k in range(grid.n)] + ["value"])
+        for p, v in zip(grid.coords(), np.ravel(values)):
+            writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
 
 
 class TestGrid:
@@ -61,6 +91,24 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate(u, np.array([[1.5]]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_weights_bitwise_equal_to_per_corner_loop(self, n):
+        g = Grid((-0.3,) * n, (0.9,) * n, (5,) * n)
+        rng = np.random.default_rng(n)
+        nodes = g.coords()
+        near = nodes[rng.integers(0, g.num_nodes, 40)]
+        snapped = near + rng.uniform(-1e-10, 1e-10, near.shape) * g.h  # within the 1e-9 snap
+        unsnapped = near + rng.choice([-1e-8, 1e-8], near.shape) * g.h  # just outside it
+        faces = rng.uniform(-0.3, 0.9, (40, n))
+        faces[np.arange(40), rng.integers(0, n, 40)] = rng.choice([-0.3, 0.9], 40)
+        corners = np.array([g.lo, g.hi])  # base clipped to shape - 2 at hi
+        inside = rng.uniform(-0.3, 0.9, (200, n))
+        pts = np.clip(np.vstack([nodes, snapped, unsnapped, faces, corners, inside]), -0.3, 0.9)
+        idx, w = multilinear_weights(g, pts)
+        ref_idx, ref_w = _ref_multilinear_weights(g, pts)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(w, ref_w)
+
     def test_closed_box_edges_ok(self):
         g = Grid((0.0,), (1.0,), (5,))
         u = from_callable(g, lambda X: X[:, 0])
@@ -79,22 +127,23 @@ class TestCsv:
         first = [float(v) for v in rows[1].split(",")]
         assert first == [0.0, 0.0, 0.0]
 
-    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch):
-        # the reference is the csv.writer dump of repr(float(.)) per entry;
-        # blocks of 4 rows put block boundaries inside the 9-row grid
-        monkeypatch.setattr("carnotpde.grids._CSV_BLOCK_ROWS", 4)
-        g = Grid((-1.0, -1.0), (1.0, 1.0), (3, 3))
-        values = np.array([-0.0, 0.1, 1e-05, 1e16, np.nan, -2.5, 1.0 / 3.0, 7.0, -1e-300])
-        u = GridFunction(g, values)
-        path = tmp_path / "dump.csv"
-        to_csv(u, path)
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "x2", "value"])
-            for p, v in zip(g.coords(), values):
-                writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
-        assert path.read_bytes() == ref.read_bytes()
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # the reference is the csv.writer dump of repr(float(.)) per entry, on
+        # a 1-D grid, an off-origin box with non-dyadic spacing and a 4-D grid
+        grids = [
+            Grid((-1.0, -1.0), (1.0, 1.0), (3, 3)),
+            Grid((0.0,), (1.0,), (11,)),
+            Grid((-0.3,) * 3, (0.9,) * 3, (13,) * 3),
+            Grid((-1.0,) * 4, (1.0,) * 4, (3,) * 4),
+        ]
+        for g in grids:
+            values = np.random.default_rng(g.n).standard_normal(g.num_nodes)
+            values[:9] = [-0.0, 0.1, 1e-05, 1e16, np.nan, -2.5, 1.0 / 3.0, 7.0, -1e-300]
+            path = tmp_path / "dump.csv"
+            to_csv(GridFunction(g, values), path)
+            ref = tmp_path / "ref.csv"
+            _csv_writer_dump(ref, g, values)
+            assert path.read_bytes() == ref.read_bytes(), g.shape
 
     def test_shape_mismatch(self):
         g = Grid((0.0,), (1.0,), (5,))

@@ -34,6 +34,7 @@ from carnotpde.errors import NumericalError
 from carnotpde.grids import interpolate
 from carnotpde.operators import g_values
 from carnotpde.solver import default_h_eff_cells
+from carnotpde.structures import frames
 
 HEIS = preset("heisenberg1")
 EUC2 = preset("euclidean:2")
@@ -324,6 +325,51 @@ class TestDiscreteOperator:
         for pick in rng.integers(0, op.interior.size, size=24):
             single = _node_residual(spec, coeffs, u, int(op.interior[pick]))
             assert single == pytest.approx(float(res[pick]), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kind, structure, shape",
+        [
+            ("trace", "heisenberg1", (9, 9, 9)),
+            ("pucci_plus", "heisenberg1", (9, 9, 9)),
+            ("pucci_minus", "engel1", (7,) * 4),
+            ("pucci_plus", "euclidean:2", (17, 17)),
+        ],
+    )
+    def test_stencil_csr_matches_coo_assembly(self, kind, structure, shape):
+        # the reference is the COO assembly the direct CSR build replaced:
+        # triplets grouped as all plus corners, all minus corners, then the
+        # centres, converted to CSR with duplicate columns summed
+        if kind == "trace":
+            spec, coeffs, grid, _, _ = heisenberg_instance(shape=shape)
+        else:
+            spec, coeffs, grid, _, _ = pucci_instance(kind, preset(structure), shape=shape)
+        op = DiscreteOperator(spec, coeffs, grid)
+        frame = frames(spec.structure, op.coords)
+        m = spec.structure.m
+        fields = [frame[:, i, :] for i in range(m)]
+        if kind != "trace":
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            fields += [frame[:, i, :] + s * frame[:, j, :] for i, j in pairs for s in (1, -1)]
+        n_int = op.interior.size
+        for w in fields:
+            idx_p, w_p, idx_m, w_m = op._arm_ends(w)
+            rows = np.repeat(np.arange(n_int), idx_p.shape[1])
+            ref = sp.coo_matrix(
+                (
+                    np.concatenate([w_p.ravel(), w_m.ravel(), -(w_p + w_m).sum(axis=1)]),
+                    (
+                        np.concatenate([rows, rows, np.arange(n_int)]),
+                        np.concatenate([idx_p.ravel(), idx_m.ravel(), op.interior]),
+                    ),
+                ),
+                shape=(n_int, grid.num_nodes),
+            ).tocsr()
+            ref.sum_duplicates()
+            mat = op._directional_matrix(w)
+            assert ref.nnz < 2 * idx_p.size + n_int  # duplicate columns were summed
+            assert np.array_equal(mat.indptr, ref.indptr)
+            assert np.array_equal(mat.indices, ref.indices)
+            assert np.array_equal(mat.data, ref.data)
 
     def test_default_stencil_width(self):
         assert default_h_eff_cells(0.25) == 2
@@ -639,6 +685,8 @@ class TestSolve:
         assert payload["schema_version"] == 2
         assert payload["method"] == "bicgstab"
         assert 0.0 < payload["assembly_s"] <= payload["wall_time_s"]
+        assert 0.0 < payload["solve_s"]
+        assert payload["assembly_s"] + payload["solve_s"] <= payload["wall_time_s"]
         op = DiscreteOperator(spec, coeffs, grid)
         assert payload["nnz"] == sum(a.nnz for a in op.diag_ops) > 0
         assert payload["outer_iterations"] == 1
