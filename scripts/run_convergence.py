@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Manufactured-solution refinement study.
 
-Solves the Heisenberg trace instance (u* = x1^2 + x2) and the planar
-extremal-operator instance (convex quartic u*) on a ladder of grids and
-prints max errors, observed ratios and iteration counts.
+Solves the Heisenberg trace and Pucci+ instances (u* = x1^2 + x2) and the
+planar extremal-operator instance (convex quartic u*) on a ladder of grids
+and prints max errors, observed ratios, Krylov and policy step counts, and
+the assembly and solve times of each run.
 """
 
 import argparse
@@ -14,15 +15,19 @@ import numpy as np
 import carnotpde as cp
 
 
-def heisenberg_instance():
-    spec = cp.trace_operator(cp.preset("heisenberg1"))
+def heisenberg_instance(spec=None):
+    spec = spec or cp.trace_operator(cp.preset("heisenberg1"))
     ustar = cp.polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)
     c = cp.constant_field(1.0, 3).value
     f = cp.manufactured_rhs(spec, c, ustar)
     coeffs = cp.Coefficients(
         c=c, f=f, L_c=0.0, beta=1.0, L_f=np.sqrt(5.0), beta_prime=1.0, c0=1.0
     )
-    return "heisenberg trace", spec, coeffs, ustar, 3
+    return f"heisenberg {spec.kind}", spec, coeffs, ustar, 3
+
+
+def heisenberg_pucci_instance():
+    return heisenberg_instance(cp.pucci_operator(cp.preset("heisenberg1"), 1.0, 2.0, plus=True))
 
 
 def extremal_instance():
@@ -40,9 +45,13 @@ def main():
     parser.add_argument("--tol", type=float, default=1e-6)
     args = parser.parse_args()
 
-    for label, spec, coeffs, ustar, dim in (heisenberg_instance(), extremal_instance()):
+    instances = (heisenberg_instance(), heisenberg_pucci_instance(), extremal_instance())
+    for label, spec, coeffs, ustar, dim in instances:
         print(f"\n== {label} ==")
-        print(f"{'nodes':>6} {'h':>9} {'iters':>7} {'residual':>10} {'max err':>10} {'ratio':>6}")
+        print(
+            f"{'nodes':>6} {'h':>9} {'iters':>7} {'outer':>5} {'assembly':>8} {'solve':>8} "
+            f"{'residual':>10} {'max err':>10} {'ratio':>6}"
+        )
         prev = None
         for nodes in args.grids:
             grid = cp.Grid((-1,) * dim, (1,) * dim, (nodes,) * dim)
@@ -56,7 +65,8 @@ def main():
             prev = err
             flag = "" if rep.converged else "  DID NOT CONVERGE"
             print(
-                f"{nodes:>6} {grid.h:>9.4f} {rep.iterations:>7} {rep.final_residual:>10.2e} "
+                f"{nodes:>6} {grid.h:>9.4f} {rep.iterations:>7} {rep.outer_iterations:>5} "
+                f"{rep.assembly_s:>7.3f}s {rep.solve_s:>7.3f}s {rep.final_residual:>10.2e} "
                 f"{err:>10.3e} {ratio:>6} ({wall:.1f}s){flag}"
             )
 

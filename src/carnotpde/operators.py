@@ -2,13 +2,16 @@
 
 G acts on m x m symmetric matrices and is pinned between lambda*Tr and
 Lambda*Tr on ordered pairs. Implemented kinds: "trace" (sum of eigenvalues)
-and the extremal pair "pucci_plus" / "pucci_minus" evaluated in closed form
-from the eigenvalues. ``g_values`` is the one evaluation of G, batched over a
-stack of matrices; ``g_eval`` and ``f_eval`` are its one-matrix forms. The
-coefficients c and f follow the package's batch protocol: they map an (N, n)
-array of points to the (N,) array of their values. Property checks (the
-two-sided trace sandwich, degenerate ellipticity) run batched over random
-trials and return reports rather than raising.
+and the extremal pair "pucci_plus" / "pucci_minus", the sup and inf of
+tr(A M) over lambda I <= A <= Lambda I. ``policies`` is the one owner of that
+rule: it returns the attaining A for a stack of matrices, which the solver's
+Howard step reads too. ``g_values`` is the one evaluation of G, tr(A M),
+batched over a stack of matrices; ``g_eval`` and ``f_eval`` are its
+one-matrix forms. The coefficients c and f follow the package's batch
+protocol: they map an (N, n) array of points to the (N,) array of their
+values. Property checks (the two-sided trace sandwich, degenerate
+ellipticity) run batched over random trials and return reports rather than
+raising.
 """
 
 from __future__ import annotations
@@ -81,37 +84,42 @@ class Coefficients:
             raise ValueError("Holder seminorms must be nonnegative")
 
 
-def pucci_from_eigenvalues(kind: str, lam: float, Lam: float, evals: np.ndarray) -> np.ndarray:
-    """Closed-form extremal values from eigenvalue arrays (batched over the
-    leading axes)."""
-    pos = np.clip(evals, 0.0, None).sum(axis=-1)
-    neg = np.clip(-evals, 0.0, None).sum(axis=-1)
-    if kind == "pucci_plus":
-        return Lam * pos - lam * neg
-    if kind == "pucci_minus":
-        return lam * pos - Lam * neg
-    raise ValueError(f"not an extremal kind: {kind!r}")
+def policies(spec: OperatorSpec, mats: np.ndarray) -> np.ndarray:
+    """The matrix A attaining G on a stack of symmetric matrices (..., d, d),
+    so that G(M) = tr(A M); shape (..., d, d).
+
+    The trace kind's A is the identity. The extremal kinds put Lambda on the
+    eigenvectors of positive eigenvalues and lambda on the others (swapped
+    for pucci_minus): directly for d = 1, in closed form for d = 2 through
+    the projector onto the positive eigenvector, and from LAPACK's eigh
+    otherwise.
+    """
+    d = mats.shape[-1]
+    if spec.kind == "trace":
+        return np.broadcast_to(np.eye(d), mats.shape)
+    lam, Lam = spec.bounds.lam, spec.bounds.Lam
+    if spec.kind == "pucci_minus":
+        lam, Lam = Lam, lam
+    if d == 1:
+        return np.where(mats > 0.0, Lam, lam)
+    if d == 2:
+        mid = (mats[..., 0, 0] + mats[..., 1, 1]) / 2.0
+        rad = np.sqrt(((mats[..., 0, 0] - mats[..., 1, 1]) / 2.0) ** 2 + mats[..., 0, 1] ** 2)
+        lo, hi = (mid - rad)[..., None, None], (mid + rad)[..., None, None]
+        eye = np.eye(2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mixed = lam * eye + (Lam - lam) * (mats - lo * eye) / (hi - lo)
+        return np.where(lo > 0.0, Lam * eye, np.where(hi <= 0.0, lam * eye, mixed))
+    evals, vecs = np.linalg.eigh(mats)
+    return np.einsum("...ik,...k,...jk->...ij", vecs, np.where(evals > 0.0, Lam, lam), vecs)
 
 
 def g_values(spec: OperatorSpec, mats: np.ndarray) -> np.ndarray:
-    """G on a stack of symmetric matrices (..., d, d), shape (...).
-
-    The trace kind sums the diagonal. The extremal kinds take the eigenvalues
-    directly for d = 1, in closed form for d = 2 and from LAPACK's eigvalsh
-    otherwise.
-    """
+    """G on a stack of symmetric matrices (..., d, d), shape (...): the trace,
+    or tr(A M) for the attaining A of ``policies``."""
     if spec.kind == "trace":
         return np.trace(mats, axis1=-2, axis2=-1)
-    d = mats.shape[-1]
-    if d == 1:
-        evals = mats[..., 0]
-    elif d == 2:
-        mid = (mats[..., 0, 0] + mats[..., 1, 1]) / 2.0
-        rad = np.sqrt(((mats[..., 0, 0] - mats[..., 1, 1]) / 2.0) ** 2 + mats[..., 0, 1] ** 2)
-        evals = np.stack([mid - rad, mid + rad], axis=-1)
-    else:
-        evals = np.linalg.eigvalsh(mats)
-    return pucci_from_eigenvalues(spec.kind, spec.bounds.lam, spec.bounds.Lam, evals)
+    return np.einsum("...ij,...ji->...", policies(spec, mats), mats)
 
 
 def frame_hessians(spec: OperatorSpec, X: np.ndarray, hessians: np.ndarray) -> np.ndarray:

@@ -16,7 +16,10 @@ one node can lower F_h at another, and Howard's convergence on those kinds
 is observed rather than guaranteed.
 
 The solver sees the scheme only through DiscreteOperator.policy_matrix: the
-sparse L_A of the policy A that attains F_h at u, so that L_A u = F_h(u). Every
+sparse L_A of the policy A that attains F_h at u, so that L_A u = F_h(u). The
+policy is operators.policies of the frame Hessians M_h(u), the same rule
+that evaluates the continuous G (closed form for m <= 2, LAPACK's eigh
+above). Every
 kind is solved by Howard policy iteration (Bokanowski-Maroso-Zidani 2009):
 each step takes the policy at the current u, measures the residual
 f - (L_A u - c u) once, and runs one Jacobi-preconditioned BiCGSTAB cycle
@@ -40,7 +43,7 @@ import numpy as np
 from .errors import NumericalError
 from .fields import SmoothField, field_values
 from .grids import Grid, GridFunction, multilinear_weights
-from .operators import Coefficients, OperatorSpec, frame_hessians, g_values
+from .operators import Coefficients, OperatorSpec, frame_hessians, g_values, policies
 from .structures import frames
 
 _ARM_EPS = 1e-12
@@ -124,8 +127,7 @@ class DiscreteOperator:
         self.coords = coords
         m = structure.m
         frame = frames(structure, coords)
-        self.scales = np.einsum("rmi,rmi->rm", frame, frame)  # |X_i|^2 per node
-        self.trace_p = self.scales.sum(axis=1)
+        self.trace_p = np.einsum("rmi,rmi->r", frame, frame)  # sum of |X_i|^2 per node
 
         self.diag_ops = [self._directional_matrix(frame[:, i, :]) for i in range(m)]
         self.cross_ops = {}
@@ -172,7 +174,6 @@ class DiscreteOperator:
         grid = self.grid
         lo = np.array(grid.lo)
         hi = np.array(grid.hi)
-        n_int = w.shape[0]
         norms = np.linalg.norm(w, axis=1)
         active = norms > _ARM_EPS
         v = np.zeros_like(w)
@@ -182,21 +183,13 @@ class DiscreteOperator:
         ends = []
         for sign in (1.0, -1.0):
             dirv = sign * v
-            t = np.full(n_int, self.h_eff)
-            for k in range(grid.n):
-                d = dirv[:, k]
+            with np.errstate(divide="ignore", invalid="ignore"):
                 room = np.where(
-                    d > _ARM_EPS,
-                    (hi[k] - self.coords[:, k]) / np.where(np.abs(d) > _ARM_EPS, d, 1.0),
-                    np.inf,
+                    dirv > _ARM_EPS,
+                    (hi - self.coords) / dirv,
+                    np.where(dirv < -_ARM_EPS, (lo - self.coords) / dirv, np.inf),
                 )
-                room = np.where(
-                    d < -_ARM_EPS,
-                    (lo[k] - self.coords[:, k]) / np.where(np.abs(d) > _ARM_EPS, d, 1.0),
-                    room,
-                )
-                t = np.minimum(t, room)
-            a = np.clip(t, 0.0, self.h_eff)
+            a = np.clip(room.min(axis=1), 0.0, self.h_eff)
             arms.append(a)
             ends.append(np.clip(self.coords + a[:, None] * dirv, lo, hi))
         a_plus, a_minus = arms
@@ -227,23 +220,18 @@ class DiscreteOperator:
         """The sparse L_A with L_A @ v = tr(A M_h(v)) for the policy A that
         attains F_h at u_flat, so L_A @ u_flat = F_h(u_flat).
 
-        Per node A = V diag(a) V^T from the eigenpairs of M_h(u), with
-        a = Lambda on positive eigenvalues and lambda otherwise (swapped for
-        pucci_minus). The trace kind's policy is the identity. Raises
-        NumericalError when a frame Hessian is not finite.
+        Per node A is operators.policies of the frame Hessian M_h(u); the
+        trace kind's policy is the identity. Raises NumericalError when a
+        frame Hessian is not finite.
         """
         if self.spec.kind == "trace":
             return self.trace_matrix()
         import scipy.sparse as sp
 
-        lam, Lam = self.spec.bounds.lam, self.spec.bounds.Lam
-        if self.spec.kind == "pucci_minus":
-            lam, Lam = Lam, lam
         mats = self.frame_matrices(u_flat)
         if not np.isfinite(mats).all():
             raise NumericalError("frame Hessian is not finite: non-finite data or iterate")
-        evals, vecs = np.linalg.eigh(mats)
-        pol = np.einsum("rik,rk,rjk->rij", vecs, np.where(evals > 0.0, Lam, lam), vecs)
+        pol = policies(self.spec, mats)
         terms = [sp.diags(pol[:, i, i]) @ op for i, op in enumerate(self.diag_ops)]
         terms += [sp.diags(pol[:, i, j] / 2) @ op for (i, j), op in self.cross_ops.items()]
         return sum(terms[1:], terms[0]).tocsr()

@@ -185,20 +185,6 @@ def trace_identity_check(
     return abs(float(lhs - rhs))
 
 
-def matrix_to_json(a: np.ndarray) -> dict:
-    """Row-major JSON payload for a symmetric matrix: {"dim": n, "entries": [...]}."""
-    a = require_symmetric(a)
-    return {"dim": int(a.shape[0]), "entries": [float(v) for v in a.ravel()]}
-
-
-def matrix_from_json(payload: dict) -> np.ndarray:
-    dim = int(payload["dim"])
-    entries = np.asarray(payload["entries"], dtype=float)
-    if entries.size != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {entries.size}")
-    return require_symmetric(entries.reshape(dim, dim))
-
-
 @dataclass(frozen=True)
 class DiagonalCounterexample:
     """A symmetric matrix with strictly positive diagonal but a negative eigenvalue."""

@@ -22,7 +22,7 @@ from carnotpde import (
     sigma_at,
     trace_operator,
 )
-from carnotpde.operators import KINDS, pucci_from_eigenvalues
+from carnotpde.operators import KINDS, policies
 from carnotpde.symmat import eigh, symmetrize
 
 
@@ -39,6 +39,16 @@ def pucci_bruteforce(n_mat: np.ndarray, lam: float, Lam: float, plus: bool) -> f
         if best is None or (plus and val > best) or (not plus and val < best):
             best = val
     return best
+
+
+def g_from_eigenvalues(kind: str, lam: float, Lam: float, evals: np.ndarray) -> float:
+    """G from the eigenvalues: their sum for the trace kind, Lam*pos - lam*neg
+    for pucci_plus and lam*pos - Lam*neg for pucci_minus."""
+    if kind == "trace":
+        return float(evals.sum())
+    pos = float(np.clip(evals, 0.0, None).sum())
+    neg = float(np.clip(-evals, 0.0, None).sum())
+    return Lam * pos - lam * neg if kind == "pucci_plus" else lam * pos - Lam * neg
 
 
 HEIS = preset("heisenberg1")
@@ -127,12 +137,54 @@ class TestOneRouteToG:
         mats += [np.eye(m) + 1e-9 * symmetrize(rng.normal(size=(m, m)))]
         for n_mat in mats:
             evals = eigh(n_mat).eigenvalues
-            if kind == "trace":
-                want = float(evals.sum())
-            else:
-                want = float(pucci_from_eigenvalues(kind, 0.5, 2.5, evals))
+            want = g_from_eigenvalues(kind, 0.5, 2.5, evals)
             scale = max(1.0, float(np.abs(n_mat).max()))
             assert abs(g_eval(spec, n_mat) - want) <= 1e-12 * scale
+
+
+def _edge_stack(d: int, rng) -> np.ndarray:
+    """Random symmetric d x d matrices and the edge cases of the policy rule
+    (zero, semidefinite, mixed, multiples of I, pure off-diagonal), each at
+    scales 1, 1e-8 and 1e8."""
+    def embed(block):
+        out = np.zeros((d, d))
+        k = min(d, block.shape[0])
+        out[:k, :k] = block[:k, :k]
+        return out
+
+    edges = [np.zeros((d, d)), embed(np.diag([1.0, 0.0])), embed(np.diag([0.0, -1.0]))]
+    edges += [embed(np.diag([2.0, -3.0])), 3.0 * np.eye(d), -2.0 * np.eye(d)]
+    if d >= 2:
+        edges += [embed(np.array([[0.0, b], [b, 0.0]])) for b in (1.0, -0.5)]
+    edges += [symmetrize(rng.normal(size=(d, d))) for _ in range(100)]
+    return np.array([scale * e for scale in (1.0, 1e-8, 1e8) for e in edges])
+
+
+class TestPolicies:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_policy_attains_g(self, d, kind):
+        lam, Lam = (1.0, 1.0) if kind == "trace" else (0.5, 2.5)
+        spec = OperatorSpec(kind, EllipticityBounds(lam, Lam), preset(f"euclidean:{d}"))
+        mats = _edge_stack(d, np.random.default_rng(40 + d))
+        pols = policies(spec, mats)
+        assert pols.shape == mats.shape
+        assert np.abs(pols - np.swapaxes(pols, 1, 2)).max() <= 1e-12 * Lam
+        spectra = np.linalg.eigvalsh((pols + np.swapaxes(pols, 1, 2)) / 2.0)
+        assert spectra.min() >= lam - 1e-12 * Lam and spectra.max() <= Lam + 1e-12 * Lam
+        for n_mat, pol in zip(mats, pols):
+            want = g_from_eigenvalues(kind, lam, Lam, eigh(n_mat).eigenvalues)
+            scale = Lam * float(np.abs(n_mat).max())
+            assert abs(float(np.trace(pol @ n_mat)) - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+    def test_closed_form_2x2_matches_eigh(self, kind):
+        spec = pucci_operator(EUC2, 0.5, 2.5, plus=kind == "pucci_plus")
+        lo, hi = (0.5, 2.5) if kind == "pucci_plus" else (2.5, 0.5)
+        mats = _edge_stack(2, np.random.default_rng(7))
+        evals, vecs = np.linalg.eigh(mats)
+        want = np.einsum("rik,rk,rjk->rij", vecs, np.where(evals > 0.0, hi, lo), vecs)
+        assert np.abs(policies(spec, mats) - want).max() <= 1e-12
 
 
 class TestFEval:

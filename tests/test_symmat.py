@@ -191,20 +191,6 @@ class TestTraceIdentity:
             assert gap <= 1e-10 * max(1.0, np.abs(a).max(), np.abs(b).max()) * 50
 
 
-class TestJsonRoundTrip:
-    def test_round_trip(self):
-        a = np.array([[1.0, 2.0], [2.0, -3.0]])
-        payload = symmat.matrix_to_json(a)
-        assert payload == {"dim": 2, "entries": [1.0, 2.0, 2.0, -3.0]}
-        assert_allclose(symmat.matrix_from_json(payload), a)
-
-    def test_bad_payloads(self):
-        with pytest.raises(ValueError):
-            symmat.matrix_from_json({"dim": 2, "entries": [1.0, 2.0, 3.0]})
-        with pytest.raises(ValueError):
-            symmat.matrix_from_json({"dim": 2, "entries": [1.0, 2.0, 3.0, 4.0]})
-
-
 class TestDiagonalFalsifier:
     def test_witness_has_negative_eigenvalue(self):
         witness = symmat.diagonal_lemma_falsifier()
