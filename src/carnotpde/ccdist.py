@@ -15,13 +15,15 @@ so expanding a whole level at once as arrays settles the same states, finds
 the same goal and returns the same float.
 
 Two states are one state when they share the cell floor(p / cell) of the
-half-step lattice. The visited set has two forms, chosen from the box:
+half-step lattice. The visited set has two forms, chosen from the box; each
+settles a level's candidates with settle(cand), which returns the indices of
+the candidates that reach a cell first, in candidate order:
 
-- a boolean array over the box's cell lattice (_CellBitmap), indexed by
+- one int32 stamp per cell of the box's lattice (_CellStamps), indexed by
   (floor(p / cell) - floor(lo / cell)) @ strides. It runs when every bound is
-  finite and the lattice has at most 8 * n * max_nodes cells, the bytes the
-  sorted keys would take at the node budget, so it never takes more memory
-  than they could;
+  finite and the lattice has at most _stamp_cells(s, max_nodes) cells, so its
+  4 bytes per cell never take more memory than the 8 * n bytes per state of
+  the sorted keys at the node budget;
 - otherwise the sorted bytes of the float64 floors (_SortedCells), which grow
   with the settled states and are the only form for huge or unbounded boxes.
 
@@ -75,13 +77,22 @@ def _cell_keys(points: np.ndarray, cell: float) -> np.ndarray:
     return floors.view(np.dtype((np.void, floors.itemsize * floors.shape[1]))).ravel()
 
 
+def _stamp_cells(s: CarnotStructure, max_nodes: int) -> float:
+    """Most lattice cells for the stamps: 4 bytes each, against 8 * n * max_nodes sorted bytes.
+
+    A stamp holds a position among a level's < 2 * m * max_nodes candidates,
+    so budgets where that could pass int32 take the sorted keys.
+    """
+    return 2.0 * s.n * max_nodes if 2 * s.m * max_nodes < 2**31 else 0.0
+
+
 def _cell_lattice(
     lo: np.ndarray, hi: np.ndarray, cell: float, max_cells: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Origin floor(lo / cell) and cells per axis of the box's lattice.
 
-    None when the lattice is infinite or has more than max_cells cells. The
-    count is a float product: an integer one overflows on large boxes.
+    None when the lattice is infinite or has more than max_cells (_stamp_cells)
+    cells. The count is a float product: an integer one overflows on large boxes.
     """
     origin = np.floor(lo / cell)
     extent = np.floor(hi / cell) - origin + 1.0
@@ -93,45 +104,56 @@ def _cell_lattice(
 class _SortedCells:
     """Visited set as the sorted _cell_keys of every settled state, from start (one row)."""
 
-    def __init__(self, cell: float, start: np.ndarray):
-        self.cell = cell
+    def __init__(self, cell: float, lo: np.ndarray, hi: np.ndarray, start: np.ndarray):
+        self.cell, self.lo, self.hi = cell, lo, hi
         self.settled = _cell_keys(start, cell)
 
-    def keys(self, points: np.ndarray) -> np.ndarray:
-        return _cell_keys(points, self.cell)
-
-    def fresh(self, keys: np.ndarray) -> np.ndarray:
+    def settle(self, cand: np.ndarray) -> np.ndarray:
+        inbox = np.flatnonzero(~((cand < self.lo) | (cand > self.hi)).any(axis=1))
+        keys = _cell_keys(cand[inbox], self.cell)
         at = np.minimum(np.searchsorted(self.settled, keys), len(self.settled) - 1)
-        return self.settled[at] != keys
-
-    def add(self, new_keys: np.ndarray) -> None:
-        """Insert sorted keys that are not yet in the set."""
+        fresh = np.flatnonzero(self.settled[at] != keys)
+        new_keys, first = np.unique(keys[fresh], return_index=True)
         self.settled = np.insert(self.settled, np.searchsorted(self.settled, new_keys), new_keys)
+        return inbox[fresh[np.sort(first)]]
 
 
-class _CellBitmap:
-    """Visited set as one boolean per cell of the box's lattice (see _cell_lattice).
+class _CellStamps:
+    """Visited set as one int32 stamp per cell of the box's lattice (see _cell_lattice).
 
     A cell's index counts from floor(lo / cell), not from lo, so that cells stay
-    the floor(p / cell) cells when lo is no multiple of cell. Every index is an
-    integer below the cell count, exact in float64.
+    the floor(p / cell) cells when lo is no multiple of cell. An in-box index is
+    an integer below the cell count, exact in float64. Between levels a stamp is
+    SETTLED or FREE; the extra cell at index `cells` starts settled and takes
+    every candidate outside the box.
     """
 
-    def __init__(self, cell: float, start: np.ndarray, origin: np.ndarray, extent: np.ndarray):
-        self.cell = cell
-        self.origin = origin
+    SETTLED = -1
+    FREE = np.iinfo(np.int32).max
+
+    def __init__(self, cell: float, lo: np.ndarray, hi: np.ndarray, start: np.ndarray,
+                 origin: np.ndarray, extent: np.ndarray):
+        self.cell, self.lo, self.hi, self.origin = cell, lo, hi, origin
         self.strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1.0)
-        self.seen = np.zeros(int(np.prod(extent)), dtype=bool)
-        self.add(self.keys(start))
+        self.cells = int(np.prod(extent))
+        self.stamp = np.full(self.cells + 1, self.FREE, dtype=np.int32)
+        self.stamp[self.cells] = self.SETTLED
+        self.settle(start)
 
-    def keys(self, points: np.ndarray) -> np.ndarray:
-        return ((np.floor(points / self.cell) - self.origin) @ self.strides).astype(np.int64)
-
-    def fresh(self, keys: np.ndarray) -> np.ndarray:
-        return ~self.seen[keys]
-
-    def add(self, new_keys: np.ndarray) -> None:
-        self.seen[new_keys] = True
+    def settle(self, cand: np.ndarray) -> np.ndarray:
+        # one axis at a time: a matmul or any(axis=1) over rows of n is slow
+        keys, outside = np.zeros(len(cand)), np.zeros(len(cand), dtype=bool)
+        for col, lo, hi, origin, stride in zip(cand.T, self.lo, self.hi, self.origin, self.strides):
+            keys += (np.floor(col / self.cell) - origin) * stride
+            outside |= (col < lo) | (col > hi)
+        keys = np.where(outside, self.cells, keys.astype(np.intp))
+        pos = np.flatnonzero(self.stamp[keys] != self.SETTLED)
+        keys = keys[pos]
+        order = np.arange(len(pos), dtype=np.int32)
+        np.minimum.at(self.stamp, keys, order)  # each fresh cell: its first candidate
+        first = self.stamp[keys] == order
+        self.stamp[keys] = self.SETTLED
+        return pos[first]
 
 
 def _goal_index(level: np.ndarray, goal: np.ndarray, tol2: float) -> int:
@@ -178,10 +200,15 @@ def cc_search(
         return CCResult(0.0, 0, 0, 0, time.perf_counter() - t0)
     if box is None:
         box = default_box(start, goal)
+    if len(box) != s.n:
+        raise ValueError(f"box must have {s.n} rows, one (lo, hi) per coordinate; got {len(box)}")
     lo = np.array([float(c[0]) for c in box])
     hi = np.array([float(c[1]) for c in box])
     if np.isnan(lo).any() or np.isnan(hi).any():
         raise ValueError("box bounds must not be NaN")
+    if np.any(lo > hi):
+        k = int(np.argmax(lo > hi))
+        raise ValueError(f"box row {k} has lo > hi: [{lo[k]:g}, {hi[k]:g}]")
     if np.any(start < lo) or np.any(start > hi) or np.any(goal < lo) or np.any(goal > hi):
         raise ValueError("both endpoints must lie inside the bounding box")
 
@@ -190,8 +217,11 @@ def cc_search(
     signs = np.array([1.0, -1.0])[:, None] * resolution
 
     level = start[None, :]
-    lattice = _cell_lattice(lo, hi, cell, 8.0 * s.n * max_nodes)
-    visited = _SortedCells(cell, level) if lattice is None else _CellBitmap(cell, level, *lattice)
+    lattice = _cell_lattice(lo, hi, cell, _stamp_cells(s, max_nodes))
+    if lattice is None:
+        visited = _SortedCells(cell, lo, hi, level)
+    else:
+        visited = _CellStamps(cell, lo, hi, level, *lattice)
     cost = 0.0
     depth = 0
     popped = 0
@@ -207,18 +237,14 @@ def cc_search(
             return CCResult(cost, popped + found + 1, depth, peak, time.perf_counter() - t0)
         popped += len(level)
         frame = frames(s, level)
-        finite = np.isfinite(frame).all(axis=(1, 2))
-        if not finite.all():
-            bad = level[np.argmin(finite)].tolist()
+        if not np.isfinite(frame).all():
+            bad = level[np.argmin(np.isfinite(frame).all(axis=(1, 2)))].tolist()
             raise NumericalError(f"sigma has non-finite entries at state {bad}")
         # candidates in settle order: parent, then field i, then + before -
-        cand = (level[:, None, None, :] + signs * frame[:, :, None, :]).reshape(-1, s.n)
-        cand = cand[~((cand < lo) | (cand > hi)).any(axis=1)]
-        keys = visited.keys(cand)
-        fresh = visited.fresh(keys)
-        new_keys, first = np.unique(keys[fresh], return_index=True)
-        level = cand[fresh][np.sort(first)]
-        visited.add(new_keys)
+        cand = signs * frame[:, :, None, :]
+        cand += level[:, None, None, :]  # in place: a fresh array costs page faults
+        cand = cand.reshape(-1, s.n)
+        level = cand[visited.settle(cand)]
         cost = cost + resolution
         depth += 1
         peak = max(peak, len(level))

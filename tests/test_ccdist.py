@@ -1,13 +1,14 @@
 """Unit tests for the control-graph distance estimator."""
 
 import heapq
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from carnotpde import CarnotStructure, cc_distance_estimate, cc_search, preset
-from carnotpde.ccdist import _cell_lattice, default_box
+from carnotpde import CarnotStructure, cc_distance_estimate, cc_search, ccdist, preset
+from carnotpde.ccdist import _cell_lattice, _stamp_cells, default_box
 from carnotpde.errors import NoPathError, NumericalError
 from carnotpde.structures import as_point, sigma_at
 
@@ -106,6 +107,20 @@ class TestBasics:
     def test_endpoint_outside_box(self):
         with pytest.raises(ValueError):
             cc_distance_estimate(preset("euclidean:2"), [0, 0], [1, 0], 0.1, box=[(-0.5, 0.5)] * 2)
+
+    @pytest.mark.parametrize(
+        "box,message",
+        [
+            ([(-1.0, 1.0)] * 2, r"box must have 3 rows, one \(lo, hi\) per coordinate; got 2"),
+            ([(-1.0, 1.0)] * 4, r"box must have 3 rows, one \(lo, hi\) per coordinate; got 4"),
+            ([], r"box must have 3 rows, one \(lo, hi\) per coordinate; got 0"),
+            ([(-1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)], r"box row 1 has lo > hi: \[1, -1\]"),
+        ],
+        ids=["two_rows", "four_rows", "empty", "reversed_row"],
+    )
+    def test_malformed_box(self, box, message):
+        with pytest.raises(ValueError, match=message):
+            cc_search(preset("heisenberg1"), [0, 0, 0], [0.5, 0, 0], 0.1, box=box)
 
     def test_unreachable_goal(self):
         # the rank-one planar frame only moves along the first axis
@@ -254,30 +269,36 @@ class TestHeapEquivalence:
 
 
 class TestVisitedSets:
-    def test_bitmap_and_sorted_keys_agree(self):
-        # a box of 61^3 cells: the bitmap runs while 61^3 <= 8 * n * max_nodes
+    def test_stamps_and_sorted_keys_agree(self):
+        # a box of 61^3 cells: the stamps run while 61^3 <= _stamp_cells(s, max_nodes)
         s = preset("heisenberg1")
         a, b, box = [0, 0, 0], [0.5, 0.0, 0.0], [(-1.5, 1.5)] * 3
         lo, hi = np.array(box).T
         cells = 61**3
-        bitmap_budget = -(-cells // (8 * s.n))
-        assert _cell_lattice(lo, hi, 0.05, 8.0 * s.n * bitmap_budget) is not None
-        assert _cell_lattice(lo, hi, 0.05, 8.0 * s.n * (bitmap_budget - 1)) is None
+        stamp_budget = -(-cells // int(_stamp_cells(s, 1)))
+        assert _cell_lattice(lo, hi, 0.05, _stamp_cells(s, stamp_budget)) is not None
+        assert _cell_lattice(lo, hi, 0.05, _stamp_cells(s, stamp_budget - 1)) is None
 
         def figures(max_nodes):
             result = asdict(cc_search(s, a, b, 0.1, box, max_nodes=max_nodes))
             del result["elapsed_s"]
             return result
 
-        on_bitmap = figures(bitmap_budget)
-        assert on_bitmap["nodes_settled"] <= bitmap_budget - 1
-        assert figures(bitmap_budget - 1) == on_bitmap
+        on_stamps = figures(stamp_budget)
+        assert on_stamps["nodes_settled"] <= stamp_budget - 1
+        assert figures(stamp_budget - 1) == on_stamps
         expected, popped = _heap_reference(s, a, b, 0.1, box)
-        assert (on_bitmap["distance"], on_bitmap["nodes_settled"]) == (expected, popped)
+        assert (on_stamps["distance"], on_stamps["nodes_settled"]) == (expected, popped)
 
     def test_huge_box_takes_the_sorted_keys(self):
         lo, hi = np.array([(-1e7, 1e7)] * 3).T
-        assert _cell_lattice(lo, hi, 0.05, 8.0 * 3 * 2_000_000) is None
+        assert _cell_lattice(lo, hi, 0.05, _stamp_cells(preset("heisenberg1"), 2_000_000)) is None
+
+    def test_int32_positions_bound_the_stamp_budget(self):
+        # a level has fewer than 2 * m * max_nodes candidates, each stamped with its position
+        s = preset("heisenberg1")
+        assert _stamp_cells(s, (2**31 - 1) // (2 * s.m)) > 0.0
+        assert _stamp_cells(s, 2**31 // (2 * s.m)) == 0.0
 
 
 class TestBenchmarkQueries:
@@ -289,10 +310,28 @@ class TestBenchmarkQueries:
             ([0, 0, 0.5], (1.4000000000000006, 99267, 28, 11500)),
         ],
     )
-    def test_heisenberg_figures_at_resolution_005(self, b, figures):
+    def test_heisenberg_figures_at_resolution_005(self, b, figures, monkeypatch):
         # too slow for the heap oracle; the literals were measured with the sorted keys
+        calls = []
+        settle = ccdist._CellStamps.settle
+        monkeypatch.setattr(
+            ccdist._CellStamps, "settle", lambda self, cand: calls.append(1) or settle(self, cand)
+        )
         r = cc_search(preset("heisenberg1"), [0, 0, 0], b, 0.05)
         assert (r.distance, r.nodes_settled, r.levels, r.frontier_peak) == figures
+        # the stamps settle the start and every expanded level
+        assert len(calls) == 1 + r.levels
+
+    def test_peak_memory_is_bounded(self):
+        # 81 x 81 x 101 stamps of the default box take 2.5 MiB
+        s = preset("heisenberg1")
+        tracemalloc.start()
+        try:
+            cc_search(s, [0, 0, 0], [0, 0, 0.5], 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestNonFiniteFrames:

@@ -302,6 +302,24 @@ class TestGeometryCommands:
         assert not (tmp_path / "cc_report.json").exists()
 
     @pytest.mark.parametrize(
+        "box,message",
+        [
+            ([[-1, 2]] * 2, "box must have 3 rows, one (lo, hi) per coordinate; got 2"),
+            ([[-1, 2]] * 4, "box must have 3 rows, one (lo, hi) per coordinate; got 4"),
+            ([], "box must have 3 rows, one (lo, hi) per coordinate; got 0"),
+            ([[-1, 2], [1, -1], [-1, 1]], "box row 1 has lo > hi: [1, -1]"),
+        ],
+        ids=["two_rows", "four_rows", "empty", "reversed_row"],
+    )
+    def test_cc_malformed_box_is_named(self, tmp_path, capsys, box, message):
+        config = tmp_path / "cc.json"
+        cc = {"a": [0, 0, 0], "b": [1, 0, 0], "resolution": 0.1, "box": box}
+        config.write_text(json.dumps({"structure": "heisenberg1", "cc": cc}))
+        assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert f"config error: bad cc section: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cc_report.json").exists()
+
+    @pytest.mark.parametrize(
         "text",
         [
             '{"a": [0, 0, 0], "b": [1, 0, 0], "resolution": Infinity}',
