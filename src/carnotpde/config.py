@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .errors import ConfigError
 from .fields import SmoothField, constant_field, polynomial_field
@@ -20,34 +19,103 @@ from .solver import SolveConfig, manufactured_rhs
 from .structures import CarnotStructure, preset, structure_from_json
 
 
+@functools.cache
 def _schema() -> dict:
+    """The packaged draft-07 run-config schema, read once per process."""
     with resources.files("carnotpde.schema").joinpath("run_config.schema.json").open() as fh:
         return json.load(fh)
 
 
-@functools.cache
-def _validator():
-    """Validator for the packaged schema, built once per process.
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    Unlike jsonschema.validate, it does not check the schema itself on every
-    load; the test suite does that once.
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    # draft 6 onwards counts an integral float such as 1.0 as an integer
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _violation(value, schema: dict, path: str = "") -> str | None:
+    """The first way ``value`` breaks ``schema``, prefixed by its JSON path, or None.
+
+    Implements the draft-07 keywords the packaged schema uses as jsonschema
+    does: a bool is no number and enum equality keeps ``True != 1``.
     """
-    schema = _schema()
-    return validator_for(schema)(schema)
+    while "$ref" in schema:
+        schema = functools.reduce(dict.__getitem__, schema["$ref"][2:].split("/"), _schema())
+    at = f"{path}: " if path else ""
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return f"{at}{value!r} is not of type {schema['type']!r}"
+    enum = schema.get("enum")
+    if enum is not None and not any(
+        value == e and isinstance(value, bool) == isinstance(e, bool) for e in enum
+    ):
+        return f"{at}{value!r} is not one of {enum!r}"
+    if "oneOf" in schema:
+        matches = sum(_violation(value, sub, path) is None for sub in schema["oneOf"])
+        if matches != 1:
+            return f"{at}{value!r} matches {matches} of the oneOf schemas, not exactly one"
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{at}{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "maximum" in schema and value > schema["maximum"]:
+            return f"{at}{value!r} is greater than the maximum of {schema['maximum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            bound = schema["exclusiveMinimum"]
+            return f"{at}{value!r} is less than or equal to the minimum of {bound!r}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{at}{value!r} is too short"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            return f"{at}{value!r} is too long"
+        for i, item in enumerate(value if "items" in schema else ()):
+            if error := _violation(item, schema["items"], f"{path}[{i}]"):
+                return error
+    elif isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{at}{key!r} is a required property"
+        properties = schema.get("properties", {})
+        extra = [key for key in value if key not in properties]
+        if extra and schema.get("additionalProperties") is False:
+            unexpected = ", ".join(map(repr, extra))
+            return f"{at}additional properties are not allowed ({unexpected} unexpected)"
+        for key, sub in properties.items():
+            where = f"{path}.{key}" if path else key
+            if key in value and (error := _violation(value[key], sub, where)):
+                return error
+    return None
+
+
+def _finite(text: str) -> float:
+    number = float(text)
+    if not math.isfinite(number):
+        raise ConfigError(f"config has a non-finite number: {text}")
+    return number
 
 
 def load_config(path) -> dict:
-    """Read and schema-validate a run configuration file."""
+    """Read and schema-validate a run configuration file.
+
+    The NaN and Infinity literals that Python's json reads, and float
+    literals that overflow such as 1e999, are config errors.
+    """
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    error = best_match(_validator().iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config fails schema validation: {error.message}") from error
+    message = _violation(raw, _schema())
+    if message is not None:
+        raise ConfigError(f"config fails schema validation: {message}")
     return raw
 
 

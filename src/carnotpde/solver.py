@@ -70,7 +70,7 @@ class SolveConfig:
     initial: GridFunction | None = None
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # also rejects NaN
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")

@@ -1,8 +1,10 @@
 """CLI behavior: subcommands, artifacts, exit codes."""
 
+import copy
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from carnotpde.cli import main
-from carnotpde.config import _schema, build_setup, load_config
+from carnotpde.config import _schema, _violation, build_setup, load_config
 from carnotpde.solver import solve
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,23 +135,29 @@ class TestSolveCommand:
         assert len(csv_lines) == 16**3 + 1
 
     def test_pucci_solve_leaves_sparse_linalg_unloaded(self, tmp_path):
-        # importing scipy.sparse.linalg adds about 10 MB to every run's resident memory
+        # importing scipy.sparse.linalg adds about 10 MB to every run's resident
+        # memory, and importing jsonschema about 0.06 s to its start-up
         script = (
             "import sys\n"
             "from carnotpde.cli import main\n"
-            "code = main(['solve', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(code, 'scipy.sparse.linalg' in sys.modules)\n"
+            "code = main(['solve', '--config', sys.argv[1], '--out', sys.argv[3]])\n"
+            "print('loaded', code, 'scipy.sparse.linalg' in sys.modules,"
+            " 'jsonschema' in sys.modules)\n"
+            "code = main(['cc-distance', '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+            "print('loaded', code, 'jsonschema' in sys.modules)\n"
         )
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        argv = [CONFIGS / "euclidean_pucci.json", CONFIGS / "cc_heisenberg.json", tmp_path]
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(CONFIGS / "euclidean_pucci.json"), str(tmp_path)],
+            [sys.executable, "-c", script, *map(str, argv)],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             timeout=120,
             check=False,
         )
-        assert proc.stdout.splitlines()[-1:] == ["0 False"], proc.stderr
+        loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded")]
+        assert loaded == ["loaded 0 False False", "loaded 0 False"], proc.stderr
         assert json.loads((tmp_path / "solve_report.json").read_text())["converged"] is True
 
     def test_bundled_planar_instance(self, tmp_path):
@@ -171,15 +179,75 @@ class TestSolveCommand:
         bad.write_text("{not json")
         assert run("solve", "--config", str(bad), "--out", str(tmp_path)) == 2
 
-    def test_schema_violation(self, tmp_path):
+    def test_schema_violation(self, tmp_path, capsys):
+        # the message names the JSON path of the offending value
+        cases = [
+            ("unknown_field", 1, "additional properties are not allowed ('unknown_field'"),
+            ("operator", {"kind": "foo"}, "operator.kind: 'foo' is not one of ['trace', "),
+            ("grid", {"box": [[-1, 1]] * 2, "shape": [9, 2]}, "grid.shape[1]: 2 is less than the"),
+        ]
+        for section, value, message in cases:
+            config = json.loads((CONFIGS / "line2d.json").read_text())
+            config[section] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(config))
+            assert run("solve", "--config", str(bad), "--out", str(tmp_path)) == 2
+            assert f"config fails schema validation: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"tol": 1e-6', '"tol": NaN'),
+            ('"c": {"const": 1}', '"c": {"const": NaN}'),
+            ('"L_f": 2.0', '"L_f": 1e999'),
+        ],
+        ids=["nan_tol", "nan_c", "overflowing_float"],
+    )
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, old, new):
+        # NaN fails no schema bound, and a NaN tol would never be met
+        text = (CONFIGS / "line2d.json").read_text()
+        assert old in text
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"structure": "heisenberg1", "unknown_field": 1}))
+        bad.write_text(text.replace(old, new))
         assert run("solve", "--config", str(bad), "--out", str(tmp_path)) == 2
+        assert "config error: config has a" in capsys.readouterr().err
+        assert not (tmp_path / "solve_report.json").exists()
 
     def test_packaged_schema_is_a_valid_schema(self):
         # load_config validates configs without checking the schema itself
         schema = _schema()
         validator_for(schema).check_schema(schema)
+
+    def test_validator_implements_every_schema_keyword(self):
+        # what config._violation reads; $schema, title and definitions are
+        # annotations or reference targets
+        implemented = {"type", "enum", "oneOf", "$ref", "properties", "required", "items"}
+        implemented |= {"additionalProperties", "minItems", "maxItems", "minimum", "maximum"}
+        implemented |= {"exclusiveMinimum", "$schema", "title", "definitions"}
+        for node in _schema_nodes(_schema()):
+            assert set(node) <= implemented, node
+            assert isinstance(node.get("type", ""), str), node  # one type name, not a list
+            assert node.get("additionalProperties", False) is False, node
+            assert node.get("$ref", "#/definitions/").startswith("#/definitions/"), node
+            assert isinstance(node.get("items", {}), dict), node  # one schema for every item
+            assert all(isinstance(e, (str, int)) for e in node.get("enum", [])), node
+
+    def test_validator_agrees_with_jsonschema(self):
+        schema = _schema()
+        reference = validator_for(schema)(schema)
+        verdicts = [0, 0]
+        for doc in _mutated_configs(5000):
+            ok = _violation(doc, schema) is None
+            assert ok == reference.is_valid(doc), (doc, _violation(doc, schema))
+            verdicts[ok] += 1
+        # both verdicts are common, so the corpus probes both sides of each rule
+        assert min(verdicts) > 500, verdicts
+        # rules no mutant of the packaged schema reaches: True against enum [1],
+        # and a value that matches two branches of a oneOf
+        draft7 = validator_for(schema)
+        both = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+        for sub, doc in [({"enum": [1]}, True), ({"enum": [1]}, 1.0), (both, 1), (both, 1.5)]:
+            assert (_violation(doc, sub) is None) == draft7(sub).is_valid(doc), (sub, doc)
 
     def test_output_dir_key_is_rejected(self, tmp_path):
         config = json.loads((CONFIGS / "line2d.json").read_text())
@@ -330,7 +398,7 @@ class TestGeometryCommands:
         ids=["infinite_resolution", "nan_resolution", "nan_box_bound"],
     )
     def test_cc_non_finite_values_are_config_errors(self, tmp_path, capsys, text):
-        # Python's json reads NaN and Infinity, and the schema lets both through
+        # load_config rejects the NaN and Infinity literals that Python's json reads
         config = tmp_path / "cc.json"
         config.write_text('{"structure": "heisenberg1", "cc": ' + text + "}")
         assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 2
@@ -430,3 +498,111 @@ class TestFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+def _schema_nodes(node: dict):
+    """Every subschema of ``node``, found through the keywords that hold schemas."""
+    yield node
+    for key in ("properties", "definitions"):
+        for sub in node.get(key, {}).values():
+            yield from _schema_nodes(sub)
+    for sub in node.get("oneOf", []):
+        yield from _schema_nodes(sub)
+    if isinstance(node.get("items"), dict):
+        yield from _schema_nodes(node["items"])
+
+
+def _mutated_configs(count: int, seed: int = 0):
+    """Seeded mutants of the bundled configs and of a trace, a Pucci and a cc
+    config that between them set every key of the schema."""
+    bases = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))]
+    bases += [
+        {
+            "schema_version": 1,
+            "seed": 3,
+            "structure": {
+                "name": "pole",
+                "n": 2,
+                "m": 2,
+                "step": 1,
+                "lipschitz_sigma": 2.5,
+                "entries": [
+                    [{"num": [[1.0, 0, 0]], "den": [[1.0, 1, 0], [-3.0, 0, 0]]}, [[0.0, 0, 0]]],
+                    [[[0.0, 0, 0]], [[1.0, 0, 0]]],
+                ],
+            },
+            "operator": {"kind": "trace"},
+            "coefficients": {"c": {"terms": [[1.0, 0, 0], [0.5, 2, 0]]}, "f": {"const": -1.0}},
+            "grid": {"box": [[-1, 1], [-1, 1]], "shape": [9, 9]},
+            "solver": {
+                "tol": 1e-8,
+                "max_iters": 500,
+                "h_eff_cells": 2,
+                "two_box_check": True,
+                "boundary": {"terms": [[1.0, 1, 1]]},
+            },
+            "analysis": {"eta": 1.5, "growth_radii": [0.5, 1.0]},
+        },
+        {
+            "structure": "euclidean:3",
+            "operator": {"kind": "pucci_minus", "lambda": 0.5, "Lambda": 1.0},
+            "coefficients": {
+                "c": {"const": 2.0},
+                "L_c": 1.0,
+                "beta": 0.5,
+                "beta_prime": 1.0,
+                "c0": 2.0,
+            },
+            "grid": {"box": [[0, 1]] * 3, "shape": [5, 5, 5]},
+            "solver": {"boundary": "zero"},
+            "growth": {"c0": 2, "Lambda": 1.0, "radii": [1.0]},
+        },
+        {
+            "structure": "engel1",
+            "cc": {"a": [0, 0, 0, 0], "b": [0.5, 0, 0, 0], "resolution": 0.1, "box": [[-1, 1]] * 4},
+        },
+    ]
+    # keys the schema knows, and one it does not
+    keys = sorted({k for node in _schema_nodes(_schema()) for k in node.get("properties", {})})
+    keys.append("extra")
+    atoms = [True, False, None, 0, 1, 1.0, 2, 3, 5, 2.5, -1, -0.5, 0.0, float("nan"), "trace"]
+    atoms += ["manufactured", "zero", "heisenberg1", "x", [], [1.0, 2.0], [[0, 1]], [True], ["x"]]
+    atoms += [{}, {"const": 1.0}, {"terms": [[1, 2, 0]]}, {"x": 1}, [{}]]
+    rng = random.Random(seed)
+
+    def value():
+        # an atom, or a subtree of some base config
+        if rng.random() < 0.5:
+            return copy.deepcopy(rng.choice(atoms))
+        container, key = rng.choice(_slots(rng.choice(bases)))
+        return copy.deepcopy(container[key])
+
+    for _ in range(count):
+        doc = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            container, key = rng.choice(_slots(doc) + [(doc, None)])
+            draw = rng.random()
+            if key is None or draw < 0.2:  # add a key or an item
+                target = container if key is None else container[key]
+                if isinstance(target, dict):
+                    target[rng.choice(keys)] = value()
+                elif isinstance(target, list):
+                    target.append(value())
+            elif draw < 0.4:
+                del container[key]
+            else:
+                container[key] = value()
+        yield doc
+
+
+def _slots(doc) -> list:
+    """Every (container, key) pair inside ``doc``."""
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (dict, list)):
+            continue
+        for key in node if isinstance(node, dict) else range(len(node)):
+            slots.append((node, key))
+            stack.append(node[key])
+    return slots

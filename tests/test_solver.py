@@ -511,6 +511,11 @@ class TestSolve:
         assert rep.iterations == 3
         assert rep.final_residual == rep.residual_history[-1] > cfg.tol
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SolveConfig(boundary=constant_field(0.0, 2).value, tol=tol)
+
     def test_every_policy_step_spends_a_krylov_step(self, monkeypatch):
         # policies that never agree keep the residual above tol; each step
         # must still spend a Krylov step, so the budget ends the solve
