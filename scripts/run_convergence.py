@@ -3,8 +3,8 @@
 
 Solves the Heisenberg trace and Pucci+ instances (u* = x1^2 + x2) and the
 planar extremal-operator instance (convex quartic u*) on a ladder of grids
-and prints max errors, observed ratios, Krylov and policy step counts, and
-the assembly and solve times of each run.
+and prints max errors, observed ratios, Krylov and policy step counts, the
+stencil nnz, and the assembly and solve times of each run.
 """
 
 import argparse
@@ -49,8 +49,8 @@ def main():
     for label, spec, coeffs, ustar, dim in instances:
         print(f"\n== {label} ==")
         print(
-            f"{'nodes':>6} {'h':>9} {'iters':>7} {'outer':>5} {'assembly':>8} {'solve':>8} "
-            f"{'residual':>10} {'max err':>10} {'ratio':>6}"
+            f"{'nodes':>6} {'h':>9} {'iters':>7} {'outer':>5} {'nnz':>9} {'assembly':>8} "
+            f"{'solve':>8} {'residual':>10} {'max err':>10} {'ratio':>6}"
         )
         prev = None
         for nodes in args.grids:
@@ -66,8 +66,8 @@ def main():
             flag = "" if rep.converged else "  DID NOT CONVERGE"
             print(
                 f"{nodes:>6} {grid.h:>9.4f} {rep.iterations:>7} {rep.outer_iterations:>5} "
-                f"{rep.assembly_s:>7.3f}s {rep.solve_s:>7.3f}s {rep.final_residual:>10.2e} "
-                f"{err:>10.3e} {ratio:>6} ({wall:.1f}s){flag}"
+                f"{rep.nnz:>9} {rep.assembly_s:>7.3f}s {rep.solve_s:>7.3f}s "
+                f"{rep.final_residual:>10.2e} {err:>10.3e} {ratio:>6} ({wall:.1f}s){flag}"
             )
 
 

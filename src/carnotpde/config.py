@@ -96,19 +96,26 @@ def _violation(value, schema: dict, path: str = "") -> str | None:
 def _finite(text: str) -> float:
     number = float(text)
     if not math.isfinite(number):
-        raise ConfigError(f"config has a non-finite number: {text}")
+        shown = text if len(text) <= 20 else f"{text[:10]}... ({len(text)} characters)"
+        raise ConfigError(f"config has a non-finite number: {shown}")
     return number
+
+
+def _integer(text: str) -> int:
+    _finite(text)  # also keeps int() within Python's 4,300-digit limit
+    return int(text)
 
 
 def load_config(path) -> dict:
     """Read and schema-validate a run configuration file.
 
-    The NaN and Infinity literals that Python's json reads, and float
-    literals that overflow such as 1e999, are config errors.
+    The NaN and Infinity literals that Python's json reads, float literals
+    that overflow such as 1e999, and integer literals beyond the largest
+    finite float are config errors.
     """
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
+            raw = json.load(fh, parse_constant=_finite, parse_float=_finite, parse_int=_integer)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

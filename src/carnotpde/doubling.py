@@ -25,7 +25,6 @@ class ConstantBundle:
     """Everything the explicit seminorm bound consumes."""
 
     c0: float
-    cbar: float
     Lambda: float
     C: float
     L_c: float
@@ -37,8 +36,6 @@ class ConstantBundle:
     def __post_init__(self):
         if self.c0 <= 0.0:
             raise ValueError("c0 must be positive")
-        if not (0.0 < self.cbar <= self.c0):
-            raise ValueError("need 0 < cbar <= c0")
         if not (0.0 < self.beta <= 1.0 and 0.0 < self.beta_prime <= 1.0):
             raise ValueError("beta and beta_prime must lie in (0, 1]")
         if self.u_inf < 0.0:

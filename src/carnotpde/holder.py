@@ -325,7 +325,6 @@ def bundle_for_instance(
     lip = lipschitz_sigma_estimate(spec.structure, box, samples=LIPSCHITZ_SAMPLES, seed=seed)
     return ConstantBundle(
         c0=coeffs.c0,
-        cbar=coeffs.c0,
         Lambda=spec.bounds.Lam,
         C=eta * lip * lip,
         L_c=coeffs.L_c,

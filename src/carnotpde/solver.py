@@ -67,7 +67,6 @@ class SolveConfig:
     tol: float = 1e-6
     max_iters: int = 200_000
     h_eff_cells: int | None = None
-    initial: GridFunction | None = None
 
     def __post_init__(self):
         if not self.tol > 0.0:  # also rejects NaN
@@ -85,7 +84,7 @@ class SolveReport:
     method: str  # "bicgstab" (trace kind) or "policy" (Pucci kinds)
     assembly_s: float
     solve_s: float  # the policy and Krylov loop alone; assembly_s + solve_s <= wall_time_s
-    nnz: int  # stored nonzeros of the directional stencils, one per cross pair
+    nnz: int  # nonzero weights of the directional stencils and of the cross-pair matrices
     outer_iterations: int  # policy steps, one BiCGSTAB cycle each; `iterations` counts Krylov steps
     residual_history: list  # max residual at the start of each policy step and at the end
 
@@ -101,7 +100,7 @@ class DiscreteOperator:
     one matrix D+ - D- per polarization pair (i, j), the difference of the
     second differences along X_i + X_j and X_i - X_j. The center coefficient
     of each row is set to the negated off-center row sum so constants are
-    annihilated to roundoff.
+    annihilated to roundoff. No matrix stores a zero weight.
     """
 
     def __init__(
@@ -115,7 +114,6 @@ class DiscreteOperator:
         if grid.n != structure.n:
             raise ValueError(f"grid dimension {grid.n} != structure dimension {structure.n}")
         self.spec = spec
-        self.coeffs = coeffs
         self.grid = grid
         h = grid.h
         self.h_eff = (default_h_eff_cells(h) * h) if h_eff is None else float(h_eff)
@@ -127,7 +125,6 @@ class DiscreteOperator:
         self.coords = coords
         m = structure.m
         frame = frames(structure, coords)
-        self.trace_p = np.einsum("rmi,rmi->r", frame, frame)  # sum of |X_i|^2 per node
 
         self.diag_ops = [self._directional_matrix(frame[:, i, :]) for i in range(m)]
         self.cross_ops = {}
@@ -148,7 +145,8 @@ class DiscreteOperator:
         Returns the (n_int x num_nodes) CSR matrix whose rows already carry
         the |w|^2 scaling, so csr @ u approximates w^T D^2u w at each node.
         Each row lists its plus corners, minus corners, then the centre, the
-        order in which duplicate columns are summed.
+        order in which duplicate columns are summed. The zero weights of arm
+        ends that land on a grid plane are dropped.
         """
         # imported here, not at module level, so commands that build no
         # stencil do not pay for it
@@ -162,6 +160,7 @@ class DiscreteOperator:
         indptr = np.arange(n_int + 1) * width
         mat = sp.csr_matrix((data, indices, indptr), shape=(n_int, self.grid.num_nodes))
         mat.sum_duplicates()
+        mat.eliminate_zeros()
         return mat
 
     def _arm_ends(self, w: np.ndarray):
@@ -335,8 +334,6 @@ def solve(
     u_flat = np.zeros(grid.num_nodes)
     boundary = grid.boundary_mask()
     u_flat[boundary] = field_values(cfg.boundary, grid.coords()[boundary], "boundary")
-    if cfg.initial is not None:
-        u_flat[op.interior] = cfg.initial.flat[op.interior]
 
     iterations = outer = 0
     history = []

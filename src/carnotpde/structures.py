@@ -33,7 +33,6 @@ class CarnotStructure:
     name: str
     n: int
     m: int
-    step: int
     sigma: Callable[[np.ndarray], np.ndarray]
     group_law: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     lipschitz_sigma: float | None = None
@@ -203,7 +202,6 @@ def euclidean(n: int) -> CarnotStructure:
         name=f"euclidean:{n}",
         n=n,
         m=n,
-        step=1,
         sigma=_constant_frame(np.eye(n)),
         group_law=lambda x, y: x + y,
         lipschitz_sigma=0.0,
@@ -216,7 +214,6 @@ def heisenberg1() -> CarnotStructure:
         name="heisenberg1",
         n=3,
         m=2,
-        step=2,
         sigma=_sigma_heisenberg,
         group_law=_mul_heisenberg,
         lipschitz_sigma=2.0,
@@ -229,7 +226,6 @@ def engel1() -> CarnotStructure:
         name="engel1",
         n=4,
         m=2,
-        step=3,
         sigma=_sigma_engel,
         group_law=_mul_engel,
         lipschitz_sigma=1.0,
@@ -240,7 +236,7 @@ def engel1() -> CarnotStructure:
 def line2d() -> CarnotStructure:
     frame = _constant_frame(np.array([[1.0, 0.0]]))
     return CarnotStructure(
-        name="line2d", n=2, m=1, step=1, sigma=frame, lipschitz_sigma=0.0, growth_limsup=0.0
+        name="line2d", n=2, m=1, sigma=frame, lipschitz_sigma=0.0, growth_limsup=0.0
     )
 
 
@@ -255,7 +251,6 @@ def grushin_like2d() -> CarnotStructure:
         name="grushin-like2d",
         n=2,
         m=1,
-        step=1,
         sigma=sigma,
         lipschitz_sigma=1.0,
         growth_limsup=0.0,
@@ -308,7 +303,8 @@ def structure_from_json(desc: dict) -> CarnotStructure:
 
     Expected keys: name, n, m (rows), entries (m x n nested list where each
     entry is a monomial table ``[[coeff, e1..en], ...]`` or
-    ``{"num": table, "den": table}``), optional step and lipschitz_sigma.
+    ``{"num": table, "den": table}``) and an optional lipschitz_sigma. The
+    run-config schema rejects any other key.
     """
     name = str(desc.get("name", "custom"))
     n = int(desc["n"])
@@ -327,7 +323,6 @@ def structure_from_json(desc: dict) -> CarnotStructure:
         name=name,
         n=n,
         m=m,
-        step=int(desc.get("step", 1)),
         sigma=sigma,
         lipschitz_sigma=None if lip is None else float(lip),
     )

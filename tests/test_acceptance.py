@@ -310,7 +310,7 @@ def test_criterion_9_holder_frame_exponent_gap():
             out[:, 0, 0] = profile(X[:, 0])
             return out
 
-        return CarnotStructure(name=name, n=2, m=1, step=1, sigma=sigma)
+        return CarnotStructure(name=name, n=2, m=1, sigma=sigma)
 
     rough = first_axis_frame("holder-frame", lambda t: np.sqrt(np.abs(t)))
 

@@ -80,7 +80,7 @@ def _frame_with(value, threshold=0.35):
         frame[X[:, 0] > threshold, 0, 0] = value
         return frame
 
-    return CarnotStructure(name="broken", n=3, m=2, step=2, sigma=sigma)
+    return CarnotStructure(name="broken", n=3, m=2, sigma=sigma)
 
 
 class TestBasics:

@@ -18,6 +18,7 @@ from carnotpde.solver import solve
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+BIG = "9" * 400  # an integer literal beyond the largest float
 HEISENBERG_AS_JSON = {
     "name": "heisenberg1",
     "n": 3,
@@ -195,23 +196,59 @@ class TestSolveCommand:
             assert f"config fails schema validation: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "old,new",
+        "name,old,new",
         [
-            ('"tol": 1e-6', '"tol": NaN'),
-            ('"c": {"const": 1}', '"c": {"const": NaN}'),
-            ('"L_f": 2.0', '"L_f": 1e999'),
+            ("line2d", '"tol": 1e-6', '"tol": NaN'),
+            ("line2d", '"c": {"const": 1}', '"c": {"const": NaN}'),
+            ("line2d", '"L_f": 2.0', '"L_f": 1e999'),
+            ("line2d", '"L_f": 2.0', f'"L_f": {BIG}'),
+            ("line2d", '"L_f": 2.0', f'"L_f": {"9" * 5000}'),  # past Python's int digit limit
+            ("line2d", '"shape": [17, 17]', f'"shape": [17, {BIG}]'),
+            ("line2d", '"seed": 0', f'"seed": {BIG}'),
+            ("cc_heisenberg", '"resolution": 0.05', f'"resolution": {BIG}'),
+            (
+                "cc_heisenberg",
+                '"resolution": 0.05',
+                f'"resolution": 0.05, "box": [[-1, {BIG}], [-1, 1], [-1, 1]]',
+            ),
         ],
-        ids=["nan_tol", "nan_c", "overflowing_float"],
+        ids=[
+            "nan_tol",
+            "nan_c",
+            "overflowing_float",
+            "overflowing_int",
+            "int_past_digit_limit",
+            "overflowing_shape",
+            "overflowing_seed",
+            "overflowing_cc_resolution",
+            "overflowing_cc_box",
+        ],
     )
-    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, old, new):
-        # NaN fails no schema bound, and a NaN tol would never be met
-        text = (CONFIGS / "line2d.json").read_text()
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, name, old, new):
+        # NaN fails no schema bound, and a NaN tol would never be met; an
+        # integer beyond the largest float cannot become one
+        text = (CONFIGS / f"{name}.json").read_text()
         assert old in text
         bad = tmp_path / "bad.json"
         bad.write_text(text.replace(old, new))
-        assert run("solve", "--config", str(bad), "--out", str(tmp_path)) == 2
+        command, report = ("solve", "solve") if name == "line2d" else ("cc-distance", "cc")
+        assert run(command, "--config", str(bad), "--out", str(tmp_path)) == 2
         assert "config error: config has a" in capsys.readouterr().err
-        assert not (tmp_path / "solve_report.json").exists()
+        assert not (tmp_path / f"{report}_report.json").exists()
+
+    def test_structure_step_is_rejected(self, tmp_path, capsys):
+        # a JSON frame's step was never read, so the schema no longer knows it
+        config = json.loads((CONFIGS / "line2d.json").read_text())
+        config["structure"] = {"n": 2, "m": 1, "entries": [[[[1.0, 0, 0]], [[0.0, 0, 0]]]]}
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(config))
+        assert run("solve", "--config", str(path), "--out", str(tmp_path / "ok")) == 0
+        config["structure"]["step"] = 1
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("solve", "--config", str(path), "--out", str(tmp_path / "bad")) == 2
+        assert "config fails schema validation: structure: " in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "solve_report.json").exists()
 
     def test_packaged_schema_is_a_valid_schema(self):
         # load_config validates configs without checking the schema itself
@@ -524,7 +561,6 @@ def _mutated_configs(count: int, seed: int = 0):
                 "name": "pole",
                 "n": 2,
                 "m": 2,
-                "step": 1,
                 "lipschitz_sigma": 2.5,
                 "entries": [
                     [{"num": [[1.0, 0, 0]], "den": [[1.0, 1, 0], [-3.0, 0, 0]]}, [[0.0, 0, 0]]],

@@ -23,9 +23,7 @@ from carnotpde.symmat import eigh
 
 
 def bundle(**overrides):
-    base = dict(
-        c0=1.0, cbar=1.0, Lambda=1.0, C=1.0, L_c=0.0, beta=1.0, L_f=0.0, beta_prime=1.0, u_inf=1.0
-    )
+    base = dict(c0=1.0, Lambda=1.0, C=1.0, L_c=0.0, beta=1.0, L_f=0.0, beta_prime=1.0, u_inf=1.0)
     base.update(overrides)
     return ConstantBundle(**base)
 
@@ -228,11 +226,9 @@ class TestHolderConstantBound:
         assert holder_constant_bound(bundle(L_f=1.0, L_c=1.0, c0=2.0), alpha) < base
 
     def test_bundle_validation(self):
-        with pytest.raises(ValueError):
-            ConstantBundle(
-                c0=1.0, cbar=2.0, Lambda=1.0, C=1.0, L_c=0.0, beta=1.0, L_f=0.0,
-                beta_prime=1.0, u_inf=1.0,
-            )
+        for bad in [dict(c0=0.0), dict(beta=1.5), dict(beta_prime=0.0), dict(u_inf=-1.0)]:
+            with pytest.raises(ValueError):
+                bundle(**bad)
 
 
 class TestGrowthMargin:

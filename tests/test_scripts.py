@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# integer columns each script's table headers must carry
+COLUMNS = {"run_convergence.py": ["nnz"], "run_cc_scaling.py": []}
 
 
 @pytest.mark.parametrize(
@@ -29,3 +31,10 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert "DID NOT CONVERGE" not in proc.stdout
+    lines = proc.stdout.splitlines()
+    for column in COLUMNS[script]:
+        headers = [k for k, line in enumerate(lines) if line.split()[:1] == ["nodes"]]
+        assert headers
+        for k in headers:
+            at = lines[k].split().index(column)
+            assert int(lines[k + 1].split()[at]) > 0
