@@ -58,9 +58,7 @@ from .structures import (
     trace_p,
 )
 from .symmat import (
-    Spectrum,
     diagonal_lemma_falsifier,
-    eigh,
     spectra_match_lemma,
     sqrt_psd,
     trace_identity_check,

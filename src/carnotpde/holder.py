@@ -365,7 +365,6 @@ def verify_theorem(
         margins = growth_condition_margin(s, bundle.c0, bundle.Lambda, growth_radii, seed=seed)
 
     verdicts = {
-        "c0_positive": bool(bundle.c0 > 0.0),
         "lipschitz_sigma": bool(np.isfinite(lip)),
         "growth_condition": growth_satisfied(asym, margins),
     }

@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra for small matrices, plus algebraic sanity oracles.
 
-The eigensolver is a cyclic Jacobi iteration. It is deliberately independent of
-LAPACK so the rest of the package (and the test suite) can cross-check the two
-routes against each other. Matrices are plain numpy arrays kept exactly
+Every spectrum comes from LAPACK (``np.linalg.eigh`` / ``eigvalsh``). LAPACK
+reads only the lower triangle, so ``sqrt_psd`` checks its input with
+``require_symmetric``; the other routines form their matrices exactly
 symmetric by construction.
 """
 
@@ -13,10 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import NotPSDError, NumericalError, PreconditionError
-
-MAX_DIM = 64
-MAX_SWEEPS = 100
+from .errors import NotPSDError, PreconditionError
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -35,79 +32,6 @@ def require_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return symmetrize(a)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition A = Q diag(e) Q^T with e ascending and Q orthonormal."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigh(a: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a small dense symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps are capped at MAX_SWEEPS; rotations below the working threshold
-    are skipped. Raises NumericalError if the off-diagonal mass has not been
-    annihilated when the cap is reached.
-    """
-    work = require_symmetric(a).copy()
-    n = work.shape[0]
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds desk-scale cap {MAX_DIM}")
-    if n == 1:
-        return Spectrum(work[0].copy(), np.eye(1))
-
-    v = np.eye(n)
-    scale = max(1.0, float(np.abs(work).max()))
-    stop = 1e-14 * scale
-    converged = False
-    for _ in range(MAX_SWEEPS):
-        off = float(np.abs(np.triu(work, 1)).max())
-        if off <= stop:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= stop:
-                    continue
-                app = work[p, p]
-                aqq = work[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - sqrt(1.0 + tau * tau))
-                c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-
-                rp = work[p, :].copy()
-                rq = work[q, :].copy()
-                work[p, :] = c * rp - s * rq
-                work[q, :] = s * rp + c * rq
-                # closed forms for the rotated 2x2 block keep the zeros exact
-                work[p, p] = app - t * apq
-                work[q, q] = aqq + t * apq
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[:, p] = work[p, :]
-                work[:, q] = work[q, :]
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if not converged:
-        off = float(np.abs(np.triu(work, 1)).max())
-        if off > stop:
-            raise NumericalError(
-                f"Jacobi sweep cap {MAX_SWEEPS} reached with off-diagonal {off:.3e}"
-            )
-    e = np.diag(work).copy()
-    order = np.argsort(e, kind="stable")
-    return Spectrum(e[order], v[:, order])
-
-
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
@@ -117,14 +41,12 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     spoiling exact cases like projections). Anything below -1e-6 raises
     NotPSDError.
     """
-    spec = eigh(a)
-    e = spec.eigenvalues
+    e, q = np.linalg.eigh(require_symmetric(a))
     if float(e.min()) < -1e-6:
         raise NotPSDError(f"matrix has eigenvalue {e.min():.3e} < -1e-6")
     scale = max(1.0, float(np.abs(e).max(initial=0.0)))
     e = np.where(np.abs(e) <= 1e-12 * scale, 0.0, np.clip(e, 0.0, None))
     root = np.sqrt(e)
-    q = spec.eigenvectors
     return symmetrize((q * root) @ q.T)
 
 
@@ -153,14 +75,14 @@ def spectra_match_lemma(sigma: np.ndarray, tol: float = 1e-8) -> SpectraMatchRep
     if m > n:
         raise PreconditionError(f"sigma is rank deficient ({m} rows exceed {n} columns)")
     gram_h = symmetrize(sigma @ sigma.T)
-    eh = eigh(gram_h).eigenvalues
+    eh = np.linalg.eigvalsh(gram_h)
     smallest_sv = sqrt(max(float(eh.min()), 0.0))
     if smallest_sv <= 1e-10:
         raise PreconditionError(
             f"sigma is rank deficient (smallest singular value {smallest_sv:.3e})"
         )
     gram_f = symmetrize(sigma.T @ sigma)
-    ef = eigh(gram_f).eigenvalues
+    ef = np.linalg.eigvalsh(gram_f)
     expected = np.sort(np.concatenate([np.zeros(n - m), eh]))
     max_mismatch = float(np.abs(np.sort(ef) - expected).max())
     matched = max_mismatch <= tol and float(eh.min()) > 0.0
@@ -197,5 +119,5 @@ class DiagonalCounterexample:
 def diagonal_lemma_falsifier() -> DiagonalCounterexample:
     """Produce a witness showing a positive diagonal does not force positive eigenvalues."""
     m = np.array([[1.0, 3.0], [3.0, 1.0]])
-    e = eigh(m).eigenvalues
+    e = np.linalg.eigvalsh(m)
     return DiagonalCounterexample(m, e, float(e.min()))

@@ -150,7 +150,7 @@ def test_criterion_4_doubling_calculus():
                 worst_sq,
                 float(np.abs(m2 - m @ m).max()) / max(1.0, float(np.abs(m2).max())),
             )
-            evals = cp.eigh(m).eigenvalues
+            evals = np.linalg.eigvalsh(m)
             radial = level * alpha * (alpha - 1.0) * r ** (alpha - 2.0)
             worst_eig = max(
                 worst_eig, abs(float(evals[0]) - radial) / max(1.0, abs(radial))

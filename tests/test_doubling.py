@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _jacobi import eigh
 from carnotpde import (
     ConstantBundle,
     growth_condition_margin,
@@ -19,7 +20,6 @@ from carnotpde import (
 )
 from carnotpde.doubling import GROWTH_TOL, finite_difference_hessian, growth_satisfied, phi_value
 from carnotpde.errors import InadmissibleExponentError, SingularPointError
-from carnotpde.symmat import eigh
 
 
 def bundle(**overrides):

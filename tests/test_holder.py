@@ -451,6 +451,13 @@ class TestVerifyTheorem:
         assert report.max_violation <= 0.0
         assert math.isfinite(report.theorem_bound)
 
+    def test_verdicts_are_the_checks_that_can_fail(self, smooth_euclidean_instance):
+        # c0 > 0 has no verdict: ConstantBundle already rejects c0 <= 0
+        spec, coeffs, u, rep = smooth_euclidean_instance
+        bundle = bundle_for_instance(spec, coeffs, u)
+        report = verify_theorem(spec, coeffs, u, bundle, rep)
+        assert set(report.hypothesis_verdicts) == {"lipschitz_sigma", "growth_condition"}
+
     def test_requires_converged_solve(self, smooth_euclidean_instance):
         spec, coeffs, u, rep = smooth_euclidean_instance
         bundle = bundle_for_instance(spec, coeffs, u)

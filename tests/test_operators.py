@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _jacobi import eigh
 from carnotpde import (
     Coefficients,
     EllipticityBounds,
@@ -23,7 +24,7 @@ from carnotpde import (
     trace_operator,
 )
 from carnotpde.operators import KINDS, policies
-from carnotpde.symmat import eigh, symmetrize
+from carnotpde.symmat import symmetrize
 
 
 def pucci_bruteforce(n_mat: np.ndarray, lam: float, Lam: float, plus: bool) -> float:

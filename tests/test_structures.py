@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _jacobi import eigh
 from carnotpde import (
     engel_trace_operator,
     group_mul,
@@ -102,8 +103,6 @@ class TestGram:
                 assert np.linalg.eigvalsh(mats).min() >= -1e-10
 
     def test_heisenberg_eigenvalue_formula(self):
-        from carnotpde import eigh
-
         rng = np.random.default_rng(2)
         s = preset("heisenberg1")
         for _ in range(200):

@@ -1,4 +1,8 @@
-"""Unit tests for the small symmetric linear algebra kernel."""
+"""Unit tests for the small symmetric linear algebra kernel.
+
+``TestEigh`` pins the LAPACK-free Jacobi reference of ``_jacobi`` and, in the
+bulk reconstruction test, LAPACK's ``eigh``, which the package uses.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from _jacobi import eigh
 from carnotpde import symmat
-from carnotpde.errors import NotPSDError, NumericalError, PreconditionError
+from carnotpde.errors import NotPSDError, PreconditionError
 from carnotpde.structures import heisenberg1, p_matrix_at, sigma_at
 
 
@@ -20,7 +25,7 @@ def analytic_2x2_eigenvalues(a, b, c):
 
 class TestEigh:
     def test_diagonal_matrix(self):
-        spec = symmat.eigh(np.diag([3.0, 1.0, 2.0]))
+        spec = eigh(np.diag([3.0, 1.0, 2.0]))
         assert_allclose(spec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
 
     def test_heisenberg_gram_at_unit_point(self):
@@ -29,12 +34,12 @@ class TestEigh:
         # decoupled unit eigenvalue
         block = analytic_2x2_eigenvalues(1.0, -2.0, 4.0)
         expected = np.sort(np.concatenate([[1.0], block]))
-        spec = symmat.eigh(p)
+        spec = eigh(p)
         assert_allclose(spec.eigenvalues, expected, atol=1e-12)
         assert_allclose(spec.eigenvalues, [0.0, 1.0, 5.0], atol=1e-12)
 
     def test_two_by_two_indefinite(self):
-        spec = symmat.eigh(np.array([[1.0, 3.0], [3.0, 1.0]]))
+        spec = eigh(np.array([[1.0, 3.0], [3.0, 1.0]]))
         assert_allclose(spec.eigenvalues, analytic_2x2_eigenvalues(1.0, 3.0, 1.0), atol=1e-13)
         assert_allclose(spec.eigenvalues, [-2.0, 4.0], atol=1e-13)
 
@@ -44,7 +49,7 @@ class TestEigh:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(dim, dim))
         a = (a + a.T) / 2.0
-        spec = symmat.eigh(a)
+        spec = eigh(a)
         q = spec.eigenvectors
         scale = max(1.0, np.abs(a).max())
         assert np.abs(q.T @ q - np.eye(dim)).max() <= 1e-10
@@ -52,7 +57,8 @@ class TestEigh:
         assert np.all(np.diff(spec.eigenvalues) >= -1e-15)
 
     def test_reconstruction_bulk(self):
-        # the large-sample reconstruction invariant, dims up to 12
+        # the large-sample reconstruction invariant, dims up to 12, for the
+        # eigensolver the package uses
         rng = np.random.default_rng(7)
         worst_recon = 0.0
         worst_orth = 0.0
@@ -60,11 +66,10 @@ class TestEigh:
             dim = int(rng.integers(1, 13))
             a = rng.normal(size=(dim, dim))
             a = (a + a.T) / 2.0
-            spec = symmat.eigh(a)
-            q = spec.eigenvectors
+            e, q = np.linalg.eigh(a)
             scale = max(1.0, np.abs(a).max())
             worst_orth = max(worst_orth, np.abs(q.T @ q - np.eye(dim)).max())
-            recon = np.abs(a - q @ np.diag(spec.eigenvalues) @ q.T).max() / scale
+            recon = np.abs(a - q @ np.diag(e) @ q.T).max() / scale
             worst_recon = max(worst_recon, recon)
         assert worst_orth <= 1e-10
         assert worst_recon <= 1e-9
@@ -74,17 +79,17 @@ class TestEigh:
         for dim in (2, 5, 9, 16):
             a = rng.normal(size=(dim, dim))
             a = (a + a.T) / 2.0
-            ours = symmat.eigh(a).eigenvalues
+            ours = eigh(a).eigenvalues
             lapack = np.linalg.eigvalsh(a)
             assert_allclose(ours, lapack, atol=1e-10 * max(1.0, np.abs(a).max()))
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):
-            symmat.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError):
-            symmat.eigh(np.eye(65))
+            eigh(np.eye(65))
 
 
 class TestSqrtPsd:
@@ -123,6 +128,12 @@ class TestSqrtPsd:
         root = symmat.sqrt_psd(np.diag([1.0, -1e-11]))
         assert root[1, 1] == 0.0
 
+    def test_rejects_non_symmetric(self):
+        # LAPACK reads only the lower triangle, so without the check this
+        # would return the root of [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmat.sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 class TestSpectraMatch:
     def test_heisenberg_frame(self):
@@ -143,8 +154,17 @@ class TestSpectraMatch:
         for _ in range(100):
             n = int(rng.integers(1, 9))
             m = int(rng.integers(1, n + 1))
-            rep = symmat.spectra_match_lemma(rng.normal(size=(m, n)))
+            sigma = rng.normal(size=(m, n))
+            rep = symmat.spectra_match_lemma(sigma)
             assert rep.matched, rep.max_mismatch
+            # LAPACK-free cross-check of both spectra
+            for got, gram in (
+                (rep.horizontal_eigenvalues, sigma @ sigma.T),
+                (rep.full_eigenvalues, sigma.T @ sigma),
+            ):
+                gram = symmat.symmetrize(gram)
+                scale = max(1.0, float(np.abs(gram).max()))
+                assert np.abs(got - eigh(gram).eigenvalues).max() <= 1e-10 * scale
 
     def test_rank_deficient_rejected(self):
         # second row is twice the first, so the factor has rank 1 < m = 2
@@ -200,11 +220,11 @@ class TestDiagonalFalsifier:
         assert witness.min_eigenvalue < 0.0
 
     def test_identity_is_not_a_counterexample(self):
-        evals = symmat.eigh(np.eye(2)).eigenvalues
+        evals = eigh(np.eye(2)).eigenvalues
         assert evals.min() > 0.0
 
     def test_another_positive_diagonal_witness(self):
         # [[2, -3], [-3, 2]] has eigenvalues 2 -+ 3
-        evals = symmat.eigh(np.array([[2.0, -3.0], [-3.0, 2.0]])).eigenvalues
+        evals = eigh(np.array([[2.0, -3.0], [-3.0, 2.0]])).eigenvalues
         assert_allclose(evals, [-1.0, 5.0], atol=1e-13)
         assert evals.min() < 0.0
