@@ -33,6 +33,8 @@ class Grid:
             raise ValueError("lo, hi and shape must agree in length")
         if any(s < 3 for s in shape):
             raise ValueError("need at least 3 nodes per axis")
+        if not all(map(np.isfinite, lo + hi)):
+            raise ValueError("box bounds must be finite")
         if any(h <= l for l, h in zip(lo, hi)):
             raise ValueError("box must have positive extent on every axis")
         steps = [(h - l) / (s - 1) for l, h, s in zip(lo, hi, shape)]

@@ -2,19 +2,20 @@
 
 On a uniform grid the pairs sharing a lattice offset o lie h|o| apart and
 their increments are one slice difference |u[x + o] - u[x]|. One pass over
-offsets tabulates each offset's maximal increment and pair count, over every
-lexicographically positive offset (each unordered pair once) up to 4096 nodes
-and otherwise over a seeded stratified sample (about one million pairs spread
-over geometric distance bins). The exhaustive pass batches the grid's shortest
-axis: for each offset along the other axes it takes the source and destination
-lines, forms every |A[i] - B[j]| and reads all offsets j - i along the short
-axis from that block at once. Under the node cap a block has at most 262,144
-elements (2 MiB), and offsets are reduced in groups of at most SCAN_BUDGET, so
-the scratch memory is bounded. Each offset keeps its first maximal pair in
-row-major (src, dst) order, as a scan offset by offset would. fit_alpha
-regresses the log of the per-bin maximal increment against log distance;
-verify_theorem reduces one table to the fitted modulus and adds the
-hypothesis checks and the seminorm bound.
+offsets tabulates each offset's maximal increment and pair count, over one of
+each pair of opposite offsets +-o (each unordered node pair once) up to 4096
+nodes and otherwise over a seeded stratified sample (about one million pairs
+spread over geometric distance bins). Both scans give an offset the distance
+h|o|, and a bin's distance is the smallest among the offsets that reach the
+bin's maximal increment, so no statistic depends on the order of the table
+or on how the grid is numbered. The exhaustive pass batches the grid's
+shortest axis: for each offset along the other axes it takes the source and
+destination lines, forms every |A[i] - B[j]| and reads all offsets j - i
+along the short axis from that block at once. Under the node cap a block has
+at most 262,144 elements (2 MiB), and so has the array of every block's
+per-cell maxima, so the scratch memory is bounded. fit_alpha regresses the log of the per-bin
+maximal increment against log distance; verify_theorem reduces one table to
+the fitted modulus and adds the hypothesis checks and the seminorm bound.
 """
 
 from __future__ import annotations
@@ -45,22 +46,14 @@ PAIR_BUDGET = 1_000_000
 NUM_BINS = 12
 # sigma is sampled at this many points for its Lipschitz estimate
 LIPSCHITZ_SAMPLES = 128
-# The exhaustive scan reduces the candidate cells of its offsets in groups of at
-# most this many (one lead's L * L cells if those are more).
-SCAN_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
 class _OffsetTable:
-    """One row per scanned offset, ordered by the row's first maximal pair:
-    row-major (src, dst) when exhaustive, sampling order when stratified.
-    distance is that pair's coordinate distance, or h|o| when sampled.
-
-    The exhaustive table comes from _line_scan, which batches the shortest
-    axis, forms one whole block of line differences per lead (at most 2 MiB)
-    and reduces groups of at most SCAN_BUDGET cells. Of an offset's pairs
-    with the maximal increment, its first is the one with the smallest
-    flat source index, the source being the pair's lower-indexed node."""
+    """One row per scanned lattice offset o, in no particular order: its
+    distance h|o|, its maximal increment and its pair count (sampled pairs
+    when stratified). Every statistic read from it is a maximum, a minimum
+    or a sum over rows, so the rows' order never shows."""
 
     distance: np.ndarray
     max_inc: np.ndarray
@@ -73,6 +66,11 @@ class _OffsetTable:
 def _bin_edges(grid: Grid) -> np.ndarray:
     diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in zip(grid.lo, grid.hi)))
     return np.geomspace(grid.h, diam * (1.0 + 1e-12), NUM_BINS + 1)
+
+
+def _lattice_distance(h: float, sq_norm) -> np.ndarray:
+    """The distance h|o| of lattice offsets o, from their integer |o|^2."""
+    return h * np.sqrt(sq_norm)
 
 
 def _increments(values: np.ndarray, offset) -> np.ndarray | None:
@@ -107,7 +105,7 @@ def _sampled_offsets(u: GridFunction, seed: int) -> Iterator[tuple[float, np.nda
             offset = np.rint(radius * direction / (norm * h)).astype(int)
             if not offset.any():
                 continue
-            dist = h * float(np.linalg.norm(offset))
+            dist = float(_lattice_distance(h, offset @ offset))
             if not (lo_r <= dist < hi_r):
                 continue
             key = tuple(offset)
@@ -133,89 +131,60 @@ def _axis_slices(size: int, sign: int) -> list:
     return list(map(slice, lo.tolist(), (lo + size - np.abs(o)).tolist()))
 
 
-def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(max_inc, src, dst, pairs) of every lexicographically positive lattice
-    offset: its maximal increment, its first maximal pair (flat indices, the
-    smallest src among the maximal pairs, src < dst) and its pair count.
+def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(max_inc, sq_norm, pairs) of one offset o of every pair +-o of nonzero
+    lattice offsets, in no particular order: its maximal increment, |o|^2 and
+    its pair count.
 
     The shortest axis, of length L, is moved first and batched; a 1-D grid is
     taken as shape (1, N). For each lexicographically nonnegative offset `lead`
     of the other axes, A and B are the (L, lines) source and destination lines,
     and cell (i, j) of |A[i] - B[j]| holds the pairs of offset (lead, j - i).
-    Each cell keeps its first maximal line, so the pair with the smallest
-    source index. The cells of each diagonal j - i are then reduced to the
-    diagonal's maximum and the smallest source index reaching it, for a group
-    of leads at a time, at most SCAN_BUDGET cells in all.
-    A lead's block is formed whole: L <= N^(1/n) and a lead has at most N / L
-    lines, so the block has at most L * N elements, 64 * 4096 = 262,144
-    (2 MiB) under the node cap.
+    Each cell keeps its maximum over lines, and each diagonal j - i the
+    maximum of its cells. A lead's block is formed whole: L <= N^(1/n) and a
+    lead has at most N / L lines, so the block has at most L * N elements,
+    64 * 4096 = 262,144 (2 MiB) under the node cap. The (leads, L * L) cell
+    maxima number about 2^(n-2) L N, at most 262,144 too (on 64^2; 16^3 has
+    123,136).
     """
     shape = values.shape if values.ndim > 1 else (1,) + values.shape
-    flat = values.ravel()
-    n = len(shape)
-    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
     a = int(np.argmin(shape))
     L = shape[a]
     lead_shape = shape[:a] + shape[a + 1 :]
-    lead_strides = np.delete(strides, a)
     lines = np.moveaxis(values.reshape(shape), a, 0)
     span = 2 * np.array(lead_shape) - 1
-    leads = np.indices(span).reshape(n - 1, -1).T - span // 2
+    leads = np.indices(span).reshape(len(span), -1).T - span // 2
     leads = leads[len(leads) // 2 :]  # zero, then the lexicographically positive ones
-    blocks = np.array(lead_shape) - np.abs(leads)
-    src_lo = np.maximum(-leads, 0)
-    colon = slice(None)
     # the source and destination slices of every lead; the product runs in the
     # lexicographic order of np.indices, negative leads first
+    colon = slice(None)
     skip = len(leads) - 1
     src_cuts = islice(product([colon], *(_axis_slices(s, 1) for s in lead_shape)), skip, None)
     dst_cuts = islice(product([colon], *(_axis_slices(s, -1) for s in lead_shape)), skip, None)
-    cuts = zip(src_cuts, dst_cuts)
-    group = max(1, SCAN_BUDGET // (L * L))
+    cells = np.empty((len(leads), L * L))
+    cell = np.arange(L * L)
+    for row, src, dst in zip(cells, src_cuts, dst_cuts):
+        m = np.subtract(lines[src].reshape(L, 1, -1), lines[dst].reshape(1, L, -1))
+        m = np.abs(m, out=m).reshape(L * L, -1)
+        # numpy's argmax over a short last axis is faster than its max
+        row[:] = m[cell, m.argmax(axis=1)]
     diag = np.arange(1 - L, L)
     dlen = L - np.abs(diag)
-    dstart = np.concatenate(([0], np.cumsum(dlen)[:-1]))
-    ii, jj = np.divmod(np.arange(L * L), L)
-    by_diag = np.lexsort((ii, jj - ii))  # cells (i, j) by diagonal j - i, then i
-    never = np.iinfo(np.int64).max
-    out = []
-    for k0 in range(0, len(leads), group):
-        g = slice(k0, k0 + group)
-        # one row of cells per lead: the first line p reaching the cell's maximum
-        firsts = np.empty((len(leads[g]), L, L), dtype=np.intp)
-        for row, (src, dst) in enumerate(islice(cuts, group)):
-            m = np.subtract(lines[src].reshape(L, 1, -1), lines[dst].reshape(1, L, -1))
-            np.abs(m, out=m).argmax(axis=2, out=firsts[row])
-        # p becomes a flat source index
-        p = firsts.reshape(-1, L * L)[:, by_diag]
-        src = ii[by_diag] * strides[a]
-        for t in range(n - 2, -1, -1):
-            p, coord = np.divmod(p, blocks[g, t : t + 1])
-            src = src + (coord + src_lo[g, t : t + 1]) * lead_strides[t]
-        delta = (leads[g] @ lead_strides)[:, None] + diag * strides[a]
-        inc = np.abs(flat[src + np.repeat(delta, dlen, axis=1)] - flat[src])
-        top = np.maximum.reduceat(inc, dstart, axis=1)
-        hit = np.where(inc == np.repeat(top, dlen, axis=1), src, never)
-        first = np.minimum.reduceat(hit, dstart, axis=1)
-        out.append((top, first, delta, blocks[g].prod(axis=1)[:, None] * dlen))
-    max_inc, first, delta, pairs = (np.concatenate(x) for x in zip(*out))
-    keep = np.ones(delta.shape, dtype=bool)
+    by_diag = np.argsort((np.arange(L) - np.arange(L)[:, None]).ravel())  # cells by j - i
+    max_inc = np.maximum.reduceat(cells[:, by_diag], np.cumsum(dlen) - dlen, axis=1)
+    sq_norm = (leads * leads).sum(axis=1)[:, None] + diag * diag
+    pairs = (np.array(lead_shape) - np.abs(leads)).prod(axis=1)[:, None] * dlen
+    keep = np.ones(max_inc.shape, dtype=bool)
     keep[0] = diag > 0  # the zero lead's positive offsets only
-    max_inc, first, delta, pairs = max_inc[keep], first[keep], delta[keep], pairs[keep]
-    src = np.where(delta > 0, first, first + delta)
-    return max_inc, src, src + np.abs(delta), pairs
+    return max_inc[keep], sq_norm[keep], pairs[keep]
 
 
 def _offset_table(u: GridFunction, seed: int) -> _OffsetTable:
-    grid = u.grid
-    if grid.num_nodes > ALL_PAIRS_NODE_CAP:
+    if u.grid.num_nodes > ALL_PAIRS_NODE_CAP:
         rows = [(dist, inc.max(), inc.size) for dist, inc in _sampled_offsets(u, seed)]
         return _OffsetTable(*np.array(rows, dtype=float).reshape(-1, 3).T)
-    max_inc, src, dst, pairs = _line_scan(u.values)
-    order = np.lexsort((dst, src))
-    coords = grid.coords()
-    diff = coords[src[order]] - coords[dst[order]]
-    return _OffsetTable(np.sqrt((diff * diff).sum(axis=1)), max_inc[order], pairs[order])
+    max_inc, sq_norm, pairs = _line_scan(u.values)
+    return _OffsetTable(_lattice_distance(u.grid.h, sq_norm), max_inc, pairs)
 
 
 def _binned(grid: Grid, table: _OffsetTable) -> list[dict]:
@@ -226,9 +195,11 @@ def _binned(grid: Grid, table: _OffsetTable) -> list[dict]:
         rows = np.flatnonzero(bins == b)
         row = {"distance": float(edges[b]), "max_increment": 0.0, "pairs": 0}
         if rows.size:
-            top = rows[table.max_inc[rows].argmax()]  # the first maximal row
-            row["max_increment"] = float(table.max_inc[top])
-            row["distance"] = float(table.distance[top]) if row["max_increment"] else 0.0
+            inc = table.max_inc[rows]
+            top = inc.max()
+            row["max_increment"] = float(top)
+            # the nearest offset reaching the bin's maximum
+            row["distance"] = float(table.distance[rows][inc == top].min()) if top else 0.0
             row["pairs"] = int(table.pairs[rows].sum())
         out.append(row)
     return out
@@ -262,8 +233,9 @@ def holder_seminorm(u: GridFunction, alpha: float, seed: int = 0) -> float:
 def binned_increments(u: GridFunction, seed: int = 0) -> list[dict]:
     """Per-bin maximal increments over the pair scan (for fitting and dumps).
 
-    A bin's distance is that of its first maximal pair in row-major (i, j)
-    order, 0.0 if all its increments vanish, its lower edge if it is empty.
+    A bin's distance is the smallest distance h|o| among its offsets o that
+    reach its maximal increment, 0.0 if all its increments vanish, its lower
+    edge if it is empty.
     """
     return _binned(u.grid, _offset_table(u, seed))
 

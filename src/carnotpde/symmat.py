@@ -23,9 +23,15 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """The symmetric part of a finite square matrix that is symmetric to tol
+    (relative to max(1, max|a|)); ValueError otherwise."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    # checked first: every comparison with NaN is false, so the test below
+    # would let a NaN through
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if float(np.abs(a - a.T).max(initial=0.0)) > tol * scale:
         raise ValueError("matrix is not symmetric")

@@ -53,6 +53,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((0.0,), (1.0,), (2,))
 
+    @pytest.mark.parametrize(
+        "lo, hi, shape",
+        [
+            ((np.nan,), (1.0,), (3,)),
+            ((0.0,), (np.inf,), (3,)),
+            ((-np.inf,), (0.0,), (3,)),
+            ((0.0, 0.0), (1.0, np.nan), (3, 3)),
+        ],
+    )
+    def test_non_finite_bounds_rejected(self, lo, hi, shape):
+        # NaN fails every comparison and inf - inf is NaN, so without the
+        # finiteness check these build with h = nan, h = inf or a NaN axis
+        with pytest.raises(ValueError, match="finite"):
+            Grid(lo, hi, shape)
+
     def test_boundary_mask(self):
         g = Grid((0.0, 0.0), (1.0, 1.0), (3, 3))
         mask = g.boundary_mask().reshape(3, 3)

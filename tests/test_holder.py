@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -25,13 +26,14 @@ from carnotpde import (
     trace_operator,
     verify_theorem,
 )
-from carnotpde import holder
+from carnotpde.config import build_setup, load_config
 from carnotpde.errors import PreconditionError
 from carnotpde.grids import GridFunction
 from carnotpde.holder import (
     ALL_PAIRS_NODE_CAP,
     NUM_BINS,
     PAIR_BUDGET,
+    _lattice_distance,
     _offset_table,
     binned_increments,
     max_quotient_violation,
@@ -39,24 +41,25 @@ from carnotpde.holder import (
 )
 
 LINE = Grid((0.0,), (1.0,), (257,))
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
-# Reference pair scan: every ordered pair in row-major (i, j) order, chunked,
-# or the seeded stratified sample, each pair binned by its own distance. The
+# Reference pair scan: every ordered pair, chunked, or the seeded stratified
+# sample, each pair binned by its own lattice distance h|index difference|.
+# A bin keeps its maximal increment and the nearest pair reaching it. The
 # offset table in carnotpde.holder must reproduce its per-bin maxima and
 # distances exactly and count each unordered pair once.
 
 
 def _ref_scan_all_pairs(u, chunk=256) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    coords = u.grid.coords()
+    index = np.indices(u.grid.shape).reshape(u.grid.n, -1).T
     vals = u.flat
-    n = coords.shape[0]
+    n = index.shape[0]
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        block = coords[start:stop]
-        diff = block[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        diff = index[start:stop, None, :] - index[None, :, :]
+        dist = _lattice_distance(u.grid.h, (diff * diff).sum(axis=2))
         inc = np.abs(vals[start:stop, None] - vals[None, :])
         mask = dist > 0.0
         yield dist[mask], inc[mask]
@@ -129,8 +132,8 @@ def _ref_pair_scan(u, seed):
 
 def _ref_binned_increments(u, seed):
     edges = _ref_edges(u.grid)
-    max_inc = np.zeros(NUM_BINS)
-    at_dist = np.zeros(NUM_BINS)
+    max_inc = np.full(NUM_BINS, -1.0)
+    at_dist = np.full(NUM_BINS, np.inf)
     counts = np.zeros(NUM_BINS, dtype=np.int64)
     for dist, inc in _ref_pair_scan(u, seed):
         if dist.size == 0:
@@ -139,15 +142,19 @@ def _ref_binned_increments(u, seed):
         for b in np.unique(bins):
             sel = bins == b
             counts[b] += int(sel.sum())
-            local = inc[sel]
-            pos = int(np.argmax(local))
-            if local[pos] > max_inc[b]:
-                max_inc[b] = float(local[pos])
-                at_dist[b] = float(dist[sel][pos])
+            local, local_dist = inc[sel], dist[sel]
+            top = local.max()
+            near = local_dist[local == top].min()
+            if top > max_inc[b]:
+                max_inc[b], at_dist[b] = top, near
+            elif top == max_inc[b]:
+                at_dist[b] = min(at_dist[b], near)
     return [
         {
-            "distance": float(at_dist[b] if counts[b] else edges[b]),
-            "max_increment": float(max_inc[b]),
+            "distance": float(
+                edges[b] if not counts[b] else at_dist[b] if max_inc[b] > 0 else 0.0
+            ),
+            "max_increment": float(max(max_inc[b], 0.0)),
             "pairs": int(counts[b]),
         }
         for b in range(NUM_BINS)
@@ -260,8 +267,13 @@ class TestOffsetTableMatchesPairScan:
 
 # ---------------------------------------------------------------------------
 # Reference offset table: one slice difference per lexicographically positive
-# lattice offset, each offset's first maximal pair in row-major (src, dst)
-# order. The batched scan in carnotpde.holder must reproduce it bit for bit.
+# lattice offset o, giving its distance h|o|, maximal increment and pair count.
+# The batched scan in carnotpde.holder must reproduce the same rows bit for
+# bit, in any order.
+
+
+def _sorted_rows(distance, max_inc, pairs):
+    return np.column_stack([distance, max_inc, pairs])[np.lexsort((pairs, max_inc, distance))]
 
 
 def _ref_offset_table(u):
@@ -269,21 +281,15 @@ def _ref_offset_table(u):
     span = 2 * np.array(grid.shape) - 1
     offsets = np.indices(span).reshape(grid.n, -1).T - span // 2  # in lexicographic order
     offsets = offsets[len(offsets) // 2 + 1 :]  # those after 0 are the positive ones
-    index = np.arange(grid.num_nodes).reshape(grid.shape)
     max_inc = np.empty(len(offsets))
-    src = np.empty(len(offsets), dtype=np.int64)
+    pairs = np.empty(len(offsets), dtype=np.int64)
     for k, offset in enumerate(offsets.tolist()):
         from_x = tuple(slice(max(-o, 0), size - max(o, 0)) for o, size in zip(offset, grid.shape))
         to_x = tuple(slice(max(o, 0), size - max(-o, 0)) for o, size in zip(offset, grid.shape))
         inc = np.abs(u.values[to_x] - u.values[from_x])
-        first = inc.argmax()
-        max_inc[k], src[k] = inc.flat[first], index[from_x].flat[first]
-    dst = src + offsets @ (np.array(index.strides) // index.itemsize)
-    order = np.lexsort((dst, src))
-    coords = grid.coords()
-    diff = coords[src[order]] - coords[dst[order]]
-    pairs = (np.array(grid.shape) - np.abs(offsets[order])).prod(axis=1)
-    return np.sqrt((diff * diff).sum(axis=1)), max_inc[order], pairs
+        max_inc[k], pairs[k] = inc.max(), inc.size
+    distance = _lattice_distance(grid.h, (offsets * offsets).sum(axis=1))
+    return _sorted_rows(distance, max_inc, pairs)
 
 
 def _lattice_grid(shape):
@@ -308,10 +314,8 @@ TABLE_CASES = {
 def _assert_table_matches_loop(u):
     assert u.grid.num_nodes <= ALL_PAIRS_NODE_CAP
     table = _offset_table(u, 0)
-    distance, max_inc, pairs = _ref_offset_table(u)
-    assert np.array_equal(table.distance, distance)
-    assert np.array_equal(table.max_inc, max_inc)
-    assert np.array_equal(table.pairs, pairs)
+    rows = _sorted_rows(table.distance, table.max_inc, table.pairs)
+    assert np.array_equal(rows, _ref_offset_table(u))
 
 
 class TestLineScanMatchesPerOffsetLoop:
@@ -321,14 +325,6 @@ class TestLineScanMatchesPerOffsetLoop:
 
     def test_heisenberg_verify_solution(self, heisenberg_verify_solution):
         _assert_table_matches_loop(heisenberg_verify_solution[2])
-
-    @pytest.mark.parametrize("budget", [5, 40, 300])
-    @pytest.mark.parametrize("shape", [(5, 7, 3), (9, 11), (3, 3, 3, 3)])
-    def test_chunks_and_groups(self, monkeypatch, shape, budget):
-        # a small budget splits the leads into many groups, down to one lead
-        # per group; a lead's lines are never split
-        monkeypatch.setattr(holder, "SCAN_BUDGET", budget)
-        _assert_table_matches_loop(_tie_heavy(shape))
 
     @pytest.mark.parametrize("shape", [(3, 1365), (4096,), (64, 64)])
     def test_scratch_memory_is_bounded(self, shape):
@@ -340,6 +336,43 @@ class TestLineScanMatchesPerOffsetLoop:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _renumbered(u):
+    """u on the transposed grid, then reflected along each axis in turn."""
+    g = u.grid
+    yield GridFunction(Grid(g.lo[::-1], g.hi[::-1], g.shape[::-1]), u.values.T)
+    for k in range(g.n):
+        yield GridFunction(g, np.flip(u.values, k))
+
+
+def _assert_numbering_invariant(u):
+    # transposing and reflecting are isometries of the lattice, so every
+    # statistic of the exhaustive scan must come out bit for bit the same
+    assert u.grid.num_nodes <= ALL_PAIRS_NODE_CAP
+    alpha, level = fit_alpha(u)
+    increments = binned_increments(u)
+    seminorm = holder_seminorm(u, alpha)
+    for v in _renumbered(u):
+        assert fit_alpha(v) == (alpha, level)
+        assert binned_increments(v) == increments
+        assert holder_seminorm(v, alpha) == seminorm
+
+
+class TestNumberingInvariance:
+    @pytest.mark.parametrize("name", ["euclidean_pucci.json", "line2d.json"])
+    def test_solved_config(self, name):
+        setup = build_setup(load_config(CONFIGS / name), need_solve=True)
+        u, rep = solve(setup.spec, setup.coeffs, setup.grid, setup.solve_cfg)
+        assert rep.converged
+        _assert_numbering_invariant(u)
+
+    def test_heisenberg_verify_solution(self, heisenberg_verify_solution):
+        _assert_numbering_invariant(heisenberg_verify_solution[2])
+
+    @pytest.mark.parametrize("shape", [(9, 11), (5, 7, 3)])
+    def test_tie_heavy(self, shape):
+        _assert_numbering_invariant(_tie_heavy(shape))
 
 
 class TestSeminorm:

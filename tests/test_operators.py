@@ -61,6 +61,13 @@ class TestGEval:
         spec = trace_operator(EUC2)
         assert g_eval(spec, np.diag([1.0, -1.0])) == 0.0
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_non_finite(self, kind):
+        lam, Lam = (1.0, 1.0) if kind == "trace" else (1.0, 2.0)
+        spec = OperatorSpec(kind, EllipticityBounds(lam, Lam), EUC2)
+        with pytest.raises(ValueError, match="non-finite"):
+            g_eval(spec, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_degenerate_bounds_collapse_to_trace(self):
         spec = pucci_operator(EUC2, 1.0, 1.0, plus=True)
         rng = np.random.default_rng(0)

@@ -222,6 +222,16 @@ class TestDirectionalDifference:
         with pytest.raises(ValueError):
             directional_value(u, [0.0, 0.0], [1.0, 0.0], 5.0 * g.h)
 
+    def test_h_eff_below_one_spacing_rejected(self):
+        # an arm shorter than h would fall between the interior node and its
+        # neighbour; it is a ValueError at construction, not a failed build
+        g = Grid((-1, -1), (1, 1), (9, 9))
+        u = from_callable(g, lambda X: X[:, 0] ** 2)
+        for cells in (0.5, 0.99):
+            with pytest.raises(ValueError, match=r"\[h, 4h\]"):
+                directional_value(u, [0.0, 0.0], [1.0, 0.0], cells * g.h)
+        assert directional_value(u, [0.0, 0.0], [1.0, 0.0], g.h) == pytest.approx(2.0, rel=1e-12)
+
 
 class TestDiscreteOperator:
     def test_constant_solution_zero_residual(self):

@@ -134,6 +134,16 @@ class TestSqrtPsd:
         with pytest.raises(ValueError, match="not symmetric"):
             symmat.sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, at):
+        # every comparison with NaN is false, so a NaN would otherwise pass
+        # the symmetry check and give an all-NaN root
+        a = np.eye(2)
+        a[at] = a[at[::-1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            symmat.sqrt_psd(a)
+
 
 class TestSpectraMatch:
     def test_heisenberg_frame(self):
