@@ -63,8 +63,8 @@ class TestGrid:
         ],
     )
     def test_non_finite_bounds_rejected(self, lo, hi, shape):
-        # NaN fails every comparison and inf - inf is NaN, so without the
-        # finiteness check these build with h = nan, h = inf or a NaN axis
+        # NaN fails every comparison and an infinite extent gives h = inf, so
+        # the extent and uniformity checks alone let these through
         with pytest.raises(ValueError, match="finite"):
             Grid(lo, hi, shape)
 

@@ -223,8 +223,7 @@ class TestDirectionalDifference:
             directional_value(u, [0.0, 0.0], [1.0, 0.0], 5.0 * g.h)
 
     def test_h_eff_below_one_spacing_rejected(self):
-        # an arm shorter than h would fall between the interior node and its
-        # neighbour; it is a ValueError at construction, not a failed build
+        # h_eff below h is rejected when the operator is built; h itself builds
         g = Grid((-1, -1), (1, 1), (9, 9))
         u = from_callable(g, lambda X: X[:, 0] ** 2)
         for cells in (0.5, 0.99):
