@@ -48,7 +48,6 @@ from .solver import (
 )
 from .structures import (
     CarnotStructure,
-    engel_trace_operator,
     group_mul,
     lipschitz_sigma_estimate,
     p_matrix_at,

@@ -1,11 +1,11 @@
-"""Scalar fields with exact gradients and Hessians, evaluated on batches of points.
+"""Scalar fields with exact Hessians, evaluated on batches of points.
 
 Every field and coefficient callable in the package takes an (N, n) array of
-points, one per row, and returns one value per row: shape (N,) for values,
-(N, n) for gradients and (N, n, n) for Hessians. Polynomial fields are given
-as monomial tables ``[[coeff, e1, ..., en], ...]`` and differentiated term by
-term, so manufactured solutions and coefficient fields come with
-machine-exact derivatives.
+points, one per row, and returns one value per row: shape (N,) for values and
+(N, n, n) for Hessians (the operators are second order, so no first derivatives).
+Polynomial fields are given as monomial tables ``[[coeff, e1, ..., en], ...]``
+and differentiated term by term, so manufactured solutions and coefficient
+fields come with machine-exact Hessians.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SmoothField:
-    """A scalar field on R^n with batched callables for value, gradient and Hessian."""
+    """A scalar field on R^n with batched callables for value and Hessian."""
 
     n: int
     value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
 
 
@@ -84,23 +83,14 @@ def polynomial_field(terms: Sequence[Sequence[float]], n: int) -> SmoothField:
     def value(X):
         return _poly_value(parsed, np.asarray(X, dtype=float))
 
-    def gradient(X):
-        X = np.asarray(X, dtype=float)
-        return np.stack([_poly_value(g, X) for g in grads], axis=-1)
-
     def hessian(X):
         X = np.asarray(X, dtype=float)
         h = np.stack([np.stack([_poly_value(t, X) for t in row], axis=-1) for row in hesses], 1)
         return (h + np.swapaxes(h, 1, 2)) / 2.0
 
-    return SmoothField(n, value, gradient, hessian)
+    return SmoothField(n, value, hessian)
 
 
 def constant_field(k: float, n: int) -> SmoothField:
     k = float(k)
-    return SmoothField(
-        n,
-        lambda X: np.full(len(X), k),
-        lambda X: np.zeros((len(X), n)),
-        lambda X: np.zeros((len(X), n, n)),
-    )
+    return SmoothField(n, lambda X: np.full(len(X), k), lambda X: np.zeros((len(X), n, n)))

@@ -16,6 +16,7 @@ at most 262,144 elements (2 MiB), and so has the array of every block's
 per-cell maxima, so the scratch memory is bounded. fit_alpha regresses the log of the per-bin
 maximal increment against log distance; verify_theorem reduces one table to
 the fitted modulus and adds the hypothesis checks and the seminorm bound.
+Every statistic raises ValueError on a grid function with a non-finite value.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _offset_table(u: GridFunction, seed: int) -> _OffsetTable:
+    if not np.isfinite(u.values).all():
+        raise ValueError("grid function has a non-finite value")
     if u.grid.num_nodes > ALL_PAIRS_NODE_CAP:
         rows = [(dist, inc.max(), inc.size) for dist, inc in _sampled_offsets(u, seed)]
         return _OffsetTable(*np.array(rows, dtype=float).reshape(-1, 3).T)

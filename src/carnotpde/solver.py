@@ -84,7 +84,7 @@ class SolveReport:
     method: str  # "bicgstab" (trace kind) or "policy" (Pucci kinds)
     assembly_s: float
     solve_s: float  # the policy and Krylov loop alone; assembly_s + solve_s <= wall_time_s
-    nnz: int  # nonzero weights of the directional stencils and of the cross-pair matrices
+    nnz: int  # nonzero weights of DiscreteOperator.stencils, one matrix per frame-Hessian entry
     outer_iterations: int  # policy steps, one BiCGSTAB cycle each; `iterations` counts Krylov steps
     residual_history: list  # max residual at the start of each policy step and at the end
 
@@ -95,11 +95,13 @@ class SolveReport:
 class DiscreteOperator:
     """Precomputed sparse stencils for the directional scheme on one grid.
 
-    Builds, per frame direction, a sparse matrix mapping full node vectors to
-    second-difference values at the interior nodes, and for non-trace kinds
-    one matrix D+ - D- per polarization pair (i, j), the difference of the
-    second differences along X_i + X_j and X_i - X_j. The center coefficient
-    of each row is set to the negated off-center row sum so constants are
+    ``pairs`` lists the frame-Hessian entries the kind reads: (i, i) for every
+    frame direction, and for non-trace kinds also (i, j) with i < j.
+    ``stencils`` holds one CSR matrix per pair, mapping full node vectors to
+    that entry of M_h at the interior nodes: the second difference D_{X_i}
+    along X_i, or the polarization (D_{X_i+X_j} - D_{X_i-X_j}) / 4. So
+    ``stencils[k] @ u`` is M_h(u)[pairs[k]]. The center coefficient of each
+    directional row is the negated off-center row sum, so constants are
     annihilated to roundoff. No matrix stores a zero weight.
     """
 
@@ -128,14 +130,17 @@ class DiscreteOperator:
         m = structure.m
         frame = frames(structure, coords)
 
-        self.diag_ops = [self._directional_matrix(frame[:, i, :]) for i in range(m)]
-        self.cross_ops = {}
+        self.pairs = [(i, i) for i in range(m)]
         if spec.kind != "trace":
-            for i in range(m):
-                for j in range(i + 1, m):
-                    plus = self._directional_matrix(frame[:, i, :] + frame[:, j, :])
-                    minus = self._directional_matrix(frame[:, i, :] - frame[:, j, :])
-                    self.cross_ops[(i, j)] = plus - minus
+            self.pairs += [(i, j) for i in range(m) for j in range(i + 1, m)]
+        self.stencils = []
+        for i, j in self.pairs:
+            if i == j:
+                self.stencils.append(self._directional_matrix(frame[:, i, :]))
+            else:
+                plus = self._directional_matrix(frame[:, i, :] + frame[:, j, :])
+                minus = self._directional_matrix(frame[:, i, :] - frame[:, j, :])
+                self.stencils.append((plus - minus) / 4.0)
 
         self.c_vec = field_values(coeffs.c, coords, "c")
         self.f_vec = field_values(coeffs.f, coords, "f")
@@ -208,7 +213,8 @@ class DiscreteOperator:
 
     def trace_matrix(self):
         if self._trace_matrix is None:
-            self._trace_matrix = sum(self.diag_ops[1:], self.diag_ops[0]).tocsr()
+            diag = self.stencils[: self.spec.structure.m]
+            self._trace_matrix = sum(diag[1:], diag[0]).tocsr()
         return self._trace_matrix
 
     def policy_matrix(self, u_flat: np.ndarray):
@@ -227,29 +233,23 @@ class DiscreteOperator:
         if not np.isfinite(mats).all():
             raise NumericalError("frame Hessian is not finite: non-finite data or iterate")
         pol = policies(self.spec, mats)
-        terms = [sp.diags(pol[:, i, i]) @ op for i, op in enumerate(self.diag_ops)]
-        terms += [sp.diags(pol[:, i, j] / 2) @ op for (i, j), op in self.cross_ops.items()]
+        terms = [
+            sp.diags((1 + (i != j)) * pol[:, i, j]) @ s  # tr(A M) counts i != j twice
+            for (i, j), s in zip(self.pairs, self.stencils)
+        ]
         return sum(terms[1:], terms[0]).tocsr()
 
     def frame_matrices(self, u_flat: np.ndarray) -> np.ndarray:
         """The m x m frame Hessian approximation at every interior node."""
         m = self.spec.structure.m
-        n_int = self.interior.size
-        mats = np.zeros((n_int, m, m))
-        for i, op in enumerate(self.diag_ops):
-            mats[:, i, i] = op @ u_flat
-        for (i, j), op in self.cross_ops.items():
-            val = 0.25 * (op @ u_flat)
-            mats[:, i, j] = val
-            mats[:, j, i] = val
+        mats = np.zeros((self.interior.size, m, m))
+        for (i, j), s in zip(self.pairs, self.stencils):
+            mats[:, i, j] = mats[:, j, i] = s @ u_flat
         return mats
 
-    def operator_values(self, u_flat: np.ndarray) -> np.ndarray:
-        """F_h at every interior node: the policy matrix at u_flat applied to it."""
-        return self.policy_matrix(u_flat) @ u_flat
-
     def residual(self, u_flat: np.ndarray) -> np.ndarray:
-        return self.operator_values(u_flat) - self.c_vec * u_flat[self.interior] - self.f_vec
+        """F_h(u) - c u - f at every interior node."""
+        return self.policy_matrix(u_flat) @ u_flat - self.c_vec * u_flat[self.interior] - self.f_vec
 
 
 def manufactured_rhs(
@@ -353,7 +353,7 @@ def solve(
         method="bicgstab" if spec.kind == "trace" else "policy",
         assembly_s=assembly_s,
         solve_s=solve_s,
-        nnz=sum(a.nnz for a in [*op.diag_ops, *op.cross_ops.values()]),
+        nnz=sum(s.nnz for s in op.stencils),
         outer_iterations=outer,
         residual_history=history,
     )

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, UnsupportedOperationError
-from .fields import SmoothField, _check_terms, _poly_value
+from .fields import _check_terms, _poly_value
 from .symmat import symmetrize
 
 
@@ -76,30 +76,6 @@ def group_mul(s: CarnotStructure, x, y) -> np.ndarray:
     if s.group_law is None:
         raise UnsupportedOperationError(f"structure {s.name!r} has no group law")
     return np.asarray(s.group_law(as_point(x, s.n), as_point(y, s.n)), dtype=float)
-
-
-def engel_trace_operator(s: CarnotStructure, u: SmoothField, x) -> tuple[float, float]:
-    """Evaluate Tr(sigma D^2u sigma^T) on the Engel structure two ways.
-
-    Returns (matrix_route, field_route) where the second value is
-    X1^2 u + X2^2 u - x2 * du/dx4, each squared field expanded through its
-    first-order part. The two must agree.
-    """
-    if s.name != "engel1":
-        raise UnsupportedOperationError("engel_trace_operator requires the engel1 preset")
-    p = as_point(x, 4)
-    h = u.hessian(p[None, :])[0]
-    g = u.gradient(p[None, :])[0]
-    mat = sigma_at(s, p)
-    matrix_route = float(np.trace(mat @ h @ mat.T))
-    v1 = mat[0]
-    v2 = mat[1]
-    # X1 = (1, 0, -x2, -x3) has Jacobian J with J[2,1] = J[3,2] = -1, so the
-    # first-order part of X1^2 is (J v1) . grad = x2 * du/dx4; X2 is constant.
-    x1_sq = float(v1 @ h @ v1) + p[1] * g[3]
-    x2_sq = float(v2 @ h @ v2)
-    field_route = x1_sq + x2_sq - p[1] * g[3]
-    return matrix_route, field_route
 
 
 def lipschitz_sigma_estimate(

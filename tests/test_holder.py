@@ -401,6 +401,27 @@ class TestSeminorm:
             holder_seminorm(u, 0.0)
 
 
+class TestNonFiniteValues:
+    # unchecked, one non-finite node gives numpy's empty-reduction error in the
+    # binning or a nan statistic instead of naming the bad input
+    @pytest.mark.parametrize("shape", [(9, 9), (17, 17, 17)])  # exhaustive, stratified
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_by_every_statistic(self, shape, bad):
+        n = len(shape)
+        grid = Grid((-1.0,) * n, (1.0,) * n, shape)
+        assert (grid.num_nodes > ALL_PAIRS_NODE_CAP) == (n == 3)
+        u = from_callable(grid, lambda X: X[:, 0] ** 2)
+        u.values[(4,) * n] = bad
+        for stat in (
+            binned_increments,
+            fit_alpha,
+            partial(holder_seminorm, alpha=0.5),
+            partial(max_quotient_violation, alpha=0.5, L=1.0),
+        ):
+            with pytest.raises(ValueError, match="grid function has a non-finite value"):
+                stat(u)
+
+
 class TestFitAlpha:
     def test_linear_profile(self):
         u = from_callable(LINE, lambda X: X[:, 0])

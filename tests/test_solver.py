@@ -175,13 +175,13 @@ def residual_at(op, u, nodes):
 
 
 def directional_value(u, x, v, h_eff):
-    """The diag_ops row at node x of the one-field frame v, applied to u."""
+    """The stencil row at node x of the one-field frame v, applied to u."""
     grid = u.grid
     v = np.asarray(v, dtype=float)
     frame = CarnotStructure("row", grid.n, 1, sigma=lambda X: np.tile(v, (len(X), 1, 1)))
     op = DiscreteOperator(trace_operator(frame), constant_coeffs(grid.n), grid, h_eff=h_eff)
     row = int(np.flatnonzero(np.abs(op.coords - x).max(axis=1) <= 1e-12)[0])
-    return float((op.diag_ops[0] @ u.flat)[row])
+    return float((op.stencils[0] @ u.flat)[row])
 
 
 class TestDirectionalDifference:
@@ -398,12 +398,11 @@ class TestDiscreteOperator:
         if kind == "trace":
             spec = trace_operator(spec.structure)
         op = DiscreteOperator(spec, coeffs, grid)
-        stencils = [*op.diag_ops, *op.cross_ops.values()]
-        assert len(op.cross_ops) == (kind != "trace")  # m = 2: one cross pair
-        for mat in [*stencils, op.trace_matrix()]:
+        assert len(op.pairs) == len(op.stencils) == (2 if kind == "trace" else 3)  # m = 2
+        for mat in [*op.stencils, op.trace_matrix()]:
             assert np.all(mat.data != 0.0)
         _, rep = solve(spec, coeffs, grid, cfg)
-        assert rep.nnz == sum(np.count_nonzero(mat.data) for mat in stencils)
+        assert rep.nnz == sum(np.count_nonzero(mat.data) for mat in op.stencils)
 
     def test_default_stencil_width(self):
         assert default_h_eff_cells(0.25) == 2
@@ -671,7 +670,7 @@ class TestSolve:
         for u_flat in (u.flat, rng.normal(size=grid.num_nodes)):
             closed = g_values(spec, op.frame_matrices(u_flat))
             scale = max(1.0, float(np.abs(closed).max()))
-            assert np.abs(op.operator_values(u_flat) - closed).max() <= 1e-12 * scale
+            assert np.abs(op.policy_matrix(u_flat) @ u_flat - closed).max() <= 1e-12 * scale
 
     def test_two_box_sensitivity_finite(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance(shape=(9, 9, 9))
@@ -715,7 +714,7 @@ class TestSolve:
         assert 0.0 < payload["solve_s"]
         assert payload["assembly_s"] + payload["solve_s"] <= payload["wall_time_s"]
         op = DiscreteOperator(spec, coeffs, grid)
-        assert payload["nnz"] == sum(a.nnz for a in op.diag_ops) > 0
+        assert payload["nnz"] == sum(a.nnz for a in op.stencils) > 0
         assert payload["outer_iterations"] == 1
         history = payload["residual_history"]
         assert len(history) == 2 and history[0] > cfg.tol >= history[1]

@@ -10,18 +10,15 @@ from numpy.testing import assert_allclose
 
 from _jacobi import eigh
 from carnotpde import (
-    engel_trace_operator,
     group_mul,
     lipschitz_sigma_estimate,
     p_matrix_at,
-    polynomial_field,
     preset,
     sigma_at,
     structure_from_json,
     trace_p,
 )
 from carnotpde.errors import NumericalError, UnsupportedOperationError
-from carnotpde.fields import constant_field
 from carnotpde.structures import frames
 
 
@@ -172,45 +169,6 @@ class TestGroupLaw:
     def test_no_group_law(self):
         with pytest.raises(UnsupportedOperationError):
             group_mul(preset("line2d"), [0, 0], [1, 1])
-
-
-class TestEngelTraceOperator:
-    def test_quadratic_horizontal(self):
-        u = polynomial_field([[1.0, 2, 0, 0, 0]], 4)  # x1^2
-        via_matrix, via_fields = engel_trace_operator(preset("engel1"), u, [0, 0, 0, 0])
-        assert via_matrix == pytest.approx(2.0, abs=1e-13)
-        assert via_fields == pytest.approx(2.0, abs=1e-13)
-
-    def test_vertical_coordinate_routes_agree(self):
-        # for u = x4 the Hessian vanishes, so the frame trace is zero even
-        # though X1^2 u = x2 on its own
-        u = polynomial_field([[1.0, 0, 0, 0, 1]], 4)
-        via_matrix, via_fields = engel_trace_operator(preset("engel1"), u, [1.0, 2.0, 3.0, 4.0])
-        assert via_matrix == pytest.approx(0.0, abs=1e-13)
-        assert via_fields == pytest.approx(via_matrix, abs=1e-13)
-
-    def test_constant(self):
-        u = constant_field(9.0, 4)
-        via_matrix, via_fields = engel_trace_operator(preset("engel1"), u, [1, 1, 1, 1])
-        assert via_matrix == 0.0 and via_fields == 0.0
-
-    def test_routes_agree_on_random_polynomials(self):
-        rng = np.random.default_rng(5)
-        e = preset("engel1")
-        for _ in range(30):
-            terms = []
-            for _ in range(5):
-                exps = rng.integers(0, 3, size=4)
-                terms.append([float(rng.normal())] + list(map(int, exps)))
-            u = polynomial_field(terms, 4)
-            x = rng.uniform(-2, 2, size=4)
-            via_matrix, via_fields = engel_trace_operator(e, u, x)
-            assert via_matrix == pytest.approx(via_fields, rel=1e-10, abs=1e-10)
-
-    def test_wrong_structure(self):
-        u = constant_field(0.0, 3)
-        with pytest.raises(UnsupportedOperationError):
-            engel_trace_operator(preset("heisenberg1"), u, [0, 0, 0])
 
 
 class TestLipschitzEstimate:
