@@ -27,6 +27,12 @@ f - (L_A u - c u) once, and runs one Jacobi-preconditioned BiCGSTAB cycle
 Krylov restart is simply the next step. The trace kind's policy is the
 identity, so each of its steps reuses the one trace matrix.
 
+Each step is inexact (an inexact-Newton forcing term, Dembo-Eisenstat-Steihaug
+1982): its cycle stops at max(tol, FORCING * r0), with r0 the max residual at
+the start of the step, since the next step's policy discards most of any
+further accuracy. Only the outer loop checks tol, so every solve still ends on
+max|F_h(u) - c u - f| <= tol. The same rule holds for every kind.
+
 Frames, coefficients and Dirichlet data are evaluated once per solve on the
 (N, n) array of the nodes that need them, so c, f and the boundary callable
 map (N, n) points to (N,) values.
@@ -47,6 +53,7 @@ from .operators import Coefficients, OperatorSpec, frame_hessians, g_values, pol
 from .structures import frames
 
 _ARM_EPS = 1e-12
+FORCING = 1e-2  # a cycle stops at max(tol, FORCING * its policy step's starting residual)
 
 
 def default_h_eff_cells(h: float) -> int:
@@ -233,10 +240,12 @@ class DiscreteOperator:
         if not np.isfinite(mats).all():
             raise NumericalError("frame Hessian is not finite: non-finite data or iterate")
         pol = policies(self.spec, mats)
-        terms = [
-            sp.diags((1 + (i != j)) * pol[:, i, j]) @ s  # tr(A M) counts i != j twice
-            for (i, j), s in zip(self.pairs, self.stencils)
-        ]
+        terms = []
+        for (i, j), s in zip(self.pairs, self.stencils):
+            w = (1 + (i != j)) * pol[:, i, j]  # tr(A M) counts i != j twice
+            # diag(w) @ s: scale each row's entries and share s's index arrays
+            data = s.data * np.repeat(w, np.diff(s.indptr))
+            terms.append(sp.csr_matrix((data, s.indices, s.indptr), shape=s.shape))
         return sum(terms[1:], terms[0]).tocsr()
 
     def frame_matrices(self, u_flat: np.ndarray) -> np.ndarray:
@@ -267,14 +276,20 @@ def manufactured_rhs(
 
 
 def _bicgstab(
-    op: DiscreteOperator, lin, r: np.ndarray, u_flat: np.ndarray, cfg: SolveConfig, iterations: int
+    op: DiscreteOperator,
+    lin,
+    r: np.ndarray,
+    u_flat: np.ndarray,
+    stop: float,
+    max_iters: int,
+    iterations: int,
 ):
     """One Jacobi-preconditioned BiCGSTAB cycle on lin[:, interior] - diag(c), in place on u_flat.
 
     The cycle starts from the residual r = f - (lin u - c u), which is also its
-    shadow residual, and ends on breakdown, when the recurred residual meets
-    tol, or at cfg.max_iters. Returns the Krylov step count, continued from
-    ``iterations``.
+    shadow residual, and ends on breakdown, when the max of the recurred
+    residual meets ``stop`` (solve passes max(tol, FORCING * max|r|)), or at
+    max_iters. Returns the Krylov step count, continued from ``iterations``.
     """
     interior, pad = op.interior, np.zeros_like(u_flat)
     inv_diag = 1.0 / (np.asarray(lin[np.arange(interior.size), interior]).ravel() - op.c_vec)
@@ -287,7 +302,7 @@ def _bicgstab(
         return float(np.sum(a * b))
 
     rhat, rho, alpha, omega, p, v = r, 1.0, 1.0, 1.0, 0.0, 0.0
-    while iterations < cfg.max_iters:
+    while iterations < max_iters:
         iterations += 1
         rho, rho_old = dot(rhat, r), rho
         p = r + (rho / rho_old) * (alpha / omega) * (p - omega * v)
@@ -304,7 +319,7 @@ def _bicgstab(
         omega = dot(t, s) / tt if tt > 0.0 else 0.0
         u_flat[interior] += alpha * phat + omega * shat
         r = s - omega * t
-        if omega == 0.0 or not np.abs(r).max() > cfg.tol:
+        if omega == 0.0 or not np.abs(r).max() > stop:
             break
     return iterations
 
@@ -317,10 +332,11 @@ def solve(
     Howard policy iteration: each step builds the policy matrix L_A at the
     current u (op.policy_matrix), records max|f - (L_A u - c u)| and, unless
     that meets tol or cfg.max_iters Krylov steps are spent, runs one BiCGSTAB
-    cycle on L_A's system. A Krylov restart is the next step, so the report's
-    outer_iterations counts the cycles. Non-convergence within cfg.max_iters
-    is reported, not raised; NaN or Inf in the data or the iterates raises
-    NumericalError.
+    cycle on L_A's system. Each cycle stops at max(tol, FORCING * r0), with r0
+    that recorded residual; only this loop checks tol. A Krylov restart is the
+    next step, so the report's outer_iterations counts the cycles.
+    Non-convergence within cfg.max_iters is reported, not raised; NaN or Inf
+    in the data or the iterates raises NumericalError.
     """
     t0 = time.perf_counter()
     h_eff = None if cfg.h_eff_cells is None else cfg.h_eff_cells * grid.h
@@ -342,7 +358,8 @@ def solve(
             raise NumericalError(f"solve diverged by Krylov step {iterations}")
         if history[-1] <= cfg.tol or iterations >= cfg.max_iters:
             break
-        iterations = _bicgstab(op, lin, r, u_flat, cfg, iterations)
+        stop = max(cfg.tol, FORCING * history[-1])
+        iterations = _bicgstab(op, lin, r, u_flat, stop, cfg.max_iters, iterations)
         outer += 1
     solve_s = time.perf_counter() - t1
     report = SolveReport(
@@ -372,9 +389,13 @@ def two_box_sensitivity(
 
     The half-window is the set of nodes within a quarter extent of the box
     center on every axis. Both solves share spacing, so compared nodes match.
+    Raises ValueError when pad_cells < 1, which would compare a solve with
+    itself or with a smaller box.
     """
     if pad_cells is None:
         pad_cells = max(2, (min(grid.shape) - 1) // 4)
+    if pad_cells < 1:
+        raise ValueError("pad_cells must be >= 1")
     h = grid.h
     big = Grid(
         tuple(l - pad_cells * h for l in grid.lo),

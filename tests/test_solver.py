@@ -30,9 +30,10 @@ from carnotpde import (
     trace_p,
     two_box_sensitivity,
 )
+from carnotpde import solver as solver_module
 from carnotpde.errors import NumericalError
 from carnotpde.grids import interpolate
-from carnotpde.operators import g_values
+from carnotpde.operators import g_values, policies
 from carnotpde.solver import default_h_eff_cells
 from carnotpde.structures import frames
 
@@ -672,6 +673,39 @@ class TestSolve:
             scale = max(1.0, float(np.abs(closed).max()))
             assert np.abs(op.policy_matrix(u_flat) @ u_flat - closed).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+    @pytest.mark.parametrize("structure, c_value, shape", POLICY_CASES)
+    def test_policy_matrix_matches_diagonal_products(self, kind, structure, c_value, shape):
+        # the row-scaled terms hold the very entries of sum_k diag(w_k) @ S_k
+        spec, coeffs, grid, _, _ = pucci_instance(kind, preset(structure), c_value, shape)
+        op = DiscreteOperator(spec, coeffs, grid)
+        u_flat = np.random.default_rng(11).normal(size=grid.num_nodes)
+        pol = policies(spec, op.frame_matrices(u_flat))
+        old = sum(
+            sp.diags((1 + (i != j)) * pol[:, i, j]) @ s for (i, j), s in zip(op.pairs, op.stencils)
+        )
+        assert (op.policy_matrix(u_flat) != old).nnz == 0
+
+    def test_forcing_term_saves_krylov_steps(self, monkeypatch):
+        # planar extremal instance u* = x1^4 + x2^2 on 64^2: inexact policy
+        # steps meet the same tol with fewer Krylov steps than exact ones
+        spec = pucci_operator(EUC2, 1.0, 2.0, plus=True)
+        ustar = polynomial_field([[1.0, 4, 0], [1.0, 0, 2]], 2)
+        c = constant_field(1.0, 2).value
+        coeffs = Coefficients(
+            c=c, f=manufactured_rhs(spec, c, ustar), L_c=0.0, beta=1.0, L_f=5.0,
+            beta_prime=1.0, c0=1.0,
+        )
+        grid = Grid((-1, -1), (1, 1), (64, 64))
+        cfg = SolveConfig(boundary=ustar.value)
+        u, rep = solve(spec, coeffs, grid, cfg)
+        monkeypatch.setattr(solver_module, "FORCING", 0.0)
+        u_exact, rep_exact = solve(spec, coeffs, grid, cfg)
+        assert rep.converged and rep_exact.converged
+        assert max(rep.final_residual, rep_exact.final_residual) <= cfg.tol
+        assert rep.iterations < rep_exact.iterations
+        assert np.abs(u.values - u_exact.values).max() <= 2.0 * cfg.tol / coeffs.c0
+
     def test_two_box_sensitivity_finite(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance(shape=(9, 9, 9))
         gap = two_box_sensitivity(spec, coeffs, grid, cfg, pad_cells=2)
@@ -715,7 +749,16 @@ class TestSolve:
         assert payload["assembly_s"] + payload["solve_s"] <= payload["wall_time_s"]
         op = DiscreteOperator(spec, coeffs, grid)
         assert payload["nnz"] == sum(a.nnz for a in op.stencils) > 0
-        assert payload["outer_iterations"] == 1
+        # each policy step's cycle stops at its forcing level, so the trace
+        # kind may take several steps too; only the last meets tol
         history = payload["residual_history"]
-        assert len(history) == 2 and history[0] > cfg.tol >= history[1]
-        assert history[1] == payload["final_residual"]
+        assert len(history) == payload["outer_iterations"] + 1
+        assert history[0] > cfg.tol >= history[-1] == payload["final_residual"]
+        assert 1 <= payload["outer_iterations"] <= payload["iterations"]
+
+    @pytest.mark.parametrize("pad", [0, -1])
+    def test_two_box_sensitivity_rejects_pad_below_one(self, pad):
+        # 0 compares a solve with itself, -1 with a smaller box
+        spec, coeffs, grid, cfg, _ = pucci_instance("pucci_plus", shape=(9, 9))
+        with pytest.raises(ValueError, match="pad_cells must be >= 1"):
+            two_box_sensitivity(spec, coeffs, grid, cfg, pad_cells=pad)
