@@ -294,9 +294,12 @@ def cmd_growth_check(args) -> int:
     setup = build_setup(raw, need_solve=False)
     g = raw["growth"]
     seed = args.seed if args.seed is not None else setup.seed
-    margins = doubling.growth_condition_margin(
-        setup.structure, float(g["c0"]), float(g["Lambda"]), g["radii"], seed=seed
-    )
+    try:
+        margins = doubling.growth_condition_margin(
+            setup.structure, float(g["c0"]), float(g["Lambda"]), g["radii"], seed=seed
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad growth section: {exc}") from exc
     asym = doubling.growth_margin_asymptotic(setup.structure, float(g["c0"]), float(g["Lambda"]))
     satisfied = doubling.growth_satisfied(asym, margins)
     _write_json(

@@ -159,14 +159,10 @@ def build_setup(raw: dict, need_solve: bool) -> RunSetup:
             return RunSetup(structure, None, None, None, None, None, eta, seed, raw)
 
         op_desc = raw.get("operator", {"kind": "trace"})
-        kind = op_desc["kind"]
-        if kind == "trace":
-            bounds = EllipticityBounds(1.0, 1.0)
-        else:
-            bounds = EllipticityBounds(
-                float(op_desc.get("lambda", 1.0)), float(op_desc.get("Lambda", 1.0))
-            )
-        spec = OperatorSpec(kind, bounds, structure)
+        bounds = EllipticityBounds(
+            float(op_desc.get("lambda", 1.0)), float(op_desc.get("Lambda", 1.0))
+        )
+        spec = OperatorSpec(op_desc["kind"], bounds, structure)
 
         grid_desc = raw.get("grid")
         if grid_desc is None:

@@ -43,6 +43,8 @@ def _check_terms(terms: Sequence[Sequence[float]], n: int) -> list[tuple[float, 
         if len(term) != n + 1:
             raise ValueError(f"each term needs 1 coefficient + {n} exponents, got {term}")
         coeff = float(term[0])
+        if any(e != int(e) for e in term[1:]):
+            raise ValueError(f"non-integral exponent in term {term}")
         exps = tuple(int(e) for e in term[1:])
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in term {term}")

@@ -322,8 +322,9 @@ def verify_theorem(
     """Hypothesis checks plus fitted Holder modulus for a converged solution.
 
     The growth condition uses the preset's analytic asymptotic margin when one
-    exists; otherwise it samples expanding spheres inside the working box and
-    the report is flagged box-local.
+    exists; otherwise it samples the sphere of the largest of growth_radii, or
+    of the box half-width when none are given, and the report is flagged
+    box-local.
     """
     if not solve_report.converged:
         raise PreconditionError("verify_theorem requires a converged solve")
@@ -335,9 +336,10 @@ def verify_theorem(
     margins = None
     if asym is None:
         if growth_radii is None:
-            r_max = min((hi - lo) / 2.0 for lo, hi in box)
-            growth_radii = list(np.geomspace(r_max / 8.0, r_max, 6))
-        margins = growth_condition_margin(s, bundle.c0, bundle.Lambda, growth_radii, seed=seed)
+            radius = min((hi - lo) / 2.0 for lo, hi in box)
+        else:
+            radius = max(growth_radii)
+        margins = growth_condition_margin(s, bundle.c0, bundle.Lambda, [radius], seed=seed)
 
     verdicts = {
         "lipschitz_sigma": bool(np.isfinite(lip)),

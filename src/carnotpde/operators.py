@@ -115,10 +115,8 @@ def policies(spec: OperatorSpec, mats: np.ndarray) -> np.ndarray:
 
 
 def g_values(spec: OperatorSpec, mats: np.ndarray) -> np.ndarray:
-    """G on a stack of symmetric matrices (..., d, d), shape (...): the trace,
-    or tr(A M) for the attaining A of ``policies``."""
-    if spec.kind == "trace":
-        return np.trace(mats, axis1=-2, axis2=-1)
+    """G on a stack of symmetric matrices (..., d, d), shape (...): tr(A M) for
+    the attaining A of ``policies``, which is the trace for the trace kind."""
     return np.einsum("...ij,...ji->...", policies(spec, mats), mats)
 
 
@@ -171,10 +169,26 @@ def _random_symmetric(rng, count: int, dim: int) -> np.ndarray:
     return (x + np.transpose(x, (0, 2, 1))) / 2.0
 
 
+def _verdict(
+    name: str, slack: np.ndarray, tol: np.ndarray, draws: tuple, seed: int
+) -> PropertyReport:
+    """The report of a check whose trial k fails when slack[k] > tol[k]; the
+    witness is the draws of the trial with the largest slack, if any failed."""
+    bad = slack > tol
+    worst = int(np.argmax(slack))
+    return PropertyReport(
+        name=name,
+        trials=slack.size,
+        violations=int(bad.sum()),
+        worst_slack=float(slack.max()),
+        witness=tuple(d[worst] for d in draws) if bad.any() else None,
+        seed=seed,
+    )
+
+
 def sandwich_check(spec: OperatorSpec, trials: int, seed: int = 0) -> PropertyReport:
     """Draw ordered m x m pairs B <= A and verify lam*Tr(A-B) <= G(A)-G(B) <= Lam*Tr(A-B).
 
-    For the trace kind the bracket is taken with lambda = Lambda = 1.
     Tolerance is 1e-9 relative to the trial scale.
     """
     if trials < 1:
@@ -192,21 +206,8 @@ def sandwich_check(spec: OperatorSpec, trials: int, seed: int = 0) -> PropertyRe
     diff = ga - gb
     scale = np.maximum(1.0, np.maximum(np.abs(ga), np.abs(gb)))
     scale = np.maximum(scale, Lam * np.abs(gap))
-    tol = 1e-9 * scale
-    low_slack = lam * gap - diff
-    high_slack = diff - Lam * gap
-    slack = np.maximum(low_slack, high_slack)
-    bad = slack > tol
-    worst = int(np.argmax(slack))
-    witness = (a[worst], b[worst]) if bad.any() else None
-    return PropertyReport(
-        name=f"sandwich[{spec.kind}]",
-        trials=trials,
-        violations=int(bad.sum()),
-        worst_slack=float(slack.max()),
-        witness=witness,
-        seed=seed,
-    )
+    slack = np.maximum(lam * gap - diff, diff - Lam * gap)
+    return _verdict(f"sandwich[{spec.kind}]", slack, 1e-9 * scale, (a, b), seed)
 
 
 def degenerate_ellipticity_check(
@@ -225,15 +226,5 @@ def degenerate_ellipticity_check(
     fm = g_values(spec, frame_hessians(spec, X, m_mats))
     fn = g_values(spec, frame_hessians(spec, X, n_mats))
     scale = np.maximum(1.0, np.maximum(np.abs(fm), np.abs(fn)))
-    slack = fm - fn
-    bad = slack > 1e-9 * scale
-    worst = int(np.argmax(slack))
-    witness = (m_mats[worst], n_mats[worst]) if bad.any() else None
-    return PropertyReport(
-        name=f"degenerate_ellipticity[{spec.kind}]",
-        trials=trials,
-        violations=int(bad.sum()),
-        worst_slack=float(slack.max()),
-        witness=witness,
-        seed=seed,
-    )
+    name = f"degenerate_ellipticity[{spec.kind}]"
+    return _verdict(name, fm - fn, 1e-9 * scale, (m_mats, n_mats), seed)

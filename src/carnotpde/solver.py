@@ -9,23 +9,23 @@ are recovered by polarization along X_i +/- X_j, so the frame Hessian M_h(u)
 is linear in u and F_h(u) = sup (pucci_plus) or inf (pucci_minus) of
 tr(A M_h(u)) over A with spectrum in [lambda, Lambda].
 
-The trace matrix and every directional stencil are monotone: no off-centre
+The trace kind's L_A and every directional stencil are monotone: no off-centre
 weight is negative. The polarization cross term (A_ij/2)(D+ - D-) of the
 Pucci kinds is not, since D- enters with a negative weight, so raising u at
 one node can lower F_h at another, and Howard's convergence on those kinds
 is observed rather than guaranteed.
 
 The solver sees the scheme only through DiscreteOperator.policy_matrix: the
-sparse L_A of the policy A that attains F_h at u, so that L_A u = F_h(u). The
-policy is operators.policies of the frame Hessians M_h(u), the same rule
-that evaluates the continuous G (closed form for m <= 2, LAPACK's eigh
-above). Every
-kind is solved by Howard policy iteration (Bokanowski-Maroso-Zidani 2009):
-each step takes the policy at the current u, measures the residual
+sparse L_A of the policy A that attains F_h at u, so that L_A u = F_h(u) =
+tr(A M_h(u)) for every kind. The policy is operators.policies of the frame
+Hessians M_h(u), the same rule that evaluates the continuous G: the identity
+for the trace kind, whose L_A is then the one sum of its stencils, and for
+the Pucci kinds a closed form for m <= 2 and LAPACK's eigh above. Every kind
+is solved by Howard policy iteration (Bokanowski-Maroso-Zidani 2009): each
+step takes the policy at the current u, measures the residual
 f - (L_A u - c u) once, and runs one Jacobi-preconditioned BiCGSTAB cycle
 (van der Vorst 1992) on L_A u - c u = f in the interior values from it. A
-Krylov restart is simply the next step. The trace kind's policy is the
-identity, so each of its steps reuses the one trace matrix.
+Krylov restart is simply the next step.
 
 Each step is inexact (an inexact-Newton forcing term, Dembo-Eisenstat-Steihaug
 1982): its cycle stops at max(tol, FORCING * r0), with r0 the max residual at
@@ -88,7 +88,6 @@ class SolveReport:
     final_residual: float
     converged: bool
     wall_time_s: float
-    method: str  # "bicgstab" (trace kind) or "policy" (Pucci kinds)
     assembly_s: float
     solve_s: float  # the policy and Krylov loop alone; assembly_s + solve_s <= wall_time_s
     nnz: int  # nonzero weights of DiscreteOperator.stencils, one matrix per frame-Hessian entry
@@ -96,7 +95,7 @@ class SolveReport:
     residual_history: list  # max residual at the start of each policy step and at the end
 
     def to_dict(self) -> dict:
-        return {"schema_version": 2, **asdict(self)}
+        return {"schema_version": 3, **asdict(self)}
 
 
 class DiscreteOperator:
@@ -218,22 +217,19 @@ class DiscreteOperator:
         w_m *= (scale * cm)[:, None]
         return idx_p, w_p, idx_m, w_m
 
-    def trace_matrix(self):
-        if self._trace_matrix is None:
-            diag = self.stencils[: self.spec.structure.m]
-            self._trace_matrix = sum(diag[1:], diag[0]).tocsr()
-        return self._trace_matrix
-
     def policy_matrix(self, u_flat: np.ndarray):
         """The sparse L_A with L_A @ v = tr(A M_h(v)) for the policy A that
         attains F_h at u_flat, so L_A @ u_flat = F_h(u_flat).
 
-        Per node A is operators.policies of the frame Hessian M_h(u); the
-        trace kind's policy is the identity. Raises NumericalError when a
-        frame Hessian is not finite.
+        Per node A is operators.policies of the frame Hessian M_h(u). The
+        trace kind's policy is the identity, so its L_A is the sum of its
+        stencils whatever u_flat is, built on first use and then reused.
+        Raises NumericalError when a Pucci frame Hessian is not finite.
         """
         if self.spec.kind == "trace":
-            return self.trace_matrix()
+            if self._trace_matrix is None:
+                self._trace_matrix = sum(self.stencils[1:], self.stencils[0]).tocsr()
+            return self._trace_matrix
         import scipy.sparse as sp
 
         mats = self.frame_matrices(u_flat)
@@ -367,7 +363,6 @@ def solve(
         final_residual=history[-1],
         converged=history[-1] <= cfg.tol,
         wall_time_s=time.perf_counter() - t0,
-        method="bicgstab" if spec.kind == "trace" else "policy",
         assembly_s=assembly_s,
         solve_s=solve_s,
         nnz=sum(s.nnz for s in op.stencils),

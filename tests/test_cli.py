@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
@@ -123,10 +124,9 @@ class TestSolveCommand:
         assert code == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["converged"] is True
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert "dt" not in report and "cfl_bound" not in report
         assert report["final_residual"] <= 1e-6
-        assert report["method"] == "bicgstab"
         assert report["nnz"] > 0 and report["assembly_s"] > 0.0
         history = report["residual_history"]
         assert len(history) == report["outer_iterations"] + 1
@@ -294,6 +294,47 @@ class TestSolveCommand:
         path.write_text(json.dumps(config))
         assert run("solve", "--config", str(path), "--out", str(tmp_path)) == 2
 
+    def test_fractional_exponent_is_config_error(self, tmp_path, capsys):
+        # int() would truncate x1^2.5 to x1^2 and solve for that instead
+        config = json.loads((CONFIGS / "line2d.json").read_text())
+        config["manufactured_solution"] = {"terms": [[1, 2.5, 0]]}
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(config))
+        assert run("solve", "--config", str(path), "--out", str(tmp_path)) == 2
+        assert "non-integral exponent" in capsys.readouterr().err
+        assert not (tmp_path / "solve_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "bounds, code",
+        [({"lambda": 1.0, "Lambda": 1.0}, 0), ({"Lambda": 2.0}, 2), ({"lambda": 0.5}, 2)],
+    )
+    def test_trace_kind_takes_unit_bounds_only(self, tmp_path, capsys, bounds, code):
+        # the trace kind is lambda = Lambda = 1; other bounds are no longer ignored
+        config = json.loads((CONFIGS / "line2d.json").read_text())
+        config["operator"].update(bounds)
+        config["grid"]["shape"] = [9, 9]
+        path = tmp_path / "trace_bounds.json"
+        path.write_text(json.dumps(config))
+        assert run("solve", "--config", str(path), "--out", str(tmp_path)) == code
+        if code == 2:
+            assert "trace kind uses lambda = Lambda = 1" in capsys.readouterr().err
+
+    def test_missing_grid_is_config_error(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "line2d.json").read_text())
+        del config["grid"]
+        path = tmp_path / "no_grid.json"
+        path.write_text(json.dumps(config))
+        assert run("solve", "--config", str(path), "--out", str(tmp_path)) == 2
+        assert "a grid section is required" in capsys.readouterr().err
+
+    def test_box_axis_count_must_match_structure(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "line2d.json").read_text())
+        config["grid"] = {"box": [[-1, 1]] * 3, "shape": [9, 9, 9]}
+        path = tmp_path / "three_axes.json"
+        path.write_text(json.dumps(config))
+        assert run("solve", "--config", str(path), "--out", str(tmp_path)) == 2
+        assert "grid box has 3 axes but the structure lives in dimension 2" in capsys.readouterr().err
+
     def test_non_convergence_exit(self, tmp_path):
         config = json.loads((CONFIGS / "heisenberg_verify_lowc.json").read_text())
         config["solver"]["max_iters"] = 2
@@ -310,6 +351,37 @@ class TestSolveCommand:
         assert run("solve", "--config", str(path), "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert 0.0 <= report["two_box_gap"] < 1.0
+
+
+class TestBuildSetup:
+    """Config fields whose defaults and alternatives the bundled configs do not reach."""
+
+    @staticmethod
+    def setup(**changes):
+        config = json.loads((CONFIGS / "line2d.json").read_text())
+        for section, value in changes.items():
+            config[section].update(value)
+        return build_setup(config, need_solve=True)
+
+    def test_default_c0_is_the_minimum_of_c_over_the_grid(self):
+        config = json.loads((CONFIGS / "line2d.json").read_text())
+        del config["coefficients"]["c0"]
+        config["coefficients"]["c"] = {"terms": [[2, 0, 0], [1, 2, 0]]}
+        setup = build_setup(config, need_solve=True)
+        assert setup.coeffs.c0 == 2.0  # 2 + x1^2 at the nodes with x1 = 0
+
+    def test_polynomial_f(self):
+        setup = self.setup(coefficients={"f": {"terms": [[3, 1, 0]]}})
+        X = np.array([[0.5, -1.0], [-1.0, 0.25]])
+        assert setup.coeffs.f(X).tolist() == [1.5, -3.0]
+
+    @pytest.mark.parametrize(
+        "boundary, expected", [("zero", [0.0, 0.0]), ({"terms": [[2, 0, 1]]}, [-2.0, 0.5])]
+    )
+    def test_boundary_data(self, boundary, expected):
+        setup = self.setup(solver={"boundary": boundary})
+        X = np.array([[0.5, -1.0], [-1.0, 0.25]])
+        assert setup.solve_cfg.boundary(X).tolist() == expected
 
 
 class TestVerifyCommand:
@@ -341,6 +413,33 @@ class TestVerifyCommand:
         assert code == 4
         report = json.loads((tmp_path / "holder_report.json").read_text())
         assert report["hypothesis_verdicts"]["growth_condition"] is False
+
+    def test_non_convergent_solve_exits_3(self, tmp_path, capsys):
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        config["solver"]["max_iters"] = 1
+        config["grid"]["shape"] = [9, 9, 9]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == 3
+        assert "verify: solve did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "holder_report.json").exists()
+
+    @pytest.mark.parametrize("radii, code", [([], 2), ([1.0, 0.25], 0), ([0.25, 1.0], 0)])
+    def test_growth_radii(self, tmp_path, capsys, radii, code):
+        # an empty list is a schema violation; otherwise only the largest
+        # radius is sampled, so the order does not matter
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        config["structure"] = HEISENBERG_AS_JSON
+        config["grid"]["shape"] = [9, 9, 9]
+        config["analysis"] = {"growth_radii": radii}
+        path = tmp_path / "radii.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == code
+        if code == 2:
+            assert "analysis.growth_radii: [] is too short" in capsys.readouterr().err
+        else:
+            report = json.loads((tmp_path / "holder_report.json").read_text())
+            assert report["hypothesis_verdicts"]["growth_condition"] is True
 
     def test_json_frame_named_like_a_preset_is_box_local(self, tmp_path):
         # the Heisenberg frame loaded from JSON gets no analytic growth answer
@@ -499,6 +598,24 @@ class TestGeometryCommands:
         report = json.loads((tmp_path / "growth_report.json").read_text())
         assert report["asymptotic_margin"] is None and report["box_local"] is True
         assert report["margins"][-1] == pytest.approx(8.5)
+
+    def test_growth_check_requires_section(self, tmp_path, capsys):
+        config = tmp_path / "nogrowth.json"
+        config.write_text(json.dumps({"structure": "heisenberg1"}))
+        assert run("growth-check", "--config", str(config), "--out", str(tmp_path)) == 2
+        assert "growth-check needs a 'growth' section" in capsys.readouterr().err
+
+    def test_growth_check_decreasing_radii_are_config_error(self, tmp_path, capsys):
+        config = tmp_path / "growth.json"
+        config.write_text(
+            json.dumps(
+                {"structure": "heisenberg1", "growth": {"c0": 1, "Lambda": 1, "radii": [4, 2, 1]}}
+            )
+        )
+        assert run("growth-check", "--config", str(config), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "bad growth section: radii must be positive and increasing" in err
+        assert not (tmp_path / "growth_report.json").exists()
 
     def test_cc_requires_section(self, tmp_path):
         config = tmp_path / "nocc.json"

@@ -53,6 +53,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((0.0,), (1.0,), (2,))
 
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="agree in length"):
+            Grid((0.0, 0.0), (1.0, 1.0), (5,))
+
+    def test_zero_extent_rejected(self):
+        with pytest.raises(ValueError, match="positive extent"):
+            Grid((0.0, 1.0), (1.0, 1.0), (5, 5))
+
     @pytest.mark.parametrize(
         "lo, hi, shape",
         [

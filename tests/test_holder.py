@@ -519,6 +519,13 @@ class TestVerifyTheorem:
         with pytest.raises(PreconditionError):
             verify_theorem(spec, coeffs, u, bundle, broken)
 
+    def test_constant_solution_has_no_exponent(self, smooth_euclidean_instance):
+        spec, coeffs, u, rep = smooth_euclidean_instance
+        flat = GridFunction(u.grid, np.ones(u.grid.shape))
+        bundle = bundle_for_instance(spec, coeffs, flat)
+        with pytest.raises(PreconditionError, match="constant solution"):
+            verify_theorem(spec, coeffs, flat, bundle, rep)
+
     def test_inadmissible_alpha_has_no_bound(self, smooth_euclidean_instance):
         spec, coeffs, u, rep = smooth_euclidean_instance
         bundle = bundle_for_instance(spec, coeffs, u)
@@ -587,3 +594,24 @@ class TestVerifyTheorem:
         assert report.growth_box_local
         # Tr P = 1 here, so margins on spheres of radius >= 1 are nonpositive
         assert report.hypothesis_verdicts["growth_condition"]
+
+    def test_growth_reads_the_largest_radius(self):
+        # Tr P = 1 + x1^2 on this Grushin-type frame, so the margin at radius
+        # r is 1 / r^2 + 1 - c0 / 2: with c0 = 4 it meets the tolerance from
+        # r = 1 on, the box half-width, and only the largest radius counts
+        from carnotpde import structure_from_json
+
+        rows = [[[[1.0, 0, 0]], [[0.0, 0, 0]]], [[[0.0, 0, 0]], [[1.0, 1, 0]]]]
+        spec = trace_operator(structure_from_json({"n": 2, "m": 2, "entries": rows}))
+        ustar = polynomial_field([[1.0, 2, 0]], 2)
+        c = constant_field(4.0, 2).value
+        f = manufactured_rhs(spec, c, ustar)
+        coeffs = Coefficients(c=c, f=f, L_c=0.0, beta=1.0, L_f=8.0, beta_prime=1.0, c0=4.0)
+        grid = Grid((-1, -1), (1, 1), (9, 9))
+        u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
+        bundle = bundle_for_instance(spec, coeffs, u)
+        cases = [(None, True), ([1.0], True), ([0.25, 0.5, 1.0], True), ([1.0, 0.25], True)]
+        for radii, passes in cases + [([0.5], False)]:
+            report = verify_theorem(spec, coeffs, u, bundle, rep, growth_radii=radii)
+            assert report.growth_box_local
+            assert report.hypothesis_verdicts["growth_condition"] is passes, radii

@@ -400,7 +400,8 @@ class TestDiscreteOperator:
             spec = trace_operator(spec.structure)
         op = DiscreteOperator(spec, coeffs, grid)
         assert len(op.pairs) == len(op.stencils) == (2 if kind == "trace" else 3)  # m = 2
-        for mat in [*op.stencils, op.trace_matrix()]:
+        trace_op = DiscreteOperator(trace_operator(spec.structure), coeffs, grid)
+        for mat in [*op.stencils, trace_op.policy_matrix(np.zeros(grid.num_nodes))]:
             assert np.all(mat.data != 0.0)
         _, rep = solve(spec, coeffs, grid, cfg)
         assert rep.nnz == sum(np.count_nonzero(mat.data) for mat in op.stencils)
@@ -510,7 +511,8 @@ class TestSolve:
         # the discrete comparison principle
         spec, coeffs, grid, cfg, ustar = heisenberg_instance()
         op = DiscreteOperator(spec, coeffs, grid)
-        a = (op.trace_matrix()[:, op.interior] - sp.diags(op.c_vec)).toarray()
+        tm = op.policy_matrix(np.zeros(grid.num_nodes))
+        a = (tm[:, op.interior] - sp.diags(op.c_vec)).toarray()
         diag = np.diag(a).copy()
         off = a - np.diag(diag)
         assert off.min() >= 0.0
@@ -554,12 +556,14 @@ class TestSolve:
         # policies that never agree keep the residual above tol; each step
         # must still spend a Krylov step, so the budget ends the solve
         spec, coeffs, grid, cfg = solve_instance("pucci_plus")
+        trace_op = DiscreteOperator(trace_operator(spec.structure), coeffs, grid)
+        tm = trace_op.policy_matrix(np.zeros(grid.num_nodes))
         calls = []
 
         def alternating_policy(op, u_flat):
             calls.append(1)
             assert len(calls) <= 51, "policy step spent no Krylov step"
-            return op.trace_matrix() * (1.0 if len(calls) % 2 else 2.0)
+            return tm * (1.0 if len(calls) % 2 else 2.0)
 
         monkeypatch.setattr(DiscreteOperator, "policy_matrix", alternating_policy)
         _, rep = solve(spec, coeffs, grid, replace(cfg, max_iters=50))
@@ -617,11 +621,11 @@ class TestSolve:
 
         spec, coeffs, grid, cfg, _ = heisenberg_instance(c_value, shape)
         u, rep = solve(spec, coeffs, grid, cfg)
-        assert rep.converged and rep.method == "bicgstab"
+        assert rep.converged
         op = DiscreteOperator(spec, coeffs, grid)
         true_residual = float(np.abs(op.residual(u.flat)).max())
         assert rep.final_residual == true_residual <= cfg.tol
-        tm = op.trace_matrix()
+        tm = op.policy_matrix(u.flat)
         boundary_values = u.flat.copy()
         boundary_values[op.interior] = 0.0
         system = (tm[:, op.interior] - sp.diags(op.c_vec)).tocsc()
@@ -640,7 +644,6 @@ class TestSolve:
         grid = Grid((-1, -1), (1, 1), (17, 17))
         u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
         assert rep.converged
-        assert rep.method == "policy"
         exact = from_callable(grid, ustar.value)
         assert np.abs(u.values - exact.values).max() <= 0.02
 
@@ -649,7 +652,7 @@ class TestSolve:
     def test_policy_solve_matches_explicit_reference(self, kind, structure, c_value, shape):
         spec, coeffs, grid, cfg, _ = pucci_instance(kind, preset(structure), c_value, shape)
         u, rep = solve(spec, coeffs, grid, cfg)
-        assert rep.converged and rep.method == "policy"
+        assert rep.converged
         op = DiscreteOperator(spec, coeffs, grid)
         true_residual = float(np.abs(op.residual(u.flat)).max())
         assert rep.final_residual == true_residual <= cfg.tol
@@ -742,8 +745,7 @@ class TestSolve:
         for key in ("iterations", "final_residual", "converged", "wall_time_s"):
             assert key in payload
         assert "dt" not in payload and "cfl_bound" not in payload
-        assert payload["schema_version"] == 2
-        assert payload["method"] == "bicgstab"
+        assert payload["schema_version"] == 3
         assert 0.0 < payload["assembly_s"] <= payload["wall_time_s"]
         assert 0.0 < payload["solve_s"]
         assert payload["assembly_s"] + payload["solve_s"] <= payload["wall_time_s"]

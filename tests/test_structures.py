@@ -13,6 +13,7 @@ from carnotpde import (
     group_mul,
     lipschitz_sigma_estimate,
     p_matrix_at,
+    polynomial_field,
     preset,
     sigma_at,
     structure_from_json,
@@ -279,6 +280,28 @@ class TestCustomStructure:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             structure_from_json({"n": 2, "m": 2, "entries": [[[[1.0, 0, 0]]]]})
+
+    @pytest.mark.parametrize(
+        "entry", [[[1.0, 0.7, 0]], {"num": [[1.0, 0, 0]], "den": [[1.0, 0, 1.5]]}]
+    )
+    def test_fractional_exponent_rejected(self, entry):
+        # int() would truncate x1^0.7 to x1^0 and evaluate the entry to 1
+        with pytest.raises(ValueError, match="non-integral exponent"):
+            structure_from_json({"n": 2, "m": 1, "entries": [[entry, [[0.0, 0, 0]]]]})
+
+
+class TestPolynomialField:
+    def test_fractional_exponent_rejected(self):
+        # x1^1.5 is 2.83 at x1 = 2, not the 2.0 of a truncated x1^1
+        with pytest.raises(ValueError, match="non-integral exponent"):
+            polynomial_field([[1.0, 1.5, 0]], 2)
+
+    def test_integral_float_exponent_accepted(self):
+        X = np.array([[2.0, 3.0], [-1.0, 0.5]])
+        as_float = polynomial_field([[1.0, 2.0, 1.0]], 2)
+        as_int = polynomial_field([[1.0, 2, 1]], 2)
+        assert np.array_equal(as_float.value(X), as_int.value(X))
+        assert np.array_equal(as_float.hessian(X), as_int.hessian(X))
 
 
 class TestBatchedFrames:
