@@ -19,23 +19,18 @@ from .doubling import (
     touching_pair,
 )
 from .fields import SmoothField, constant_field, polynomial_field
-from .grids import Grid, GridFunction, from_callable, interpolate, to_csv, value_at
+from .grids import Grid, GridFunction, from_callable, to_csv
 from .holder import (
     HolderReport,
     bundle_for_instance,
     fit_alpha,
-    holder_seminorm,
     verify_theorem,
 )
 from .operators import (
     Coefficients,
     EllipticityBounds,
     OperatorSpec,
-    degenerate_ellipticity_check,
-    f_eval,
-    g_eval,
     pucci_operator,
-    sandwich_check,
     trace_operator,
 )
 from .solver import (
@@ -48,13 +43,11 @@ from .solver import (
 )
 from .structures import (
     CarnotStructure,
-    group_mul,
     lipschitz_sigma_estimate,
     p_matrix_at,
     preset,
     sigma_at,
     structure_from_json,
-    trace_p,
 )
 from .symmat import (
     diagonal_lemma_falsifier,

@@ -165,6 +165,43 @@ def _suite_doubling_hessian(seed: int) -> dict:
     return {"passed": True, "detail": "finite differences, squares and eigenvalues agree"}
 
 
+def _suite_touching_pair(trials: int, seed: int) -> dict:
+    """The touching pair (A, B) at eta = 1.1 meets the block inequality
+    blockdiag(A, -B) <= eta theta [[I, -I], [-I, I]] and, with the preset
+    frames at x and y, the frame trace inequality of sums_trace_bound."""
+    rng = np.random.default_rng(seed + 4)
+    eta = 1.1
+    worst_block = worst_trace = -np.inf
+    for s in (heisenberg1(), engel1(), preset("euclidean:3")):
+        eye = np.eye(s.n)
+        for _ in range(trials):
+            x = rng.uniform(-2.0, 2.0, size=s.n)
+            d = rng.normal(size=s.n)
+            y = x + rng.uniform(0.25, 2.0) * d / np.linalg.norm(d)
+            level = float(rng.uniform(0.5, 3.0))
+            alpha = float(rng.uniform(0.1, 1.0))
+            r = float(np.linalg.norm(x - y))
+            theta = level * alpha * r ** (alpha - 2.0)
+            a, b, _ = doubling.touching_pair(x, y, level, alpha, eta)
+            block = np.block([[a, np.zeros_like(a)], [np.zeros_like(b), -b]])
+            bound = eta * theta * np.block([[eye, -eye], [-eye, eye]])
+            slack = float(np.linalg.eigvalsh(block - bound).max())
+            worst_block = max(worst_block, slack)
+            if slack > 1e-9 * max(1.0, theta):
+                return {"passed": False, "detail": f"{s.name}: block inequality off by {slack:.3e}"}
+            lhs, rhs = doubling.sums_trace_bound(
+                sigma_at(s, x), sigma_at(s, y), a, b, level, alpha, r, eta
+            )
+            worst_trace = max(worst_trace, lhs - rhs)
+            if lhs - rhs > 1e-9 * max(1.0, abs(lhs), rhs):
+                return {"passed": False, "detail": f"{s.name}: trace bound off by {lhs - rhs:.3e}"}
+    return {
+        "passed": True,
+        "detail": f"{3 * trials} pairs, worst block slack {worst_block:.3e}, "
+        f"worst trace slack {worst_trace:.3e}",
+    }
+
+
 def cmd_lemma_check(args) -> int:
     seed = args.seed if args.seed is not None else 0
     trials = args.trials
@@ -180,6 +217,7 @@ def cmd_lemma_check(args) -> int:
         "positive_diagonal_falsifier": _suite_diagonal_falsifier(),
         "sqrt_erratum": _suite_sqrt_erratum(min(trials, 200), seed),
         "doubling_hessian": _suite_doubling_hessian(seed),
+        "touching_pair_trace_bound": _suite_touching_pair(min(trials, 200), seed),
     }
     all_pass = all(s["passed"] for s in suites.values())
     for name, result in suites.items():

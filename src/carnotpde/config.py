@@ -7,13 +7,10 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
-
-import numpy as np
 
 from .errors import ConfigError
 from .fields import SmoothField, constant_field, polynomial_field
-from .grids import Grid, GridFunction
+from .grids import Grid
 from .operators import Coefficients, EllipticityBounds, OperatorSpec
 from .solver import SolveConfig, manufactured_rhs
 from .structures import CarnotStructure, preset, structure_from_json

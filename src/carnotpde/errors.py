@@ -5,10 +5,6 @@ class CarnotPDEError(Exception):
     """Base class for package-specific failures."""
 
 
-class UnsupportedOperationError(CarnotPDEError):
-    """The structure does not support the requested operation (e.g. no group law)."""
-
-
 class NotPSDError(CarnotPDEError):
     """A matrix required to be positive semidefinite has a materially negative eigenvalue."""
 

@@ -2,14 +2,15 @@
 
 The spacing is the same on every axis (validated at construction). Values are
 stored in C order on the full node set, boundary included; helpers provide
-flat indexing, boundary masks, multilinear interpolation and CSV dumps.
+flat indexing, boundary masks, multilinear interpolation weights and CSV
+dumps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -76,10 +77,6 @@ class Grid:
     def interior_indices(self) -> np.ndarray:
         return np.nonzero(~self.boundary_mask())[0]
 
-    def node_coords(self, flat_index: int) -> np.ndarray:
-        idx = np.unravel_index(int(flat_index), self.shape)
-        return np.array([self.lo[k] + self.h * idx[k] for k in range(self.n)])
-
 
 @dataclass
 class GridFunction:
@@ -143,15 +140,6 @@ def multilinear_weights(grid: Grid, pts: np.ndarray) -> tuple[np.ndarray, np.nda
         np.multiply(w[:, :half], f, out=w[:, half : 2 * half])
         w[:, :half] *= 1.0 - f
     return idx, w
-
-
-def interpolate(gf: GridFunction, pts: np.ndarray) -> np.ndarray:
-    idx, w = multilinear_weights(gf.grid, pts)
-    return (gf.flat[idx] * w).sum(axis=1)
-
-
-def value_at(gf: GridFunction, point) -> float:
-    return float(interpolate(gf, np.asarray(point, dtype=float)[None, :])[0])
 
 
 def to_csv(gf: GridFunction, path) -> None:

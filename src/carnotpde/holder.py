@@ -224,15 +224,6 @@ def pair_count(u: GridFunction, seed: int = 0) -> int:
     return int(_offset_table(u, seed).pairs.sum())
 
 
-def holder_seminorm(u: GridFunction, alpha: float, seed: int = 0) -> float:
-    """max over scanned pairs of |u(x) - u(y)| / |x - y|^alpha."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    if u.grid.num_nodes < 2:
-        raise ValueError("need at least two nodes")
-    return float(_offset_table(u, seed).quotients(alpha).max(initial=0.0))
-
-
 def binned_increments(u: GridFunction, seed: int = 0) -> list[dict]:
     """Per-bin maximal increments over the pair scan (for fitting and dumps).
 

@@ -6,23 +6,19 @@ and the extremal pair "pucci_plus" / "pucci_minus", the sup and inf of
 tr(A M) over lambda I <= A <= Lambda I. ``policies`` is the one owner of that
 rule: it returns the attaining A for a stack of matrices, which the solver's
 Howard step reads too. ``g_values`` is the one evaluation of G, tr(A M),
-batched over a stack of matrices; ``g_eval`` and ``f_eval`` are its
-one-matrix forms. The coefficients c and f follow the package's batch
-protocol: they map an (N, n) array of points to the (N,) array of their
-values. Property checks (the two-sided trace sandwich, degenerate
-ellipticity) run batched over random trials and return reports rather than
-raising.
+batched over a stack of matrices. The coefficients c and f follow the
+package's batch protocol: they map an (N, n) array of points to the (N,)
+array of their values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import symmat
-from .structures import CarnotStructure, as_point, frames
+from .structures import CarnotStructure, frames
 
 KINDS = ("trace", "pucci_plus", "pucci_minus")
 
@@ -125,106 +121,3 @@ def frame_hessians(spec: OperatorSpec, X: np.ndarray, hessians: np.ndarray) -> n
     s = frames(spec.structure, X)
     mats = s @ hessians @ np.swapaxes(s, 1, 2)
     return (mats + np.swapaxes(mats, 1, 2)) / 2.0
-
-
-def g_eval(spec: OperatorSpec, n_mat: np.ndarray) -> float:
-    """Evaluate G on an m x m symmetric matrix."""
-    n_mat = symmat.require_symmetric(n_mat)
-    if n_mat.shape[0] != spec.structure.m:
-        raise ValueError(
-            f"G acts on {spec.structure.m} x {spec.structure.m} matrices, got {n_mat.shape}"
-        )
-    return float(g_values(spec, n_mat[None])[0])
-
-
-def f_eval(spec: OperatorSpec, m_mat: np.ndarray, x) -> float:
-    """Evaluate F(M, x) = G(sigma(x) M sigma(x)^T)."""
-    m_mat = symmat.require_symmetric(m_mat)
-    if m_mat.shape[0] != spec.structure.n:
-        raise ValueError(
-            f"F acts on {spec.structure.n} x {spec.structure.n} Hessians, got {m_mat.shape}"
-        )
-    p = as_point(x, spec.structure.n)[None, :]
-    return float(g_values(spec, frame_hessians(spec, p, m_mat[None]))[0])
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Outcome of a randomized inequality check; a violation is reported, not raised."""
-
-    name: str
-    trials: int
-    violations: int
-    worst_slack: float
-    witness: tuple | None = None
-    seed: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def _random_symmetric(rng, count: int, dim: int) -> np.ndarray:
-    x = rng.normal(size=(count, dim, dim))
-    return (x + np.transpose(x, (0, 2, 1))) / 2.0
-
-
-def _verdict(
-    name: str, slack: np.ndarray, tol: np.ndarray, draws: tuple, seed: int
-) -> PropertyReport:
-    """The report of a check whose trial k fails when slack[k] > tol[k]; the
-    witness is the draws of the trial with the largest slack, if any failed."""
-    bad = slack > tol
-    worst = int(np.argmax(slack))
-    return PropertyReport(
-        name=name,
-        trials=slack.size,
-        violations=int(bad.sum()),
-        worst_slack=float(slack.max()),
-        witness=tuple(d[worst] for d in draws) if bad.any() else None,
-        seed=seed,
-    )
-
-
-def sandwich_check(spec: OperatorSpec, trials: int, seed: int = 0) -> PropertyReport:
-    """Draw ordered m x m pairs B <= A and verify lam*Tr(A-B) <= G(A)-G(B) <= Lam*Tr(A-B).
-
-    Tolerance is 1e-9 relative to the trial scale.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    d = spec.structure.m
-    lam, Lam = spec.bounds.lam, spec.bounds.Lam
-    rng = np.random.default_rng(seed)
-    a = _random_symmetric(rng, trials, d)
-    c = rng.normal(size=(trials, d, d))
-    b = a - np.transpose(c, (0, 2, 1)) @ c
-    b = (b + np.transpose(b, (0, 2, 1))) / 2.0
-    ga = g_values(spec, a)
-    gb = g_values(spec, b)
-    gap = np.trace(a - b, axis1=-2, axis2=-1)
-    diff = ga - gb
-    scale = np.maximum(1.0, np.maximum(np.abs(ga), np.abs(gb)))
-    scale = np.maximum(scale, Lam * np.abs(gap))
-    slack = np.maximum(lam * gap - diff, diff - Lam * gap)
-    return _verdict(f"sandwich[{spec.kind}]", slack, 1e-9 * scale, (a, b), seed)
-
-
-def degenerate_ellipticity_check(
-    spec: OperatorSpec, x, trials: int, seed: int = 0
-) -> PropertyReport:
-    """Verify F(M, x) <= F(N, x) for random ordered Hessians M <= N."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = spec.structure.n
-    X = np.tile(as_point(x, n), (trials, 1))
-    rng = np.random.default_rng(seed)
-    m_mats = _random_symmetric(rng, trials, n)
-    c = rng.normal(size=(trials, n, n))
-    n_mats = m_mats + np.transpose(c, (0, 2, 1)) @ c
-    n_mats = (n_mats + np.transpose(n_mats, (0, 2, 1))) / 2.0
-    fm = g_values(spec, frame_hessians(spec, X, m_mats))
-    fn = g_values(spec, frame_hessians(spec, X, n_mats))
-    scale = np.maximum(1.0, np.maximum(np.abs(fm), np.abs(fn)))
-    name = f"degenerate_ellipticity[{spec.kind}]"
-    return _verdict(name, fm - fn, 1e-9 * scale, (m_mats, n_mats), seed)

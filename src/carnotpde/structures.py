@@ -1,4 +1,4 @@
-"""Carnot-type structures: a horizontal frame sigma(x) with optional group law.
+"""Carnot-type structures: a horizontal frame sigma(x).
 
 A structure is the data (n, m, sigma) where sigma(x) is an m x n matrix whose
 rows are the horizontal vector fields. P(x) = sigma(x)^T sigma(x) is the
@@ -19,22 +19,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, UnsupportedOperationError
+from .errors import NumericalError
 from .fields import _check_terms, _poly_value
 from .symmat import symmetrize
 
 
 @dataclass(frozen=True)
 class CarnotStructure:
-    """sigma maps (N, n) points to their (N, m, n) frames; group_law acts on
-    single points. growth_limsup is the analytic limsup of Tr P(x) / |x|^2 as
-    |x| grows, known for the presets only."""
+    """sigma maps (N, n) points to their (N, m, n) frames. growth_limsup is the
+    analytic limsup of Tr P(x) / |x|^2 as |x| grows, known for the presets
+    only."""
 
     name: str
     n: int
     m: int
     sigma: Callable[[np.ndarray], np.ndarray]
-    group_law: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     lipschitz_sigma: float | None = None
     growth_limsup: float | None = None
 
@@ -65,17 +64,6 @@ def p_matrix_at(s: CarnotStructure, x) -> np.ndarray:
     """P(x) = sigma(x)^T sigma(x); symmetric positive semidefinite."""
     mat = sigma_at(s, x)
     return symmetrize(mat.T @ mat)
-
-
-def trace_p(s: CarnotStructure, x) -> float:
-    """Tr P(x), which equals the sum of squared row norms of sigma(x)."""
-    return float(np.trace(p_matrix_at(s, x)))
-
-
-def group_mul(s: CarnotStructure, x, y) -> np.ndarray:
-    if s.group_law is None:
-        raise UnsupportedOperationError(f"structure {s.name!r} has no group law")
-    return np.asarray(s.group_law(as_point(x, s.n), as_point(y, s.n)), dtype=float)
 
 
 def lipschitz_sigma_estimate(
@@ -118,16 +106,6 @@ def _sigma_heisenberg(X):
     return out
 
 
-def _mul_heisenberg(x, y):
-    return np.array(
-        [
-            x[0] + y[0],
-            x[1] + y[1],
-            x[2] + y[2] + 2.0 * (x[1] * y[0] - x[0] * y[1]),
-        ]
-    )
-
-
 def _sigma_engel(X):
     out = np.zeros((len(X), 2, 4))
     out[:, 0, 0] = out[:, 1, 1] = 1.0
@@ -138,17 +116,6 @@ def _sigma_engel(X):
 
 def _constant_frame(mat: np.ndarray):
     return lambda X: np.tile(mat, (len(X), 1, 1))
-
-
-def _mul_engel(x, y):
-    return np.array(
-        [
-            x[0] + y[0],
-            x[1] + y[1],
-            x[2] + y[2] - y[0] * x[1],
-            x[3] + y[3] + 0.5 * y[0] * y[0] * x[1] - y[0] * x[2],
-        ]
-    )
 
 
 def heisenberg_sqrt_transposed_variant(x) -> np.ndarray:
@@ -179,7 +146,6 @@ def euclidean(n: int) -> CarnotStructure:
         n=n,
         m=n,
         sigma=_constant_frame(np.eye(n)),
-        group_law=lambda x, y: x + y,
         lipschitz_sigma=0.0,
         growth_limsup=0.0,
     )
@@ -191,7 +157,6 @@ def heisenberg1() -> CarnotStructure:
         n=3,
         m=2,
         sigma=_sigma_heisenberg,
-        group_law=_mul_heisenberg,
         lipschitz_sigma=2.0,
         growth_limsup=4.0,  # Tr P = 2 + 4 (x1^2 + x2^2)
     )
@@ -203,7 +168,6 @@ def engel1() -> CarnotStructure:
         n=4,
         m=2,
         sigma=_sigma_engel,
-        group_law=_mul_engel,
         lipschitz_sigma=1.0,
         growth_limsup=1.0,  # Tr P = 2 + x2^2 + x3^2
     )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import carnotpde as cp
+from _oracles import degenerate_ellipticity_check, sandwich_check
 from carnotpde.doubling import finite_difference_hessian, phi_value
 from carnotpde.holder import max_quotient_violation
 from carnotpde.structures import CarnotStructure, heisenberg_sqrt_transposed_variant
@@ -52,9 +53,7 @@ def test_criterion_1_matrix_identities():
             ]
         )
         worst_gram = max(worst_gram, float(np.abs(gram - closed).max()))
-        worst_trace = max(
-            worst_trace, abs(cp.trace_p(s, x) - (2.0 + 4.0 * (x[0] ** 2 + x[1] ** 2)))
-        )
+        worst_trace = max(worst_trace, abs(np.trace(gram) - (2.0 + 4.0 * (x[0] ** 2 + x[1] ** 2))))
     elapsed = time.perf_counter() - t0
     ok = worst_gram <= 1e-13 and worst_trace <= 1e-13
     report(
@@ -181,8 +180,8 @@ def test_criterion_5_ellipticity_properties():
     violations = 0
     worst = -math.inf
     for i, spec in enumerate(specs):
-        sandwich = cp.sandwich_check(spec, trials=10_000, seed=105 + i)
-        degen = cp.degenerate_ellipticity_check(spec, x, trials=10_000, seed=205 + i)
+        sandwich = sandwich_check(spec, trials=10_000, seed=105 + i)
+        degen = degenerate_ellipticity_check(spec, x, trials=10_000, seed=205 + i)
         violations += sandwich.violations + degen.violations
         worst = max(worst, sandwich.worst_slack, degen.worst_slack)
     elapsed = time.perf_counter() - t0

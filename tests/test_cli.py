@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
+from carnotpde import doubling
 from carnotpde.cli import main
 from carnotpde.config import _schema, _violation, build_setup, load_config
 from carnotpde.solver import solve
@@ -40,11 +41,28 @@ class TestLemmaCheck:
         code = run("lemma-check", "--trials", "100", "--out", str(tmp_path))
         assert code == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 5
+        assert out.count("[PASS]") == 6
         report = json.loads((tmp_path / "lemma_report.json").read_text())
         assert report["all_passed"] is True
         assert report["schema_version"] == 1
-        assert len(report["suites"]) == 5
+        assert len(report["suites"]) == 6
+
+    def test_uncentred_touching_pair_fails(self, tmp_path, capsys, monkeypatch):
+        # (W, -W) before the shift by ||W|| I: W has positive tangential
+        # eigenvalues, so blockdiag(W, W) exceeds eta theta [[I, -I], [-I, I]]
+        def uncentred(x, y, L, alpha, eta):
+            r = float(np.linalg.norm(np.subtract(x, y)))
+            mu = 2.0 * L * alpha * r ** (alpha - 2.0) / (eta - 1.0)
+            m, _ = doubling.phi_hessian_block(x, y, L, alpha)
+            w = m + (2.0 / mu) * doubling.phi_hessian_square(x, y, L, alpha)
+            return w, -w, mu
+
+        monkeypatch.setattr(doubling, "touching_pair", uncentred)
+        code = run("lemma-check", "--trials", "100", "--out", str(tmp_path))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] touching_pair_trace_bound" in captured.out
+        assert "touching_pair_trace_bound" in captured.err
 
     def test_rank_deficient_custom_sigma_is_config_error(self, tmp_path):
         config = tmp_path / "bad_sigma.json"

@@ -10,6 +10,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
+from _oracles import holder_seminorm
 from carnotpde import (
     Coefficients,
     Grid,
@@ -18,7 +19,6 @@ from carnotpde import (
     constant_field,
     fit_alpha,
     from_callable,
-    holder_seminorm,
     manufactured_rhs,
     polynomial_field,
     preset,

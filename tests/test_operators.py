@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _jacobi import eigh
+from _oracles import degenerate_ellipticity_check, f_eval, g_eval, sandwich_check
 from carnotpde import (
     Coefficients,
     EllipticityBounds,
     OperatorSpec,
-    degenerate_ellipticity_check,
-    f_eval,
-    g_eval,
     p_matrix_at,
     preset,
     pucci_operator,
-    sandwich_check,
     sigma_at,
     trace_operator,
 )

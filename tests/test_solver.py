@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+from _oracles import f_eval, g_eval, interpolate
 from carnotpde import (
     CarnotStructure,
     Coefficients,
@@ -17,22 +18,19 @@ from carnotpde import (
     Grid,
     SolveConfig,
     constant_field,
-    f_eval,
     from_callable,
-    g_eval,
     manufactured_rhs,
+    p_matrix_at,
     polynomial_field,
     preset,
     pucci_operator,
     sigma_at,
     solve,
     trace_operator,
-    trace_p,
     two_box_sensitivity,
 )
 from carnotpde import solver as solver_module
 from carnotpde.errors import NumericalError
-from carnotpde.grids import interpolate
 from carnotpde.operators import g_values, policies
 from carnotpde.solver import default_h_eff_cells
 from carnotpde.structures import frames
@@ -141,7 +139,7 @@ def _node_residual(spec, coeffs, u, node, h_eff=None):
     grid = u.grid
     if h_eff is None:
         h_eff = default_h_eff_cells(grid.h) * grid.h
-    x = grid.node_coords(node)
+    x = grid.coords()[node]
     s = sigma_at(spec.structure, x)
     m = spec.structure.m
     n_h = np.zeros((m, m))
@@ -302,7 +300,7 @@ class TestDiscreteOperator:
                 )
             ]
             hess_diag_sum = sum(abs(q.hessian(np.zeros((1, n)))[0, k, k]) for k in range(n))
-            trp_max = max(trace_p(struct, coords[idx]) for idx in deep)
+            trp_max = max(np.trace(p_matrix_at(struct, coords[idx])) for idx in deep)
             envelope = trp_max * hess_diag_sum * grid.h**2 / h_eff**2
             picked = deep[:: max(1, len(deep) // 64)]
             scheme = residual_at(DiscreteOperator(spec, coeffs, grid), u, picked)
