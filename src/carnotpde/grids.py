@@ -106,9 +106,14 @@ def from_callable(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> GridFun
 def multilinear_weights(grid: Grid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation stencil for points inside the closed box.
 
-    Returns (idx, w) of shape (K, 2^n): flat corner indices and nonnegative
-    weights summing to one. Fractional offsets within 1e-9 of a node snap onto
-    it so on-grid evaluation stays exact.
+    Returns C-contiguous (idx, w) of shape (K, 2^k): flat corner indices and
+    nonnegative weights summing to one. Fractional offsets within 1e-9 of a
+    node snap onto it so on-grid evaluation stays exact. An axis is pinned
+    when every point sits on one of its node planes (each offset 0 or 1); a
+    pinned axis takes the point's own node, whose weight factor is exactly 1,
+    so corners are formed only over the k axes some point moves along. The
+    corners of weight 0 that a pinned axis would add are never formed, and
+    every kept corner has the weight the full 2^n stencil gives it.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = grid.n
@@ -117,24 +122,32 @@ def multilinear_weights(grid: Grid, pts: np.ndarray) -> tuple[np.ndarray, np.nda
     eps = 1e-9 * grid.h
     if np.any(pts < lo - eps) or np.any(pts > hi + eps):
         raise ValueError("interpolation point outside the grid box")
-    t = (pts - lo) / grid.h
-    base = np.floor(t).astype(np.int64)
-    base = np.clip(base, 0, np.array(grid.shape) - 2)
-    frac = t - base
-    frac = np.clip(frac, 0.0, 1.0)
+    frac = pts - lo
+    frac /= grid.h
+    base = np.floor(frac).astype(np.int64)
+    np.clip(base, 0, np.array(grid.shape) - 2, out=base)
+    frac -= base
+    np.clip(frac, 0.0, 1.0, out=frac)
     frac[frac < 1e-9] = 0.0
     frac[frac > 1.0 - 1e-9] = 1.0
+    moving = []
+    for k in range(n):
+        upper = frac[:, k] == 1.0
+        if (upper | (frac[:, k] == 0.0)).all():
+            base[:, k] += upper  # pinned: every point takes its own node
+        else:
+            moving.append(k)
     k_count = pts.shape[0]
-    corners = 2**n
+    corners = 2 ** len(moving)
     idx = np.empty((k_count, corners), dtype=np.int64)
     w = np.empty((k_count, corners))
     strides = np.array([int(np.prod(grid.shape[k + 1 :])) for k in range(n)], dtype=np.int64)
     idx[:, 0] = base @ strides
     w[:, 0] = 1.0
-    # corner c has bit k set when it takes the upper node on axis k; doubling
-    # axis by axis multiplies each corner's factors in axis order
-    for k in range(n):
-        half = 2**k
+    # corner c has bit j set when it takes the upper node on the j-th moving
+    # axis; doubling axis by axis multiplies each corner's factors in axis order
+    for j, k in enumerate(moving):
+        half = 2**j
         f = frac[:, k : k + 1]
         np.add(idx[:, :half], strides[k], out=idx[:, half : 2 * half])
         np.multiply(w[:, :half], f, out=w[:, half : 2 * half])

@@ -157,9 +157,12 @@ class DiscreteOperator:
 
         Returns the (n_int x num_nodes) CSR matrix whose rows already carry
         the |w|^2 scaling, so csr @ u approximates w^T D^2u w at each node.
-        Each row lists its plus corners, minus corners, then the centre, the
-        order in which duplicate columns are summed. The zero weights of arm
-        ends that land on a grid plane are dropped.
+        Each row lists its plus corners, minus corners, then the centre.
+        scipy's sum_duplicates sorts each row by column and adds the entries
+        of equal columns in the order its sort leaves them, which need not be
+        the listed one; so a stored weight is the sum of its column's entries
+        to within rounding, at most width * eps times the sum of their
+        magnitudes. Weights that come out exactly 0 are dropped.
         """
         # imported here, not at module level, so commands that build no
         # stencil do not pay for it
@@ -179,9 +182,12 @@ class DiscreteOperator:
     def _arm_ends(self, w: np.ndarray):
         """Interpolation stencils of the two arm ends along the per-node fields w.
 
-        Returns (idx_p, w_p, idx_m, w_m), each (n_int, 2^n): the corner indices
+        Returns (idx_p, w_p, idx_m, w_m), each (n_int, 2^k): the corner indices
         of the plus and minus ends and their weights, scaled by |w|^2 and the
-        unequal-arm factor 2 / (a (a_plus + a_minus)).
+        unequal-arm factor 2 / (a (a_plus + a_minus)). k counts the axes along
+        which some end, plus or minus, leaves the node planes
+        (grids.multilinear_weights), so a field that holds a coordinate fixed
+        forms no corners along that axis.
         """
         grid = self.grid
         lo = np.array(grid.lo)
@@ -191,9 +197,10 @@ class DiscreteOperator:
         v = np.zeros_like(w)
         v[active] = w[active] / norms[active, None]
 
+        n_int = w.shape[0]
         arms = []
-        ends = []
-        for sign in (1.0, -1.0):
+        ends = np.empty((2, n_int, grid.n))  # the plus ends, then the minus ends
+        for end, sign in zip(ends, (1.0, -1.0)):
             dirv = sign * v
             with np.errstate(divide="ignore", invalid="ignore"):
                 room = np.where(
@@ -203,7 +210,7 @@ class DiscreteOperator:
                 )
             a = np.clip(room.min(axis=1), 0.0, self.h_eff)
             arms.append(a)
-            ends.append(np.clip(self.coords + a[:, None] * dirv, lo, hi))
+            np.clip(self.coords + a[:, None] * dirv, lo, hi, out=end)
         a_plus, a_minus = arms
         denom = a_plus + a_minus
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -211,11 +218,12 @@ class DiscreteOperator:
             cm = np.where(active, 2.0 / (a_minus * denom), 0.0)
         scale = norms**2
 
-        idx_p, w_p = multilinear_weights(grid, ends[0])
-        idx_m, w_m = multilinear_weights(grid, ends[1])
-        w_p *= (scale * cp)[:, None]
-        w_m *= (scale * cm)[:, None]
-        return idx_p, w_p, idx_m, w_m
+        # one call for both ends, so they share one set of pinned axes and
+        # one corner count, the row width _directional_matrix assumes
+        idx, wts = multilinear_weights(grid, ends.reshape(-1, grid.n))
+        wts[:n_int] *= (scale * cp)[:, None]
+        wts[n_int:] *= (scale * cm)[:, None]
+        return idx[:n_int], wts[:n_int], idx[n_int:], wts[n_int:]
 
     def policy_matrix(self, u_flat: np.ndarray):
         """The sparse L_A with L_A @ v = tr(A M_h(v)) for the policy A that
@@ -252,10 +260,6 @@ class DiscreteOperator:
             mats[:, i, j] = mats[:, j, i] = s @ u_flat
         return mats
 
-    def residual(self, u_flat: np.ndarray) -> np.ndarray:
-        """F_h(u) - c u - f at every interior node."""
-        return self.policy_matrix(u_flat) @ u_flat - self.c_vec * u_flat[self.interior] - self.f_vec
-
 
 def manufactured_rhs(
     spec: OperatorSpec, c: Callable[[np.ndarray], np.ndarray], ustar: SmoothField
@@ -274,6 +278,7 @@ def manufactured_rhs(
 def _bicgstab(
     op: DiscreteOperator,
     lin,
+    inv_diag: np.ndarray,
     r: np.ndarray,
     u_flat: np.ndarray,
     stop: float,
@@ -282,13 +287,13 @@ def _bicgstab(
 ):
     """One Jacobi-preconditioned BiCGSTAB cycle on lin[:, interior] - diag(c), in place on u_flat.
 
-    The cycle starts from the residual r = f - (lin u - c u), which is also its
-    shadow residual, and ends on breakdown, when the max of the recurred
+    inv_diag is 1 / that system's diagonal, the Jacobi preconditioner.
+    The cycle starts from the residual r = f - (lin u - c u), which is also
+    its shadow residual, and ends on breakdown, when the max of the recurred
     residual meets ``stop`` (solve passes max(tol, FORCING * max|r|)), or at
     max_iters. Returns the Krylov step count, continued from ``iterations``.
     """
     interior, pad = op.interior, np.zeros_like(u_flat)
-    inv_diag = 1.0 / (np.asarray(lin[np.arange(interior.size), interior]).ravel() - op.c_vec)
 
     def matvec(x):
         pad[interior] = x
@@ -345,6 +350,9 @@ def solve(
 
     iterations = outer = 0
     history = []
+    # the trace kind's policy_matrix returns one L_A object, never modified,
+    # so its diagonal is read once
+    diag_of = inv_diag = None
     t1 = time.perf_counter()
     while True:
         lin = op.policy_matrix(u_flat)
@@ -354,8 +362,11 @@ def solve(
             raise NumericalError(f"solve diverged by Krylov step {iterations}")
         if history[-1] <= cfg.tol or iterations >= cfg.max_iters:
             break
+        if lin is not diag_of:
+            diag = np.asarray(lin[np.arange(op.interior.size), op.interior]).ravel()
+            diag_of, inv_diag = lin, 1.0 / (diag - op.c_vec)
         stop = max(cfg.tol, FORCING * history[-1])
-        iterations = _bicgstab(op, lin, r, u_flat, stop, cfg.max_iters, iterations)
+        iterations = _bicgstab(op, lin, inv_diag, r, u_flat, stop, cfg.max_iters, iterations)
         outer += 1
     solve_s = time.perf_counter() - t1
     report = SolveReport(

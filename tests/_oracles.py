@@ -3,8 +3,8 @@
 No command, script or benchmark reads these, so they live on the test side:
 the one-matrix forms of G and F, the randomized sandwich and degenerate
 ellipticity checks, the Holder seminorm over the pair scan, multilinear
-interpolation of a grid function, and the group laws of the presets whose
-frames are left-invariant fields.
+interpolation of a grid function and its full 2^n-corner weights, and the
+group laws of the presets whose frames are left-invariant fields.
 """
 
 from __future__ import annotations
@@ -135,6 +135,28 @@ def holder_seminorm(u: GridFunction, alpha: float, seed: int = 0) -> float:
 def interpolate(gf: GridFunction, pts: np.ndarray) -> np.ndarray:
     idx, w = multilinear_weights(gf.grid, pts)
     return (gf.flat[idx] * w).sum(axis=1)
+
+
+def _ref_multilinear_weights(grid, pts):
+    """The per-corner loop multilinear_weights replaced: all 2^n corners, one
+    np.where and one np.prod per corner, each corner's factors multiplied in
+    axis order."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n = grid.n
+    t = (pts - np.array(grid.lo)) / grid.h
+    base = np.clip(np.floor(t).astype(np.int64), 0, np.array(grid.shape) - 2)
+    frac = np.clip(t - base, 0.0, 1.0)
+    frac[frac < 1e-9] = 0.0
+    frac[frac > 1.0 - 1e-9] = 1.0
+    strides = np.array([int(np.prod(grid.shape[k + 1 :])) for k in range(n)], dtype=np.int64)
+    base_flat = base @ strides
+    idx = np.empty((pts.shape[0], 2**n), dtype=np.int64)
+    w = np.empty((pts.shape[0], 2**n))
+    for c in range(2**n):
+        bits = np.array([(c >> k) & 1 for k in range(n)], dtype=np.int64)
+        idx[:, c] = base_flat + bits @ strides
+        w[:, c] = np.prod(np.where(bits, frac, 1.0 - frac), axis=1)
+    return idx, w
 
 
 def _mul_heisenberg(x, y):

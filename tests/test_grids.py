@@ -1,35 +1,15 @@
 """Unit tests for grids, grid functions and interpolation."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import interpolate
+from _oracles import _ref_multilinear_weights, interpolate
 from carnotpde import Grid, GridFunction, from_callable, to_csv
 from carnotpde.grids import multilinear_weights
-
-
-def _ref_multilinear_weights(grid, pts):
-    """The per-corner loop multilinear_weights replaced: one np.where and one
-    np.prod per corner, each corner's factors multiplied in axis order."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = grid.n
-    t = (pts - np.array(grid.lo)) / grid.h
-    base = np.clip(np.floor(t).astype(np.int64), 0, np.array(grid.shape) - 2)
-    frac = np.clip(t - base, 0.0, 1.0)
-    frac[frac < 1e-9] = 0.0
-    frac[frac > 1.0 - 1e-9] = 1.0
-    strides = np.array([int(np.prod(grid.shape[k + 1 :])) for k in range(n)], dtype=np.int64)
-    base_flat = base @ strides
-    idx = np.empty((pts.shape[0], 2**n), dtype=np.int64)
-    w = np.empty((pts.shape[0], 2**n))
-    for c in range(2**n):
-        bits = np.array([(c >> k) & 1 for k in range(n)], dtype=np.int64)
-        idx[:, c] = base_flat + bits @ strides
-        w[:, c] = np.prod(np.where(bits, frac, 1.0 - frac), axis=1)
-    return idx, w
 
 
 def _csv_writer_dump(path, grid, values):
@@ -133,6 +113,31 @@ class TestInterpolation:
         ref_idx, ref_w = _ref_multilinear_weights(g, pts)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(w, ref_w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pinned_axes_form_no_corners(self, n):
+        # on every subset of axes the points sit on node planes: exactly on a
+        # node, within the snap below one (offset 1) or above it (offset 0),
+        # or on the last node, where base is clipped to shape - 2
+        g = Grid((-0.3,) * n, (0.9,) * n, (5,) * n)
+        rng = np.random.default_rng(10 + n)
+        for pinned in itertools.product([False, True], repeat=n):
+            pinned = np.array(pinned)
+            pts = rng.uniform(-0.3, 0.9, (60, n))
+            nodes = g.axis_coords(0)[rng.integers(0, 5, (60, n))]
+            nodes[:5] = 0.9
+            jitter = rng.choice([0.0, -1e-10, 1e-10], (60, n)) * g.h
+            pts[:, pinned] = np.clip(nodes + jitter, -0.3, 0.9)[:, pinned]
+            idx, w = multilinear_weights(g, pts)
+            ref_idx, ref_w = _ref_multilinear_weights(g, pts)
+            assert idx.shape == w.shape == (60, 2 ** int((~pinned).sum()))
+            assert idx.flags.c_contiguous and w.flags.c_contiguous
+            for k in range(60):
+                ref = dict(zip(ref_idx[k].tolist(), ref_w[k].tolist()))
+                kept = dict(zip(idx[k].tolist(), w[k].tolist()))
+                assert len(kept) == idx.shape[1]
+                assert all(ref[i] == v for i, v in kept.items())  # bitwise
+                assert all(v == 0.0 for i, v in ref.items() if i not in kept)
 
     def test_closed_box_edges_ok(self):
         g = Grid((0.0,), (1.0,), (5,))

@@ -3,6 +3,7 @@ steps of one BiCGSTAB cycle each, the trace kind's policy fixed, checked
 against the damped explicit iteration and the per-node scheme kept here as
 references."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from _oracles import f_eval, g_eval, interpolate
+from _oracles import _ref_multilinear_weights, f_eval, g_eval, interpolate
 from carnotpde import (
     CarnotStructure,
     Coefficients,
@@ -26,6 +27,7 @@ from carnotpde import (
     pucci_operator,
     sigma_at,
     solve,
+    structure_from_json,
     trace_operator,
     two_box_sensitivity,
 )
@@ -167,10 +169,10 @@ def solve_instance(name):
 
 
 def residual_at(op, u, nodes):
-    """op.residual(u) at the given flat node indices."""
+    """The closed-form residual F_h(u) - c u - f at the given flat node indices."""
     rows = np.searchsorted(op.interior, nodes)
     assert np.array_equal(op.interior[rows], nodes)
-    return op.residual(u.flat)[rows]
+    return _closed_form_residual(op, u.flat)[rows]
 
 
 def directional_value(u, x, v, h_eff):
@@ -317,7 +319,7 @@ class TestDiscreteOperator:
         op = DiscreteOperator(spec, coeffs, grid)
         rng = np.random.default_rng(7)
         u = from_callable(grid, lambda X: np.sin(X[:, 0]) + X[:, 1] * X[:, 2])
-        res = op.residual(u.flat)
+        res = _closed_form_residual(op, u.flat)
         for pick in rng.integers(0, op.interior.size, size=24):
             node = int(op.interior[pick])
             single = _node_residual(spec, coeffs, u, node)
@@ -331,7 +333,7 @@ class TestDiscreteOperator:
         op = DiscreteOperator(spec, coeffs, grid)
         rng = np.random.default_rng(8)
         u = from_callable(grid, lambda X: np.sin(X[:, 0] + 2.0 * X[:, 1]) + X[:, 1] * X[:, 2] ** 2)
-        res = op.residual(u.flat)
+        res = _closed_form_residual(op, u.flat)
         for pick in rng.integers(0, op.interior.size, size=24):
             single = _node_residual(spec, coeffs, u, int(op.interior[pick]))
             assert single == pytest.approx(float(res[pick]), rel=1e-9, abs=1e-9)
@@ -364,24 +366,91 @@ class TestDiscreteOperator:
         n_int = op.interior.size
         for w in fields:
             idx_p, w_p, idx_m, w_m = op._arm_ends(w)
-            rows = np.repeat(np.arange(n_int), idx_p.shape[1])
-            ref = sp.coo_matrix(
-                (
-                    np.concatenate([w_p.ravel(), w_m.ravel(), -(w_p + w_m).sum(axis=1)]),
-                    (
-                        np.concatenate([rows, rows, np.arange(n_int)]),
-                        np.concatenate([idx_p.ravel(), idx_m.ravel(), op.interior]),
-                    ),
-                ),
-                shape=(n_int, grid.num_nodes),
-            ).tocsr()
+            corner_rows = np.repeat(np.arange(n_int), idx_p.shape[1])
+            rows = np.concatenate([corner_rows, corner_rows, np.arange(n_int)])
+            cols = np.concatenate([idx_p.ravel(), idx_m.ravel(), op.interior])
+            vals = np.concatenate([w_p.ravel(), w_m.ravel(), -(w_p + w_m).sum(axis=1)])
+            ref = sp.coo_matrix((vals, (rows, cols)), shape=(n_int, grid.num_nodes)).tocsr()
             ref.sum_duplicates()
             ref.eliminate_zeros()
             mat = op._directional_matrix(w)
-            assert ref.nnz < 2 * idx_p.size + n_int  # duplicate columns were summed
+            # one stored weight per distinct (row, column) whose sum is nonzero
+            _, slot = np.unique(rows * grid.num_nodes + cols, return_inverse=True)
+            assert mat.has_canonical_format
+            assert mat.nnz == np.count_nonzero(np.bincount(slot, weights=vals))
             assert np.array_equal(mat.indptr, ref.indptr)
             assert np.array_equal(mat.indices, ref.indices)
             assert np.array_equal(mat.data, ref.data)
+
+    @pytest.mark.parametrize(
+        "structure, shape, corners", [("heisenberg1", (9, 9, 9), 4), ("euclidean:2", (17, 17), 1)]
+    )
+    def test_arm_ends_form_no_corners_across_pinned_axes(self, structure, shape, corners):
+        # X1 = (1, 0, 2 x2) and X2 = (0, 1, -2 x1) each hold one coordinate
+        # fixed; euclidean:2's axis fields hold one fixed and move whole cells
+        # along the other, so every end lies on a node plane of those axes
+        spec, coeffs, grid, _, _ = pucci_instance("pucci_plus", preset(structure), shape=shape)
+        op = DiscreteOperator(spec, coeffs, grid)
+        frame = frames(spec.structure, op.coords)
+        for i in range(spec.structure.m):
+            idx_p, w_p, idx_m, w_m = op._arm_ends(frame[:, i, :])
+            for end in (idx_p, w_p, idx_m, w_m):
+                assert end.shape == (op.interior.size, corners)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ends_pinned_on_one_side_match_full_corners(self, monkeypatch, sign):
+        # X1 = (1, +-x2) on [0, 6] x [0, 4] with 4-cell arms: the ends of X1
+        # that head for the x2 = 0 face stop on it at a node, pinned on both
+        # axes, while the other ends move off the node planes; both ends of a
+        # row must keep one corner count. The reference interpolates with all
+        # 2^n corners, as before any axis was pinned.
+        rows = [[[[1.0, 0, 0]], [[sign, 0, 1]]], [[[0.0, 0, 0]], [[1.0, 0, 0]]]]
+        desc = {"n": 2, "m": 2, "entries": rows}
+        spec = trace_operator(structure_from_json(desc))
+        grid = Grid((0, 0), (6, 4), (7, 5))
+        op = DiscreteOperator(spec, constant_coeffs(2), grid, h_eff=4.0)
+        idx_p, _, idx_m, _ = op._arm_ends(frames(spec.structure, op.coords)[:, 0, :])
+        assert idx_p.shape == idx_m.shape == (op.interior.size, 4)
+        monkeypatch.setattr(solver_module, "multilinear_weights", _ref_multilinear_weights)
+        ref = DiscreteOperator(spec, constant_coeffs(2), grid, h_eff=4.0)
+        for mat, full in zip(op.stencils, ref.stencils):
+            assert np.array_equal(mat.indptr, full.indptr)
+            assert np.array_equal(mat.indices, full.indices)
+            assert np.abs(mat.data - full.data).max() <= 1e-14 * np.abs(full.data).max()
+
+    @pytest.mark.parametrize("corners", [1, 2, 4, 8, 16])
+    def test_duplicate_columns_summed_within_rounding(self, monkeypatch, corners):
+        # a row lists plus corners, minus corners, then the centre; whatever
+        # order scipy's sort leaves equal columns in, each stored weight is
+        # its column's entries summed to within width * eps times their
+        # magnitudes. Arm ends drawn from three columns put three or more
+        # entries in a column, so rows of 3 to 33 entries have sums to make.
+        spec, coeffs, grid, _, _ = pucci_instance("pucci_plus")
+        op = DiscreteOperator(spec, coeffs, grid)
+        n_int, width = op.interior.size, 2 * corners + 1
+        rng = np.random.default_rng(corners)
+        ends = [
+            (
+                op.interior[:, None] + rng.integers(0, 3, (n_int, corners)),
+                rng.uniform(0.0, 1.0, (n_int, corners)),
+            )
+            for _ in range(2)
+        ]
+        monkeypatch.setattr(op, "_arm_ends", lambda w: (*ends[0], *ends[1]))
+        mat = op._directional_matrix(np.zeros((n_int, grid.n)))
+        assert mat.has_canonical_format
+        cols = np.column_stack([ends[0][0], ends[1][0], op.interior])
+        vals = np.column_stack([ends[0][1], ends[1][1], -(ends[0][1] + ends[1][1]).sum(axis=1)])
+        for row in range(n_int):
+            terms = {}
+            for col, val in zip(cols[row].tolist(), vals[row].tolist()):
+                terms.setdefault(col, []).append(val)
+            lo, hi = mat.indptr[row], mat.indptr[row + 1]
+            stored = dict(zip(mat.indices[lo:hi].tolist(), mat.data[lo:hi].tolist()))
+            assert set(stored) <= set(terms)
+            for col, parts in terms.items():
+                bound = width * np.finfo(float).eps * sum(map(abs, parts))
+                assert abs(stored.get(col, 0.0) - math.fsum(parts)) <= bound
 
     @pytest.mark.parametrize(
         "structure, shape",
@@ -621,9 +690,12 @@ class TestSolve:
         u, rep = solve(spec, coeffs, grid, cfg)
         assert rep.converged
         op = DiscreteOperator(spec, coeffs, grid)
-        true_residual = float(np.abs(op.residual(u.flat)).max())
-        assert rep.final_residual == true_residual <= cfg.tol
+        true_residual = float(np.abs(_closed_form_residual(op, u.flat)).max())
+        assert true_residual <= cfg.tol
+        # the reported residual is recomputed from the returned iterate
         tm = op.policy_matrix(u.flat)
+        policy_residual = op.f_vec - (tm @ u.flat - op.c_vec * u.flat[op.interior])
+        assert rep.final_residual == float(np.abs(policy_residual).max())
         boundary_values = u.flat.copy()
         boundary_values[op.interior] = 0.0
         system = (tm[:, op.interior] - sp.diags(op.c_vec)).tocsc()
@@ -652,8 +724,12 @@ class TestSolve:
         u, rep = solve(spec, coeffs, grid, cfg)
         assert rep.converged
         op = DiscreteOperator(spec, coeffs, grid)
-        true_residual = float(np.abs(op.residual(u.flat)).max())
-        assert rep.final_residual == true_residual <= cfg.tol
+        true_residual = float(np.abs(_closed_form_residual(op, u.flat)).max())
+        assert true_residual <= cfg.tol
+        # the reported residual is recomputed from the returned iterate
+        tm = op.policy_matrix(u.flat)
+        policy_residual = op.f_vec - (tm @ u.flat - op.c_vec * u.flat[op.interior])
+        assert rep.final_residual == float(np.abs(policy_residual).max())
         assert rep.residual_history[-1] == rep.final_residual
         assert len(rep.residual_history) == rep.outer_iterations + 1
         assert 1 <= rep.outer_iterations <= rep.iterations
