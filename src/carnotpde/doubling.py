@@ -22,7 +22,8 @@ GROWTH_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConstantBundle:
-    """Everything the explicit seminorm bound consumes."""
+    """Everything the explicit seminorm bound consumes, and the sampled
+    Lipschitz bound of sigma that C was formed from (NaN when none was)."""
 
     c0: float
     Lambda: float
@@ -32,6 +33,7 @@ class ConstantBundle:
     L_f: float
     beta_prime: float
     u_inf: float
+    lipschitz_estimate: float = float("nan")
 
     def __post_init__(self):
         if self.c0 <= 0.0:

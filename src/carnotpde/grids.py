@@ -106,52 +106,55 @@ def from_callable(grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> GridFun
 def multilinear_weights(grid: Grid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation stencil for points inside the closed box.
 
-    Returns C-contiguous (idx, w) of shape (K, 2^k): flat corner indices and
-    nonnegative weights summing to one. Fractional offsets within 1e-9 of a
-    node snap onto it so on-grid evaluation stays exact. An axis is pinned
-    when every point sits on one of its node planes (each offset 0 or 1); a
-    pinned axis takes the point's own node, whose weight factor is exactly 1,
-    so corners are formed only over the k axes some point moves along. The
-    corners of weight 0 that a pinned axis would add are never formed, and
-    every kept corner has the weight the full 2^n stencil gives it.
+    Takes axis-major (n, K) points, one row per coordinate axis, and returns
+    corner-major C-contiguous (idx, w) of shape (2^k, K): flat corner indices
+    and nonnegative weights summing to one over each column. Every pass runs
+    over one axis or one corner, K contiguous values. Fractional offsets
+    within 1e-9 of a node snap onto it so on-grid evaluation stays exact. An
+    axis is pinned when every point sits on one of its node planes (each
+    offset 0 or 1); a pinned axis takes the point's own node, whose weight
+    factor is exactly 1, so corners are formed only over the k axes some
+    point moves along. The corners of weight 0 that a pinned axis would add
+    are never formed, and every kept corner has the weight the full 2^n
+    stencil gives it. A point outside the box, or with a non-finite
+    coordinate, raises ValueError.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = grid.n
-    lo = np.array(grid.lo)
-    hi = np.array(grid.hi)
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] != grid.n:
+        raise ValueError(f"expected axis-major ({grid.n}, K) points, got shape {pts.shape}")
     eps = 1e-9 * grid.h
-    if np.any(pts < lo - eps) or np.any(pts > hi + eps):
-        raise ValueError("interpolation point outside the grid box")
-    frac = pts - lo
-    frac /= grid.h
-    base = np.floor(frac).astype(np.int64)
-    np.clip(base, 0, np.array(grid.shape) - 2, out=base)
-    frac -= base
-    np.clip(frac, 0.0, 1.0, out=frac)
-    frac[frac < 1e-9] = 0.0
-    frac[frac > 1.0 - 1e-9] = 1.0
+    flat = np.zeros(pts.shape[1], dtype=np.int64)
+    stride = grid.num_nodes
     moving = []
-    for k in range(n):
-        upper = frac[:, k] == 1.0
-        if (upper | (frac[:, k] == 0.0)).all():
-            base[:, k] += upper  # pinned: every point takes its own node
+    for x, lo, hi, size in zip(pts, grid.lo, grid.hi, grid.shape):
+        if not ((lo - eps <= x) & (x <= hi + eps)).all():  # NaN fails both
+            raise ValueError("interpolation point outside the grid box")
+        stride //= size
+        frac = x - lo
+        frac /= grid.h
+        base = frac.astype(np.int64)  # frac >= -1e-9: truncation is floor once clipped
+        np.clip(base, 0, size - 2, out=base)
+        frac -= base
+        lower = frac < 1e-9  # the snap also clips the offset to [0, 1]
+        upper = frac > 1.0 - 1e-9
+        np.putmask(frac, lower, 0.0)
+        np.putmask(frac, upper, 1.0)
+        if (upper | lower).all():
+            base += upper  # pinned: every point takes its own node
         else:
-            moving.append(k)
-    k_count = pts.shape[0]
-    corners = 2 ** len(moving)
-    idx = np.empty((k_count, corners), dtype=np.int64)
-    w = np.empty((k_count, corners))
-    strides = np.array([int(np.prod(grid.shape[k + 1 :])) for k in range(n)], dtype=np.int64)
-    idx[:, 0] = base @ strides
-    w[:, 0] = 1.0
+            moving.append((stride, frac))
+        flat += base * stride
+    idx = np.empty((2 ** len(moving), pts.shape[1]), dtype=np.int64)
+    w = np.empty(idx.shape)
+    idx[0] = flat
+    w[0] = 1.0
     # corner c has bit j set when it takes the upper node on the j-th moving
     # axis; doubling axis by axis multiplies each corner's factors in axis order
-    for j, k in enumerate(moving):
+    for j, (stride, f) in enumerate(moving):
         half = 2**j
-        f = frac[:, k : k + 1]
-        np.add(idx[:, :half], strides[k], out=idx[:, half : 2 * half])
-        np.multiply(w[:, :half], f, out=w[:, half : 2 * half])
-        w[:, :half] *= 1.0 - f
+        np.add(idx[:half], stride, out=idx[half : 2 * half])
+        np.multiply(w[:half], f, out=w[half : 2 * half])
+        w[:half] *= 1.0 - f
     return idx, w
 
 

@@ -285,7 +285,8 @@ def bundle_for_instance(
     """Assemble the constants the seminorm bound needs from a solved instance.
 
     The trace-inequality constant is eta times the squared sampled Lipschitz
-    bound of sigma on the grid box.
+    bound of sigma on the grid box; the bundle carries that bound, so a
+    verify samples sigma once.
     """
     box = list(zip(u.grid.lo, u.grid.hi))
     lip = lipschitz_sigma_estimate(spec.structure, box, samples=LIPSCHITZ_SAMPLES, seed=seed)
@@ -298,6 +299,7 @@ def bundle_for_instance(
         L_f=coeffs.L_f,
         beta_prime=coeffs.beta_prime,
         u_inf=float(np.abs(u.flat).max()),
+        lipschitz_estimate=lip,
     )
 
 
@@ -312,16 +314,16 @@ def verify_theorem(
 ) -> HolderReport:
     """Hypothesis checks plus fitted Holder modulus for a converged solution.
 
-    The growth condition uses the preset's analytic asymptotic margin when one
-    exists; otherwise it samples the sphere of the largest of growth_radii, or
-    of the box half-width when none are given, and the report is flagged
-    box-local.
+    The Lipschitz figure is the one the bundle carries. The growth condition
+    uses the preset's analytic asymptotic margin when one exists; otherwise
+    it samples the sphere of the largest of growth_radii, or of the box
+    half-width when none are given, and the report is flagged box-local.
     """
     if not solve_report.converged:
         raise PreconditionError("verify_theorem requires a converged solve")
     s = spec.structure
     box = list(zip(u.grid.lo, u.grid.hi))
-    lip = lipschitz_sigma_estimate(s, box, samples=LIPSCHITZ_SAMPLES, seed=seed)
+    lip = bundle.lipschitz_estimate
 
     asym = growth_margin_asymptotic(s, bundle.c0, bundle.Lambda)
     margins = None

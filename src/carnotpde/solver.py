@@ -133,8 +133,10 @@ class DiscreteOperator:
         self.interior = grid.interior_indices()
         coords = grid.coords()[self.interior]
         self.coords = coords
+        self._axes = np.ascontiguousarray(coords.T)
         m = structure.m
-        frame = frames(structure, coords)
+        # (m, n, n_int): each field is passed as an (n_int, n) view of contiguous rows
+        frame = np.ascontiguousarray(frames(structure, coords).transpose(1, 2, 0))
 
         self.pairs = [(i, i) for i in range(m)]
         if spec.kind != "trace":
@@ -142,10 +144,10 @@ class DiscreteOperator:
         self.stencils = []
         for i, j in self.pairs:
             if i == j:
-                self.stencils.append(self._directional_matrix(frame[:, i, :]))
+                self.stencils.append(self._directional_matrix(frame[i].T))
             else:
-                plus = self._directional_matrix(frame[:, i, :] + frame[:, j, :])
-                minus = self._directional_matrix(frame[:, i, :] - frame[:, j, :])
+                plus = self._directional_matrix((frame[i] + frame[j]).T)
+                minus = self._directional_matrix((frame[i] - frame[j]).T)
                 self.stencils.append((plus - minus) / 4.0)
 
         self.c_vec = field_values(coeffs.c, coords, "c")
@@ -153,11 +155,15 @@ class DiscreteOperator:
         self._trace_matrix = None
 
     def _directional_matrix(self, w: np.ndarray):
-        """Sparse second-difference operator along the per-node fields w.
+        """Sparse second-difference operator along the per-node fields w (n_int, n).
 
         Returns the (n_int x num_nodes) CSR matrix whose rows already carry
         the |w|^2 scaling, so csr @ u approximates w^T D^2u w at each node.
-        Each row lists its plus corners, minus corners, then the centre.
+        Each row lists its plus corners, minus corners, then the centre: the
+        corner-major (2^k, n_int) arm ends are stacked and interleaved into
+        rows by one transposed ravel. The centre is summed over a row-major
+        (n_int, 2^k) copy, in numpy's own order along each row, since a
+        corner-major sum rounds differently on rows of 8 or more corners.
         scipy's sum_duplicates sorts each row by column and adds the entries
         of equal columns in the order its sort leaves them, which need not be
         the listed one; so a stored weight is the sum of its column's entries
@@ -169,10 +175,10 @@ class DiscreteOperator:
         import scipy.sparse as sp
 
         idx_p, w_p, idx_m, w_m = self._arm_ends(w)
-        center = -(w_p + w_m).sum(axis=1)
-        n_int, width = w.shape[0], 2 * w_p.shape[1] + 1
-        indices = np.column_stack([idx_p, idx_m, self.interior]).ravel()
-        data = np.column_stack([w_p, w_m, center]).ravel()
+        center = -np.ascontiguousarray((w_p + w_m).T).sum(axis=1)
+        n_int, width = self.interior.size, 2 * w_p.shape[0] + 1
+        indices = np.vstack([idx_p, idx_m, self.interior]).T.ravel()
+        data = np.vstack([w_p, w_m, center]).T.ravel()
         indptr = np.arange(n_int + 1) * width
         mat = sp.csr_matrix((data, indices, indptr), shape=(n_int, self.grid.num_nodes))
         mat.sum_duplicates()
@@ -182,36 +188,40 @@ class DiscreteOperator:
     def _arm_ends(self, w: np.ndarray):
         """Interpolation stencils of the two arm ends along the per-node fields w.
 
-        Returns (idx_p, w_p, idx_m, w_m), each (n_int, 2^k): the corner indices
-        of the plus and minus ends and their weights, scaled by |w|^2 and the
-        unequal-arm factor 2 / (a (a_plus + a_minus)). k counts the axes along
-        which some end, plus or minus, leaves the node planes
-        (grids.multilinear_weights), so a field that holds a coordinate fixed
-        forms no corners along that axis.
+        Works on w.T, one axis at a time over n_int contiguous values, and
+        returns (idx_p, w_p, idx_m, w_m), each corner-major (2^k, n_int): the
+        corner indices of the plus and minus ends and their weights, scaled by
+        |w|^2 and the unequal-arm factor 2 / (a (a_plus + a_minus)). The minus
+        end's room quotients are the exact negations of the plus end's. k
+        counts the axes along which some end, plus or minus, leaves the node
+        planes (grids.multilinear_weights), so a field that holds a coordinate
+        fixed forms no corners along that axis.
         """
         grid = self.grid
-        lo = np.array(grid.lo)
-        hi = np.array(grid.hi)
-        norms = np.linalg.norm(w, axis=1)
+        wt = w.T
+        norms = np.sqrt((wt * wt).sum(axis=0))
         active = norms > _ARM_EPS
-        v = np.zeros_like(w)
-        v[active] = w[active] / norms[active, None]
-
-        n_int = w.shape[0]
-        arms = []
-        ends = np.empty((2, n_int, grid.n))  # the plus ends, then the minus ends
-        for end, sign in zip(ends, (1.0, -1.0)):
-            dirv = sign * v
-            with np.errstate(divide="ignore", invalid="ignore"):
-                room = np.where(
-                    dirv > _ARM_EPS,
-                    (hi - self.coords) / dirv,
-                    np.where(dirv < -_ARM_EPS, (lo - self.coords) / dirv, np.inf),
-                )
-            a = np.clip(room.min(axis=1), 0.0, self.h_eff)
-            arms.append(a)
-            np.clip(self.coords + a[:, None] * dirv, lo, hi, out=end)
-        a_plus, a_minus = arms
+        # along +v an axis leaves room max(up, down) and along -v the same
+        # quotients negated, -min(up, down); low is the minus end's room negated
+        a_plus = np.full(norms.shape, np.inf)
+        low = np.full(norms.shape, -np.inf)
+        v = np.zeros(wt.shape)
+        with np.errstate(divide="ignore"):
+            for k, (vk, wk, x) in enumerate(zip(v, wt, self._axes)):
+                np.divide(wk, norms, out=vk, where=active)
+                # a component within _ARM_EPS of 0 sets no room: +-inf quotients
+                d = np.where(np.abs(vk) > _ARM_EPS, vk, 0.0)
+                up = (grid.hi[k] - x) / d
+                down = (grid.lo[k] - x) / d
+                np.minimum(a_plus, np.maximum(up, down), out=a_plus)
+                np.maximum(low, np.minimum(up, down), out=low)
+        np.clip(a_plus, 0.0, self.h_eff, out=a_plus)
+        a_minus = np.clip(-low, 0.0, self.h_eff)
+        n_int = norms.size
+        ends = np.empty((grid.n, 2 * n_int))  # the plus ends, then the minus ends
+        for k, (vk, x) in enumerate(zip(v, self._axes)):
+            np.clip(x + a_plus * vk, grid.lo[k], grid.hi[k], out=ends[k, :n_int])
+            np.clip(x - a_minus * vk, grid.lo[k], grid.hi[k], out=ends[k, n_int:])
         denom = a_plus + a_minus
         with np.errstate(divide="ignore", invalid="ignore"):
             cp = np.where(active, 2.0 / (a_plus * denom), 0.0)
@@ -220,10 +230,10 @@ class DiscreteOperator:
 
         # one call for both ends, so they share one set of pinned axes and
         # one corner count, the row width _directional_matrix assumes
-        idx, wts = multilinear_weights(grid, ends.reshape(-1, grid.n))
-        wts[:n_int] *= (scale * cp)[:, None]
-        wts[n_int:] *= (scale * cm)[:, None]
-        return idx[:n_int], wts[:n_int], idx[n_int:], wts[n_int:]
+        idx, wts = multilinear_weights(grid, ends)
+        wts[:, :n_int] *= scale * cp
+        wts[:, n_int:] *= scale * cm
+        return idx[:, :n_int], wts[:, :n_int], idx[:, n_int:], wts[:, n_int:]
 
     def policy_matrix(self, u_flat: np.ndarray):
         """The sparse L_A with L_A @ v = tr(A M_h(v)) for the policy A that

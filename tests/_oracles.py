@@ -3,7 +3,8 @@
 No command, script or benchmark reads these, so they live on the test side:
 the one-matrix forms of G and F, the randomized sandwich and degenerate
 ellipticity checks, the Holder seminorm over the pair scan, multilinear
-interpolation of a grid function and its full 2^n-corner weights, and the
+interpolation of a grid function and its full 2^n-corner weights, the
+row-major arm ends and stencil build of DiscreteOperator, and the
 group laws of the presets whose frames are left-invariant fields.
 """
 
@@ -17,6 +18,7 @@ from carnotpde import symmat
 from carnotpde.grids import GridFunction, multilinear_weights
 from carnotpde.holder import _offset_table
 from carnotpde.operators import OperatorSpec, frame_hessians, g_values
+from carnotpde.solver import _ARM_EPS
 from carnotpde.structures import CarnotStructure, as_point
 
 
@@ -133,15 +135,17 @@ def holder_seminorm(u: GridFunction, alpha: float, seed: int = 0) -> float:
 
 
 def interpolate(gf: GridFunction, pts: np.ndarray) -> np.ndarray:
-    idx, w = multilinear_weights(gf.grid, pts)
-    return (gf.flat[idx] * w).sum(axis=1)
+    """The grid function at the (K, n) points, one point per row."""
+    idx, w = multilinear_weights(gf.grid, np.asarray(pts, dtype=float).T)
+    return (gf.flat[idx] * w).sum(axis=0)
 
 
 def _ref_multilinear_weights(grid, pts):
     """The per-corner loop multilinear_weights replaced: all 2^n corners, one
     np.where and one np.prod per corner, each corner's factors multiplied in
-    axis order."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    axis order. Takes axis-major (n, K) points and returns corner-major
+    (2^n, K) arrays, as multilinear_weights does."""
+    pts = np.asarray(pts, dtype=float).T
     n = grid.n
     t = (pts - np.array(grid.lo)) / grid.h
     base = np.clip(np.floor(t).astype(np.int64), 0, np.array(grid.shape) - 2)
@@ -156,7 +160,66 @@ def _ref_multilinear_weights(grid, pts):
         bits = np.array([(c >> k) & 1 for k in range(n)], dtype=np.int64)
         idx[:, c] = base_flat + bits @ strides
         w[:, c] = np.prod(np.where(bits, frac, 1.0 - frac), axis=1)
-    return idx, w
+    return idx.T, w.T
+
+
+def _ref_arm_ends(op, w):
+    """The row-major arm ends DiscreteOperator._arm_ends replaced: fields and
+    ends as (n_int, n) rows, the arm lengths from room.min(axis=1) over both
+    room quotients of each sign, and C-contiguous (n_int, 2^k) results. The
+    corners come from multilinear_weights, transposed into rows."""
+    grid = op.grid
+    lo = np.array(grid.lo)
+    hi = np.array(grid.hi)
+    norms = np.linalg.norm(w, axis=1)
+    active = norms > _ARM_EPS
+    v = np.zeros_like(w)
+    v[active] = w[active] / norms[active, None]
+
+    n_int = w.shape[0]
+    arms = []
+    ends = np.empty((2, n_int, grid.n))  # the plus ends, then the minus ends
+    for end, sign in zip(ends, (1.0, -1.0)):
+        dirv = sign * v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(
+                dirv > _ARM_EPS,
+                (hi - op.coords) / dirv,
+                np.where(dirv < -_ARM_EPS, (lo - op.coords) / dirv, np.inf),
+            )
+        a = np.clip(room.min(axis=1), 0.0, op.h_eff)
+        arms.append(a)
+        np.clip(op.coords + a[:, None] * dirv, lo, hi, out=end)
+    a_plus, a_minus = arms
+    denom = a_plus + a_minus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cp = np.where(active, 2.0 / (a_plus * denom), 0.0)
+        cm = np.where(active, 2.0 / (a_minus * denom), 0.0)
+    scale = norms**2
+
+    rows = multilinear_weights(grid, ends.reshape(-1, grid.n).T)
+    idx, wts = (np.ascontiguousarray(a.T) for a in rows)
+    wts[:n_int] *= (scale * cp)[:, None]
+    wts[n_int:] *= (scale * cm)[:, None]
+    return idx[:n_int], wts[:n_int], idx[n_int:], wts[n_int:]
+
+
+def _ref_directional_matrix(op, w):
+    """The row-major CSR build DiscreteOperator._directional_matrix replaced,
+    on _ref_arm_ends: rows from column_stack, the centre summed along each
+    C-contiguous (n_int, 2^k) row."""
+    import scipy.sparse as sp
+
+    idx_p, w_p, idx_m, w_m = _ref_arm_ends(op, w)
+    center = -(w_p + w_m).sum(axis=1)
+    n_int, width = w.shape[0], 2 * w_p.shape[1] + 1
+    indices = np.column_stack([idx_p, idx_m, op.interior]).ravel()
+    data = np.column_stack([w_p, w_m, center]).ravel()
+    indptr = np.arange(n_int + 1) * width
+    mat = sp.csr_matrix((data, indices, indptr), shape=(n_int, op.grid.num_nodes))
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
 
 
 def _mul_heisenberg(x, y):

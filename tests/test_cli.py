@@ -420,6 +420,25 @@ class TestVerifyCommand:
             [row["distance"], row["max_increment"], row["pairs"]] for row in report["increments"]
         ]
 
+    def test_verify_samples_sigma_once(self, tmp_path, monkeypatch):
+        # the bundle carries the sampled Lipschitz bound that verify_theorem
+        # reports, so one verify samples sigma once; the figures are those of
+        # the two-sample verify before
+        from carnotpde import holder
+
+        calls = []
+        sample = holder.lipschitz_sigma_estimate
+        monkeypatch.setattr(
+            holder, "lipschitz_sigma_estimate", lambda *a, **k: calls.append(1) or sample(*a, **k)
+        )
+        config = str(CONFIGS / "heisenberg_verify.json")
+        assert run("verify", "--config", config, "--out", str(tmp_path)) == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "holder_report.json").read_text())
+        assert report["lipschitz_estimate"] == 2.0
+        assert report["bundle"]["lipschitz_estimate"] == 2.0
+        assert report["bundle"]["C"] == 4.4
+
     def test_verify_fails_growth_with_small_c0(self, tmp_path):
         code = run(
             "verify",

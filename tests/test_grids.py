@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,22 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate(u, np.array([[1.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_point_rejected(self, bad, axis):
+        g = Grid((0.0, 0.0), (1.0, 1.0), (5, 5))
+        pts = np.array([[0.5, 0.3], [0.2, 0.7]]).T
+        pts[axis, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="outside the grid box"):
+                multilinear_weights(g, pts)
+
+    def test_row_major_points_rejected(self):
+        g = Grid((0.0, 0.0), (1.0, 1.0), (5, 5))
+        with pytest.raises(ValueError, match="axis-major"):
+            multilinear_weights(g, np.full((3, 2), 0.5))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_weights_bitwise_equal_to_per_corner_loop(self, n):
         g = Grid((-0.3,) * n, (0.9,) * n, (5,) * n)
@@ -109,8 +126,8 @@ class TestInterpolation:
         corners = np.array([g.lo, g.hi])  # base clipped to shape - 2 at hi
         inside = rng.uniform(-0.3, 0.9, (200, n))
         pts = np.clip(np.vstack([nodes, snapped, unsnapped, faces, corners, inside]), -0.3, 0.9)
-        idx, w = multilinear_weights(g, pts)
-        ref_idx, ref_w = _ref_multilinear_weights(g, pts)
+        idx, w = multilinear_weights(g, pts.T)
+        ref_idx, ref_w = _ref_multilinear_weights(g, pts.T)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(w, ref_w)
 
@@ -128,14 +145,14 @@ class TestInterpolation:
             nodes[:5] = 0.9
             jitter = rng.choice([0.0, -1e-10, 1e-10], (60, n)) * g.h
             pts[:, pinned] = np.clip(nodes + jitter, -0.3, 0.9)[:, pinned]
-            idx, w = multilinear_weights(g, pts)
-            ref_idx, ref_w = _ref_multilinear_weights(g, pts)
-            assert idx.shape == w.shape == (60, 2 ** int((~pinned).sum()))
+            idx, w = multilinear_weights(g, pts.T)
+            ref_idx, ref_w = _ref_multilinear_weights(g, pts.T)
+            assert idx.shape == w.shape == (2 ** int((~pinned).sum()), 60)
             assert idx.flags.c_contiguous and w.flags.c_contiguous
             for k in range(60):
-                ref = dict(zip(ref_idx[k].tolist(), ref_w[k].tolist()))
-                kept = dict(zip(idx[k].tolist(), w[k].tolist()))
-                assert len(kept) == idx.shape[1]
+                ref = dict(zip(ref_idx[:, k].tolist(), ref_w[:, k].tolist()))
+                kept = dict(zip(idx[:, k].tolist(), w[:, k].tolist()))
+                assert len(kept) == idx.shape[0]
                 assert all(ref[i] == v for i, v in kept.items())  # bitwise
                 assert all(v == 0.0 for i, v in ref.items() if i not in kept)
 

@@ -11,7 +11,13 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from _oracles import _ref_multilinear_weights, f_eval, g_eval, interpolate
+from _oracles import (
+    _ref_directional_matrix,
+    _ref_multilinear_weights,
+    f_eval,
+    g_eval,
+    interpolate,
+)
 from carnotpde import (
     CarnotStructure,
     Coefficients,
@@ -39,6 +45,13 @@ from carnotpde.structures import frames
 
 HEIS = preset("heisenberg1")
 EUC2 = preset("euclidean:2")
+# X1 = (1, x2) with X2 = (0, x1) or X2 = (0, 1)
+X2_VANISHES = {
+    "n": 2, "m": 2, "entries": [[[[1.0, 0, 0]], [[1.0, 0, 1]]], [[[0.0, 0, 0]], [[1.0, 1, 0]]]]
+}
+ONE_SIDE_PINNED = {
+    "n": 2, "m": 2, "entries": [[[[1.0, 0, 0]], [[1.0, 0, 1]]], [[[0.0, 0, 0]], [[1.0, 0, 0]]]]
+}
 _ARM_EPS = 1e-12
 
 
@@ -365,7 +378,8 @@ class TestDiscreteOperator:
             fields += [frame[:, i, :] + s * frame[:, j, :] for i, j in pairs for s in (1, -1)]
         n_int = op.interior.size
         for w in fields:
-            idx_p, w_p, idx_m, w_m = op._arm_ends(w)
+            # row-major (n_int, 2^k) copies of the corner-major arm ends
+            idx_p, w_p, idx_m, w_m = (np.ascontiguousarray(a.T) for a in op._arm_ends(w))
             corner_rows = np.repeat(np.arange(n_int), idx_p.shape[1])
             rows = np.concatenate([corner_rows, corner_rows, np.arange(n_int)])
             cols = np.concatenate([idx_p.ravel(), idx_m.ravel(), op.interior])
@@ -395,7 +409,49 @@ class TestDiscreteOperator:
         for i in range(spec.structure.m):
             idx_p, w_p, idx_m, w_m = op._arm_ends(frame[:, i, :])
             for end in (idx_p, w_p, idx_m, w_m):
-                assert end.shape == (op.interior.size, corners)
+                assert end.shape == (corners, op.interior.size)
+
+    @pytest.mark.parametrize(
+        "structure, lo, hi, shape",
+        [
+            ("heisenberg1", (-1,) * 3, (1,) * 3, (9, 9, 9)),
+            ("heisenberg1", (-1,) * 3, (1,) * 3, (17, 17, 17)),
+            ("engel1", (-1,) * 4, (1,) * 4, (7,) * 4),
+            ("euclidean:2", (-1, -1), (1, 1), (9, 9)),
+            ("euclidean:3", (-1,) * 3, (1,) * 3, (5, 5, 5)),
+            ("grushin-like2d", (-1, -1), (1, 1), (9, 9)),
+            ("line2d", (-1, -1), (1, 1), (9, 9)),
+            # X1 = (1, x2), X2 = (0, x1): X2 vanishes on x1 = 0
+            (X2_VANISHES, (-1, -1), (1, 1), (9, 9)),
+            # X1 = (1, x2), X2 = (0, 1): the minus ends of X1 stop on x2 = 0
+            (ONE_SIDE_PINNED, (0, 0), (6, 4), (7, 5)),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["trace", "pucci_plus", "pucci_minus"])
+    def test_stencils_bitwise_equal_to_row_major_build(
+        self, monkeypatch, structure, lo, hi, shape, kind
+    ):
+        # every stencil against the row-major arm ends and CSR build the
+        # corner-major kernels replaced, with default and 4-cell arms that
+        # clip at the faces; the Heisenberg and Engel polarization rows have 8
+        # and more corners, where a corner-major centre sum rounds differently
+        s = preset(structure) if isinstance(structure, str) else structure_from_json(structure)
+        if kind == "trace":
+            spec = trace_operator(s)
+        else:
+            spec = pucci_operator(s, 1.0, 2.0, plus=kind == "pucci_plus")
+        grid = Grid(lo, hi, shape)
+        for h_eff in (None, 4 * grid.h):
+            op = DiscreteOperator(spec, constant_coeffs(s.n), grid, h_eff=h_eff)
+            with monkeypatch.context() as patch:
+                patch.setattr(DiscreteOperator, "_directional_matrix", _ref_directional_matrix)
+                ref = DiscreteOperator(spec, constant_coeffs(s.n), grid, h_eff=h_eff)
+            assert len(op.stencils) == len(ref.stencils)
+            for mat, want in zip(op.stencils, ref.stencils):
+                for part in ("indptr", "indices", "data"):
+                    got, exp = getattr(mat, part), getattr(want, part)
+                    assert got.dtype == exp.dtype
+                    assert np.array_equal(got, exp)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_ends_pinned_on_one_side_match_full_corners(self, monkeypatch, sign):
@@ -410,7 +466,7 @@ class TestDiscreteOperator:
         grid = Grid((0, 0), (6, 4), (7, 5))
         op = DiscreteOperator(spec, constant_coeffs(2), grid, h_eff=4.0)
         idx_p, _, idx_m, _ = op._arm_ends(frames(spec.structure, op.coords)[:, 0, :])
-        assert idx_p.shape == idx_m.shape == (op.interior.size, 4)
+        assert idx_p.shape == idx_m.shape == (4, op.interior.size)
         monkeypatch.setattr(solver_module, "multilinear_weights", _ref_multilinear_weights)
         ref = DiscreteOperator(spec, constant_coeffs(2), grid, h_eff=4.0)
         for mat, full in zip(op.stencils, ref.stencils):
@@ -436,7 +492,8 @@ class TestDiscreteOperator:
             )
             for _ in range(2)
         ]
-        monkeypatch.setattr(op, "_arm_ends", lambda w: (*ends[0], *ends[1]))
+        corner_major = [a.T for end in ends for a in end]
+        monkeypatch.setattr(op, "_arm_ends", lambda w: corner_major)
         mat = op._directional_matrix(np.zeros((n_int, grid.n)))
         assert mat.has_canonical_format
         cols = np.column_stack([ends[0][0], ends[1][0], op.interior])
