@@ -14,18 +14,25 @@ pops exactly the states of one level before any of the next, in that order,
 so expanding a whole level at once as arrays settles the same states, finds
 the same goal and returns the same float.
 
+The arrays are axis-major: a level is (n, K), one contiguous row of K values
+per coordinate, and its candidates fill an (n, K, m, 2) buffer one axis at a
+time, whose rows ravel in that settle order. Keys, box tests and the goal
+test then run as 1-D passes over rows; only the frame call sees the (K, n)
+view level.T, the batch form every sigma takes.
+
 Two states are one state when they share the cell floor(p / cell) of the
 half-step lattice. The visited set has two forms, chosen from the box; each
-settles a level's candidates with settle(cand), which returns the indices of
-the candidates that reach a cell first, in candidate order:
+settles a level's (n, N) candidates with settle(cand), which returns the
+indices of the candidates that reach a cell first, in candidate order:
 
 - one int32 stamp per cell of the box's lattice (_CellStamps), indexed by
   (floor(p / cell) - floor(lo / cell)) @ strides. It runs when every bound is
   finite and the lattice has at most _stamp_cells(s, max_nodes) cells, so its
   4 bytes per cell never take more memory than the 8 * n bytes per state of
   the sorted keys at the node budget;
-- otherwise the sorted bytes of the float64 floors (_SortedCells), which grow
-  with the settled states and are the only form for huge or unbounded boxes.
+- otherwise the sorted bytes of the float64 floors (_SortedCells), one row of
+  n floors per state after one transpose a level, which grow with the settled
+  states and are the only form for huge or unbounded boxes.
 
 Both map two states to one key exactly when their floors match, so they
 settle the same states.
@@ -66,14 +73,14 @@ def default_box(a: np.ndarray, b: np.ndarray) -> list[tuple[float, float]]:
 
 
 def _cell_keys(points: np.ndarray, cell: float) -> np.ndarray:
-    """One sortable key per row: the bytes of its lattice cell floor(p / cell).
+    """One sortable key per column of the (n, K) points: the bytes of its cell floor(p / cell).
 
     The keys of the sorted visited set, which serves boxes too large or
     unbounded for a bitmap. The floors stay float64, which holds every integer
     cell index exactly at any box size; + 0.0 turns -0.0 into 0.0, whose bytes
-    differ.
+    differ. They are transposed once into C-contiguous rows of n, one key each.
     """
-    floors = np.floor(points / cell) + 0.0
+    floors = np.ascontiguousarray((np.floor(points / cell) + 0.0).T)
     return floors.view(np.dtype((np.void, floors.itemsize * floors.shape[1]))).ravel()
 
 
@@ -102,15 +109,16 @@ def _cell_lattice(
 
 
 class _SortedCells:
-    """Visited set as the sorted _cell_keys of every settled state, from start (one row)."""
+    """Visited set as the sorted _cell_keys of every settled state, from start (one column)."""
 
     def __init__(self, cell: float, lo: np.ndarray, hi: np.ndarray, start: np.ndarray):
         self.cell, self.lo, self.hi = cell, lo, hi
         self.settled = _cell_keys(start, cell)
 
     def settle(self, cand: np.ndarray) -> np.ndarray:
-        inbox = np.flatnonzero(~((cand < self.lo) | (cand > self.hi)).any(axis=1))
-        keys = _cell_keys(cand[inbox], self.cell)
+        outside = (cand < self.lo[:, None]) | (cand > self.hi[:, None])
+        inbox = np.flatnonzero(~outside.any(axis=0))
+        keys = _cell_keys(np.take(cand, inbox, axis=1), self.cell)
         at = np.minimum(np.searchsorted(self.settled, keys), len(self.settled) - 1)
         fresh = np.flatnonzero(self.settled[at] != keys)
         new_keys, first = np.unique(keys[fresh], return_index=True)
@@ -141,34 +149,42 @@ class _CellStamps:
         self.settle(start)
 
     def settle(self, cand: np.ndarray) -> np.ndarray:
-        # one axis at a time: a matmul or any(axis=1) over rows of n is slow
-        keys, outside = np.zeros(len(cand)), np.zeros(len(cand), dtype=bool)
-        for col, lo, hi, origin, stride in zip(cand.T, self.lo, self.hi, self.origin, self.strides):
-            keys += (np.floor(col / self.cell) - origin) * stride
+        # one contiguous row of cand per axis: key and box test in 1-D passes,
+        # the key's (floor(col / cell) - origin) * stride formed in place
+        keys, outside = np.zeros(cand.shape[1]), np.zeros(cand.shape[1], dtype=bool)
+        term = np.empty(cand.shape[1])
+        for col, lo, hi, origin, stride in zip(cand, self.lo, self.hi, self.origin, self.strides):
+            np.floor(np.divide(col, self.cell, out=term), out=term)
+            term -= origin
+            term *= stride
+            keys += term
             outside |= (col < lo) | (col > hi)
         keys = np.where(outside, self.cells, keys.astype(np.intp))
-        pos = np.flatnonzero(self.stamp[keys] != self.SETTLED)
-        keys = keys[pos]
-        order = np.arange(len(pos), dtype=np.int32)
-        np.minimum.at(self.stamp, keys, order)  # each fresh cell: its first candidate
-        first = self.stamp[keys] == order
-        self.stamp[keys] = self.SETTLED
-        return pos[first]
+        order = np.arange(len(keys), dtype=np.int32)
+        # each fresh cell takes its first candidate's position; a settled
+        # cell's SETTLED is below every position, so it stays and matches none
+        np.minimum.at(self.stamp, keys, order)
+        first = np.flatnonzero(self.stamp[keys] == order)
+        self.stamp[keys[first]] = self.SETTLED  # every fresh cell has one first candidate
+        return first
 
 
 def _goal_index(level: np.ndarray, goal: np.ndarray, tol2: float) -> int:
-    """Index of the first state within the goal tolerance, len(level) if none.
+    """Index of the first state (column of level) within the goal tolerance, K if none.
 
     The vectorised sum of squares only preselects, with a margin: a state is
-    accepted by the scalar dot product gap @ gap, as in the one-state-at-a-time
-    Dijkstra formulation. The two can round differently in the last bit (BLAS
-    may fuse multiply and add), and a tie at the tolerance must go the same way.
+    accepted by the scalar dot product g @ g on a contiguous copy g of its gap,
+    as in the one-state-at-a-time Dijkstra formulation. The two can round
+    differently in the last bit (BLAS may fuse multiply and add, and a strided
+    column may take another dot kernel), and a tie at the tolerance must go the
+    same way.
     """
-    gap = level - goal
-    for k in np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= tol2 * (1.0 + 1e-9)):
-        if float(gap[k] @ gap[k]) <= tol2:
+    gap = level - goal[:, None]
+    for k in np.flatnonzero(np.einsum("ij,ij->j", gap, gap) <= tol2 * (1.0 + 1e-9)):
+        g = np.ascontiguousarray(gap[:, k])
+        if float(g @ g) <= tol2:
             return int(k)
-    return len(level)
+    return level.shape[1]
 
 
 def cc_search(
@@ -214,9 +230,8 @@ def cc_search(
 
     cell = resolution / 2.0
     tol2 = tol * tol
-    signs = np.array([1.0, -1.0])[:, None] * resolution
 
-    level = start[None, :]
+    level = start[:, None]
     lattice = _cell_lattice(lo, hi, cell, _stamp_cells(s, max_nodes))
     if lattice is None:
         visited = _SortedCells(cell, lo, hi, level)
@@ -226,28 +241,35 @@ def cc_search(
     depth = 0
     popped = 0
     peak = 1
-    while len(level):
+    while level.shape[1]:
         found = _goal_index(level, goal, tol2)
         if popped + found >= max_nodes:
             raise NoPathError(
                 f"node budget {max_nodes} exhausted at cost {cost:.4g}; "
                 "enlarge the box or refine the resolution"
             )
-        if found < len(level):
+        if found < level.shape[1]:
             return CCResult(cost, popped + found + 1, depth, peak, time.perf_counter() - t0)
-        popped += len(level)
-        frame = frames(s, level)
+        popped += level.shape[1]
+        frame = frames(s, level.T)
         if not np.isfinite(frame).all():
-            bad = level[np.argmin(np.isfinite(frame).all(axis=(1, 2)))].tolist()
+            bad = level[:, np.argmin(np.isfinite(frame).all(axis=(1, 2)))].tolist()
             raise NumericalError(f"sigma has non-finite entries at state {bad}")
-        # candidates in settle order: parent, then field i, then + before -
-        cand = signs * frame[:, :, None, :]
-        cand += level[:, None, None, :]  # in place: a fresh array costs page faults
-        cand = cand.reshape(-1, s.n)
-        level = cand[visited.settle(cand)]
+        # candidates in settle order once raveled: parent, then field i, then + before -;
+        # one axis at a time, level[a] +/- resolution * X_i[a], which rounds as
+        # (+/-resolution) * X_i[a] + level[a] does since negation is exact
+        cand = np.empty((s.n, level.shape[1], s.m, 2))
+        step = np.empty(level.shape[1])
+        for a in range(s.n):
+            for i in range(s.m):
+                np.multiply(frame[:, i, a], resolution, out=step)
+                np.add(level[a], step, out=cand[a, :, i, 0])
+                np.subtract(level[a], step, out=cand[a, :, i, 1])
+        cand = cand.reshape(s.n, -1)
+        level = np.take(cand, visited.settle(cand), axis=1)
         cost = cost + resolution
         depth += 1
-        peak = max(peak, len(level))
+        peak = max(peak, level.shape[1])
     raise NoPathError(
         "goal not reachable within the box at this resolution; "
         "enlarge the box or refine the resolution"

@@ -40,6 +40,7 @@ map (N, n) points to (N,) values.
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -349,6 +350,9 @@ def solve(
     Non-convergence within cfg.max_iters is reported, not raised; NaN or Inf
     in the data or the iterates raises NumericalError.
     """
+    # scipy.sparse is loaded before the timers, so that the first assembly_s
+    # of a process times the assembly and not the import
+    importlib.import_module("scipy.sparse")
     t0 = time.perf_counter()
     h_eff = None if cfg.h_eff_cells is None else cfg.h_eff_cells * grid.h
     op = DiscreteOperator(spec, coeffs, grid, h_eff=h_eff)

@@ -14,17 +14,20 @@ from carnotpde.structures import as_point, sigma_at
 
 
 def _heap_reference(s, a, b, resolution, box=None, goal_tol=None, max_nodes=2_000_000):
-    """The earlier Dijkstra-heap search, kept as a test oracle: (distance, states popped).
+    """The earlier Dijkstra-heap search, kept as a test oracle.
 
-    Every move costs resolution, so the heap pops states level by level, in
-    push order within a level; cc_search must return the same float and settle
-    the same number of states.
+    Returns (distance, states popped, goal level, largest level). Every move
+    costs resolution, so the heap pops states level by level, in push order
+    within a level; cc_search must return the same float, settle the same
+    number of states and report the same levels and frontier_peak. After the
+    goal pops, the rest of its level is popped and settled, not expanded, to
+    count the goal level's states as the level-synchronous search does.
     """
     start = as_point(a, s.n)
     goal = as_point(b, s.n)
     tol = resolution / 2.0 if goal_tol is None else float(goal_tol)
     if float(np.linalg.norm(start - goal)) <= tol:
-        return 0.0, 0
+        return 0.0, 0, 0, 0
     if box is None:
         box = default_box(start, goal)
     lo = np.array([float(c[0]) for c in box])
@@ -36,19 +39,28 @@ def _heap_reference(s, a, b, resolution, box=None, goal_tol=None, max_nodes=2_00
         return tuple(int(np.floor(c / cell)) for c in p)
 
     settled = set()
-    heap = [(0.0, 0, start)]
+    sizes = []  # states settled per level
+    heap = [(0.0, 0, 0, start)]
     counter = 1
     popped = 0
     while heap:
-        cost, _, state = heapq.heappop(heap)
+        cost, _, depth, state = heapq.heappop(heap)
         k = key(state)
         if k in settled:
             continue
         settled.add(k)
         popped += 1
+        if depth == len(sizes):
+            sizes.append(0)
+        sizes[depth] += 1
         gap = state - goal
         if float(gap @ gap) <= tol2:
-            return cost, popped
+            while heap and heap[0][2] == depth:
+                rest = key(heapq.heappop(heap)[3])
+                if rest not in settled:
+                    settled.add(rest)
+                    sizes[depth] += 1
+            return cost, popped, depth, max(sizes)
         if popped >= max_nodes:
             raise NoPathError(
                 f"node budget {max_nodes} exhausted at cost {cost:.4g}; "
@@ -63,12 +75,16 @@ def _heap_reference(s, a, b, resolution, box=None, goal_tol=None, max_nodes=2_00
                     continue
                 if key(nxt) in settled:
                     continue
-                heapq.heappush(heap, (cost + resolution, counter, nxt))
+                heapq.heappush(heap, (cost + resolution, counter, depth + 1, nxt))
                 counter += 1
     raise NoPathError(
         "goal not reachable within the box at this resolution; "
         "enlarge the box or refine the resolution"
     )
+
+
+def _figures(result):
+    return result.distance, result.nodes_settled, result.levels, result.frontier_peak
 
 
 def _frame_with(value, threshold=0.35):
@@ -237,13 +253,11 @@ EQUIVALENCE_QUERIES = [
 
 class TestHeapEquivalence:
     @pytest.mark.parametrize("name,a,b,kwargs", EQUIVALENCE_QUERIES)
-    def test_same_distance_and_settled_count(self, name, a, b, kwargs):
+    def test_same_figures_as_the_heap(self, name, a, b, kwargs):
         s = preset(name)
-        expected, popped = _heap_reference(s, a, b, 0.1, **kwargs)
-        result = cc_search(s, a, b, 0.1, **kwargs)
-        assert result.distance == expected
-        assert result.nodes_settled == popped
-        assert cc_distance_estimate(s, a, b, 0.1, **kwargs) == expected
+        expected = _heap_reference(s, a, b, 0.1, **kwargs)
+        assert _figures(cc_search(s, a, b, 0.1, **kwargs)) == expected
+        assert cc_distance_estimate(s, a, b, 0.1, **kwargs) == expected[0]
 
     def test_same_no_path_error(self):
         s = preset("line2d")
@@ -269,26 +283,34 @@ class TestHeapEquivalence:
 
 
 class TestVisitedSets:
-    def test_stamps_and_sorted_keys_agree(self):
-        # a box of 61^3 cells: the stamps run while 61^3 <= _stamp_cells(s, max_nodes)
-        s = preset("heisenberg1")
-        a, b, box = [0, 0, 0], [0.5, 0.0, 0.0], [(-1.5, 1.5)] * 3
-        lo, hi = np.array(box).T
-        cells = 61**3
+    @pytest.mark.parametrize(
+        "name,a,b,box",
+        [
+            # a box of 61^3 cells: the stamps run while 61^3 <= _stamp_cells(s, max_nodes)
+            ("heisenberg1", [0, 0, 0], [0.5, 0.0, 0.0], [(-1.5, 1.5)] * 3),
+            ("euclidean:2", [0, 0], [0.43, -0.27], [(-1.5, 1.5)] * 2),
+            ("engel1", [0, 0, 0, 0], [0.3, 0.2, 0.0, 0.0], [(-0.6, 0.6)] * 4),
+        ],
+    )
+    def test_stamps_and_sorted_keys_agree(self, name, a, b, box):
+        # the smallest budget whose stamp bound admits the box's lattice runs on
+        # the stamps, one less on the sorted keys, with the same box and query
+        s = preset(name)
+        lo, hi = np.array(box, dtype=float).T
+        cells = int(np.prod(_cell_lattice(lo, hi, 0.05, np.inf)[1]))
         stamp_budget = -(-cells // int(_stamp_cells(s, 1)))
         assert _cell_lattice(lo, hi, 0.05, _stamp_cells(s, stamp_budget)) is not None
         assert _cell_lattice(lo, hi, 0.05, _stamp_cells(s, stamp_budget - 1)) is None
 
-        def figures(max_nodes):
-            result = asdict(cc_search(s, a, b, 0.1, box, max_nodes=max_nodes))
-            del result["elapsed_s"]
-            return result
+        def result(max_nodes):
+            fields = asdict(cc_search(s, a, b, 0.1, box, max_nodes=max_nodes))
+            del fields["elapsed_s"]
+            return fields
 
-        on_stamps = figures(stamp_budget)
+        on_stamps = result(stamp_budget)
         assert on_stamps["nodes_settled"] <= stamp_budget - 1
-        assert figures(stamp_budget - 1) == on_stamps
-        expected, popped = _heap_reference(s, a, b, 0.1, box)
-        assert (on_stamps["distance"], on_stamps["nodes_settled"]) == (expected, popped)
+        assert result(stamp_budget - 1) == on_stamps
+        assert tuple(on_stamps.values()) == _heap_reference(s, a, b, 0.1, box)
 
     def test_huge_box_takes_the_sorted_keys(self):
         lo, hi = np.array([(-1e7, 1e7)] * 3).T
@@ -318,7 +340,7 @@ class TestBenchmarkQueries:
             ccdist._CellStamps, "settle", lambda self, cand: calls.append(1) or settle(self, cand)
         )
         r = cc_search(preset("heisenberg1"), [0, 0, 0], b, 0.05)
-        assert (r.distance, r.nodes_settled, r.levels, r.frontier_peak) == figures
+        assert _figures(r) == figures
         # the stamps settle the start and every expanded level
         assert len(calls) == 1 + r.levels
 

@@ -516,6 +516,34 @@ class TestGeometryCommands:
         assert proc.stdout.splitlines()[-1:] == ["0 False False"], proc.stderr
         assert (tmp_path / "cc_report.json").exists()
 
+    def test_solve_loads_scipy_sparse_before_assembly(self):
+        # a fresh process's first assembly_s once took the 0.2 s import with it
+        script = (
+            "import sys\n"
+            "from carnotpde import solver\n"
+            "from carnotpde.config import build_setup, load_config\n"
+            "init = solver.DiscreteOperator.__init__\n"
+            "seen = []\n"
+            "def wrapped(self, *args, **kwargs):\n"
+            "    seen.append('scipy.sparse' in sys.modules)\n"
+            "    init(self, *args, **kwargs)\n"
+            "solver.DiscreteOperator.__init__ = wrapped\n"
+            "setup = build_setup(load_config(sys.argv[1]), need_solve=True)\n"
+            "loaded = 'scipy.sparse' in sys.modules\n"
+            "solver.solve(setup.spec, setup.coeffs, setup.grid, setup.solve_cfg)\n"
+            "print(loaded, seen)\n"
+        )
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(CONFIGS / "heisenberg_verify.json")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=False,
+        )
+        assert proc.stdout.splitlines()[-1:] == ["False [True]"], proc.stderr
+
     def test_cc_distance(self, tmp_path):
         code = run(
             "cc-distance", "--config", str(CONFIGS / "cc_heisenberg.json"), "--out", str(tmp_path)

@@ -8,8 +8,36 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# integer columns each script's table headers must carry
-COLUMNS = {"run_convergence.py": ["nnz"], "run_cc_scaling.py": []}
+# positive integer columns of each script's tables; a table's header is a
+# line naming all of them, and its rows the lines after it that start with a number
+COLUMNS = {
+    "run_convergence.py": ["nnz"],
+    "run_cc_scaling.py": ["settled", "levels", "frontier_peak"],
+}
+
+
+def _starts_with_number(fields):
+    try:
+        float(fields[0])
+    except (IndexError, ValueError):
+        return False
+    return True
+
+
+def _tables(lines, columns):
+    """(header fields, rows of fields) of every table whose header names all columns."""
+    tables = []
+    for k, line in enumerate(lines):
+        header = line.split()
+        if not set(columns) <= set(header):
+            continue
+        rows = []
+        for row in lines[k + 1 :]:
+            if not _starts_with_number(row.split()):
+                break
+            rows.append(row.split())
+        tables.append((header, rows))
+    return tables
 
 
 @pytest.mark.parametrize(
@@ -31,10 +59,10 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert "DID NOT CONVERGE" not in proc.stdout
-    lines = proc.stdout.splitlines()
-    for column in COLUMNS[script]:
-        headers = [k for k, line in enumerate(lines) if line.split()[:1] == ["nodes"]]
-        assert headers
-        for k in headers:
-            at = lines[k].split().index(column)
-            assert int(lines[k + 1].split()[at]) > 0
+    tables = _tables(proc.stdout.splitlines(), COLUMNS[script])
+    assert tables
+    for header, rows in tables:
+        assert rows
+        for column in COLUMNS[script]:
+            at = header.index(column)
+            assert all(int(row[at]) > 0 for row in rows)
