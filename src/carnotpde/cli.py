@@ -7,6 +7,10 @@ count), and lemma-check, verify and growth-check take --seed (nonnegative) to
 override the config seed; solve and cc-distance use no randomness. Exit codes:
 0 success, 1 property failure, 2 config error or bad flag, 3 non-convergence /
 no path, 4 hypothesis failure.
+
+Each command imports the modules it runs when it starts, so a cold
+cc-distance never loads the solver, and no command but solve and verify
+loads scipy.sparse.
 """
 
 from __future__ import annotations
@@ -20,12 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import doubling, holder, symmat
-from .ccdist import cc_search
+from . import symmat
 from .config import build_setup, load_config
 from .errors import CarnotPDEError, ConfigError, NoPathError, NumericalError, PreconditionError
-from .grids import to_csv
-from .solver import solve, two_box_sensitivity
 from .structures import (
     engel1,
     heisenberg1,
@@ -132,6 +133,8 @@ def _suite_sqrt_erratum(trials: int, seed: int) -> dict:
 
 
 def _suite_doubling_hessian(seed: int) -> dict:
+    from . import doubling
+
     rng = np.random.default_rng(seed + 3)
     for n in (1, 2, 3):
         for _ in range(20):
@@ -169,6 +172,8 @@ def _suite_touching_pair(trials: int, seed: int) -> dict:
     """The touching pair (A, B) at eta = 1.1 meets the block inequality
     blockdiag(A, -B) <= eta theta [[I, -I], [-I, I]] and, with the preset
     frames at x and y, the frame trace inequality of sums_trace_bound."""
+    from . import doubling
+
     rng = np.random.default_rng(seed + 4)
     eta = 1.1
     worst_block = worst_trace = -np.inf
@@ -236,6 +241,9 @@ def cmd_lemma_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .grids import to_csv
+    from .solver import solve, two_box_sensitivity
+
     setup = build_setup(load_config(args.config), need_solve=True)
     u, report = solve(setup.spec, setup.coeffs, setup.grid, setup.solve_cfg)
     out = Path(args.out)
@@ -255,6 +263,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import holder
+    from .solver import solve
+
     setup = build_setup(load_config(args.config), need_solve=True)
     seed = args.seed if args.seed is not None else setup.seed
     u, report = solve(setup.spec, setup.coeffs, setup.grid, setup.solve_cfg)
@@ -295,6 +306,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cc_distance(args) -> int:
+    from .ccdist import cc_search
+
     raw = load_config(args.config)
     if "cc" not in raw:
         raise ConfigError("cc-distance needs a 'cc' section in the config")
@@ -326,6 +339,8 @@ def cmd_cc_distance(args) -> int:
 
 
 def cmd_growth_check(args) -> int:
+    from . import doubling
+
     raw = load_config(args.config)
     if "growth" not in raw:
         raise ConfigError("growth-check needs a 'growth' section in the config")

@@ -7,13 +7,16 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
 from .fields import SmoothField, constant_field, polynomial_field
-from .grids import Grid
-from .operators import Coefficients, EllipticityBounds, OperatorSpec
-from .solver import SolveConfig, manufactured_rhs
 from .structures import CarnotStructure, preset, structure_from_json
+
+if TYPE_CHECKING:
+    from .grids import Grid
+    from .operators import Coefficients, OperatorSpec
+    from .solver import SolveConfig
 
 
 @functools.cache
@@ -147,13 +150,22 @@ class RunSetup:
 
 
 def build_setup(raw: dict, need_solve: bool) -> RunSetup:
-    """Construct structures, operator, coefficients and grid from config data."""
+    """Construct structures, operator, coefficients and grid from config data.
+
+    The grid, operator and solver modules are imported only when
+    ``need_solve`` is set, so a run that only reads the structure never
+    loads them.
+    """
     try:
         structure = _build_structure(raw["structure"])
         seed = int(raw.get("seed", 0))
         eta = float(raw.get("analysis", {}).get("eta", 1.1))
         if not need_solve:
             return RunSetup(structure, None, None, None, None, None, eta, seed, raw)
+
+        from .grids import Grid
+        from .operators import Coefficients, EllipticityBounds, OperatorSpec
+        from .solver import SolveConfig, manufactured_rhs
 
         op_desc = raw.get("operator", {"kind": "trace"})
         bounds = EllipticityBounds(

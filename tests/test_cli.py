@@ -491,30 +491,56 @@ class TestVerifyCommand:
 
 
 class TestGeometryCommands:
-    def test_commands_without_a_stencil_leave_scipy_sparse_unloaded(self, tmp_path):
-        # importing scipy.sparse takes about 0.14 s of a cold start
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            ([], ()),
+            (["cc-distance", "--config", "cc_heisenberg.json"], ("ccdist",)),
+            (["growth-check", "--config", "growth_heisenberg.json"], ("doubling",)),
+            (
+                ["lemma-check", "--config", "heisenberg_verify.json", "--trials", "10"],
+                ("doubling",),
+            ),
+            (["solve", "--config", "line2d.json"], ("grids", "operators", "solver")),
+            (
+                ["verify", "--config", "heisenberg_verify.json"],
+                ("doubling", "grids", "holder", "operators", "solver"),
+            ),
+        ],
+        ids=["import", "cc-distance", "growth-check", "lemma-check", "solve", "verify"],
+    )
+    def test_each_command_loads_only_its_modules(self, argv, extra, tmp_path):
+        # a fresh interpreter compiles every module it loads, and importing
+        # scipy.sparse takes about 0.14 s of a cold start
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "import carnotpde\n"
-            "from carnotpde.config import build_setup, load_config\n"
-            "from carnotpde.cli import main\n"
-            "build_setup(load_config(sys.argv[1]), need_solve=True)\n"
-            "loaded = ['scipy.sparse' in sys.modules]\n"
-            "code = main(['cc-distance', '--config', sys.argv[2], '--out', sys.argv[3]])\n"
-            "print(code, loaded[0], 'scipy.sparse' in sys.modules)\n"
+            "code = None\n"
+            "if sys.argv[1:]:\n"
+            "    from carnotpde.cli import main\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('carnotpde.')),"
+            " 'numpy' in sys.modules, 'scipy.sparse' in sys.modules]))\n"
         )
+        if argv:
+            argv = [*argv, "--out", str(tmp_path)]
+            argv[2] = str(CONFIGS / argv[2])
         path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-        argv = [CONFIGS / "heisenberg_verify.json", CONFIGS / "cc_heisenberg.json", tmp_path]
         proc = subprocess.run(
-            [sys.executable, "-c", script, *map(str, argv)],
+            [sys.executable, "-c", script, *argv],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             timeout=120,
             check=False,
         )
-        assert proc.stdout.splitlines()[-1:] == ["0 False False"], proc.stderr
-        assert (tmp_path / "cc_report.json").exists()
+        code, modules, numpy_loaded, sparse_loaded = json.loads(proc.stdout.splitlines()[-1])
+        base = ("cli", "config", "errors", "fields", "schema", "structures", "symmat")
+        expected = sorted(f"carnotpde.{m}" for m in (*base, *extra)) if argv else []
+        assert code == (0 if argv else None), proc.stderr
+        assert modules == expected
+        assert numpy_loaded == bool(argv)
+        assert sparse_loaded == (argv[:1] in (["solve"], ["verify"]))
 
     def test_solve_loads_scipy_sparse_before_assembly(self):
         # a fresh process's first assembly_s once took the 0.2 s import with it

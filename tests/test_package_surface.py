@@ -1,15 +1,17 @@
 """The package holds only what a command, a script or the benchmark reads.
 
-Both checks read the source with ``ast`` and import nothing from it:
+These checks read the source with ``ast`` and import nothing from it:
 
-- no module of ``src/carnotpde`` other than ``__init__.py`` (whose imports
-  are the package's exports) imports a name it never uses;
-- every top-level function and class, and every non-dunder method of a
-  top-level class, has a reader outside its own definition. A reader is a
-  name or attribute reference anywhere in ``src/``, or a whole-word match in
-  the text of ``scripts/*.py`` or ``perfbench/*.py`` (the benchmark swaps
-  some functions by attribute name given as a string). Tests are not
-  readers: a definition only tests read belongs on the test side.
+- no module of ``src/carnotpde`` imports a name it never uses;
+- every non-dunder top-level function, every top-level class, and every
+  non-dunder method of a top-level class, has a reader outside its own
+  definition. A reader is a name or attribute reference anywhere in
+  ``src/``, or a whole-word match in the text of ``scripts/*.py`` or
+  ``perfbench/*.py`` (the benchmark swaps some functions by attribute name
+  given as a string). Tests are not readers: a definition only tests read
+  belongs on the test side;
+- every entry of the package's lazy export table names a top-level
+  function or class of the module it points to.
 """
 
 import ast
@@ -56,6 +58,8 @@ def _definitions(tree) -> list:
     for node in tree.body:
         if not isinstance(node, (*functions, ast.ClassDef)):
             continue
+        if isinstance(node, functions) and node.name.startswith("__"):
+            continue  # a module protocol hook such as PEP 562's __getattr__
         defs.append((node.name, node.name, node.lineno, node.end_lineno))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -69,7 +73,6 @@ def test_no_unused_imports():
     found = [
         f"{path.name}: {name}"
         for path, tree in _modules().items()
-        if path.name != "__init__.py"
         for name in _unused_imports(tree)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
@@ -94,3 +97,24 @@ def test_every_definition_has_a_reader():
             if not read:
                 unread.append(f"{path.name}: {qual}")
     assert not unread, "definitions nothing outside the tests reads:\n" + "\n".join(unread)
+
+
+def test_every_export_names_a_definition_of_its_module():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    (table,) = [
+        node.value
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]
+    ]
+    missing = []
+    for module, names in ast.literal_eval(table).items():
+        path = PACKAGE / f"{module}.py"
+        body = ast.parse(path.read_text()).body if path.is_file() else []
+        defined = {
+            node.name
+            for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert not missing, "exports with no definition behind them:\n" + "\n".join(missing)
