@@ -1,13 +1,20 @@
 """Grid solver for F(D^2 u, x) - c(x) u = f(x) with Dirichlet data.
 
-The discretization is semi-Lagrangian: second differences along the horizontal
-fields X_i(x) (rows of sigma at the node), with multilinear interpolation at
-the off-grid stencil ends. Arms that would leave the box are clipped to the
-boundary, where the unequal-arm (Shortley-Weller) second difference keeps the
-stencil monotone and exact on quadratics. Cross entries of the frame Hessian
-are recovered by polarization along X_i +/- X_j, so the frame Hessian M_h(u)
-is linear in u and F_h(u) = sup (pucci_plus) or inf (pucci_minus) of
-tr(A M_h(u)) over A with spectrum in [lambda, Lambda].
+The discretization is semi-Lagrangian (Camilli-Falcone 1995): second
+differences along the horizontal fields X_i(x) (rows of sigma at the node),
+with multilinear interpolation at the off-grid stencil ends. Each field w
+steps along w / s with s = max(|w[:m]|_inf, |w|_inf / VERTICAL_STEPS), the
+first m coordinates being the horizontal block, so an arm of h_eff moves its
+largest horizontal coordinate by whole cells where no face clips it: the
+Heisenberg and Engel ends on the unit box land on x1/x2 nodes and interpolate
+along the vertical axes alone. Arms that would leave the box are clipped to
+the boundary, where the unequal-arm (Shortley-Weller) second difference keeps
+the stencil monotone. That difference is exact on quadratics along the arm's
+line; the stencil applies it to interpolated values, so it is exact on a
+quadratic only where the ends interpolate it exactly. Cross entries of the
+frame Hessian are recovered by polarization along X_i +/- X_j, so the frame
+Hessian M_h(u) is linear in u and F_h(u) = sup (pucci_plus) or inf
+(pucci_minus) of tr(A M_h(u)) over A with spectrum in [lambda, Lambda].
 
 The trace kind's L_A and every directional stencil are monotone: no off-centre
 weight is negative. The polarization cross term (A_ij/2)(D+ - D-) of the
@@ -54,6 +61,9 @@ from .operators import Coefficients, OperatorSpec, frame_hessians, g_values, pol
 from .structures import frames
 
 _ARM_EPS = 1e-12
+# no coordinate of an arm moves more than VERTICAL_STEPS * h_eff
+# (DiscreteOperator._arm_ends)
+VERTICAL_STEPS = 4.0
 FORCING = 1e-2  # a cycle stops at max(tol, FORCING * its policy step's starting residual)
 
 
@@ -94,9 +104,14 @@ class SolveReport:
     nnz: int  # nonzero weights of DiscreteOperator.stencils, one matrix per frame-Hessian entry
     outer_iterations: int  # policy steps, one BiCGSTAB cycle each; `iterations` counts Krylov steps
     residual_history: list  # max residual at the start of each policy step and at the end
+    # the final L_A's negative off-centre weights: how many, on how many rows,
+    # and the most negative (0.0 when there is none); 0 for a monotone scheme
+    negative_weights: int
+    negative_rows: int
+    most_negative_weight: float
 
     def to_dict(self) -> dict:
-        return {"schema_version": 3, **asdict(self)}
+        return {"schema_version": 4, **asdict(self)}
 
 
 class DiscreteOperator:
@@ -126,8 +141,10 @@ class DiscreteOperator:
         self.grid = grid
         h = grid.h
         self.h_eff = (default_h_eff_cells(h) * h) if h_eff is None else float(h_eff)
-        # interior nodes lie at least h from every face, so every arm is then
-        # at least min(room, h_eff) >= h long
+        # interior nodes lie at least h from every face, and no component of
+        # an arm's direction w / s exceeds VERTICAL_STEPS, so every arm is
+        # at least min(room, h_eff) >= h / VERTICAL_STEPS in that parameter;
+        # an unclipped one is h_eff
         if not (h - _ARM_EPS <= self.h_eff <= 4.0 * h + _ARM_EPS):
             raise ValueError("h_eff must lie in [h, 4h]")
 
@@ -159,7 +176,9 @@ class DiscreteOperator:
         """Sparse second-difference operator along the per-node fields w (n_int, n).
 
         Returns the (n_int x num_nodes) CSR matrix whose rows already carry
-        the |w|^2 scaling, so csr @ u approximates w^T D^2u w at each node.
+        the s^2 scaling of _arm_ends, s = max(|w[:m]|_inf, |w|_inf /
+        VERTICAL_STEPS), so csr @ u approximates w^T D^2u w = s^2 v^T D^2u v
+        along v = w / s at each node.
         Each row lists its plus corners, minus corners, then the centre: the
         corner-major (2^k, n_int) arm ends are stacked and interleaved into
         rows by one transposed ravel. The centre is summed over a row-major
@@ -189,27 +208,39 @@ class DiscreteOperator:
     def _arm_ends(self, w: np.ndarray):
         """Interpolation stencils of the two arm ends along the per-node fields w.
 
+        Each field steps along v = w / s, s = max(|w[:m]|_inf, |w|_inf /
+        VERTICAL_STEPS) with m = structure.m, for arms a_plus, a_minus <= h_eff
+        in v's parameter. So an unclipped arm moves the largest horizontal
+        coordinate by exactly h_eff, a whole number of cells for the default
+        width, unless the vertical part is more than VERTICAL_STEPS times
+        larger; then the largest coordinate moves VERTICAL_STEPS * h_eff.
+        s is continuous in x and the same for X_i + X_j and X_i - X_j, and
+        for a field along one of the first m axes it is |w|_2.
+
         Works on w.T, one axis at a time over n_int contiguous values, and
         returns (idx_p, w_p, idx_m, w_m), each corner-major (2^k, n_int): the
         corner indices of the plus and minus ends and their weights, scaled by
-        |w|^2 and the unequal-arm factor 2 / (a (a_plus + a_minus)). The minus
+        s^2 and the unequal-arm factor 2 / (a (a_plus + a_minus)). The minus
         end's room quotients are the exact negations of the plus end's. k
         counts the axes along which some end, plus or minus, leaves the node
         planes (grids.multilinear_weights), so a field that holds a coordinate
-        fixed forms no corners along that axis.
+        fixed, or steps it by whole cells on every row, forms no corners along
+        that axis.
         """
         grid = self.grid
         wt = w.T
-        norms = np.sqrt((wt * wt).sum(axis=0))
-        active = norms > _ARM_EPS
+        mag = np.abs(wt)
+        horizontal = mag[: self.spec.structure.m].max(axis=0)
+        s = np.maximum(horizontal, mag.max(axis=0) / VERTICAL_STEPS)
+        active = s > _ARM_EPS
         # along +v an axis leaves room max(up, down) and along -v the same
         # quotients negated, -min(up, down); low is the minus end's room negated
-        a_plus = np.full(norms.shape, np.inf)
-        low = np.full(norms.shape, -np.inf)
+        a_plus = np.full(s.shape, np.inf)
+        low = np.full(s.shape, -np.inf)
         v = np.zeros(wt.shape)
         with np.errstate(divide="ignore"):
             for k, (vk, wk, x) in enumerate(zip(v, wt, self._axes)):
-                np.divide(wk, norms, out=vk, where=active)
+                np.divide(wk, s, out=vk, where=active)
                 # a component within _ARM_EPS of 0 sets no room: +-inf quotients
                 d = np.where(np.abs(vk) > _ARM_EPS, vk, 0.0)
                 up = (grid.hi[k] - x) / d
@@ -218,7 +249,7 @@ class DiscreteOperator:
                 np.maximum(low, np.minimum(up, down), out=low)
         np.clip(a_plus, 0.0, self.h_eff, out=a_plus)
         a_minus = np.clip(-low, 0.0, self.h_eff)
-        n_int = norms.size
+        n_int = s.size
         ends = np.empty((grid.n, 2 * n_int))  # the plus ends, then the minus ends
         for k, (vk, x) in enumerate(zip(v, self._axes)):
             np.clip(x + a_plus * vk, grid.lo[k], grid.hi[k], out=ends[k, :n_int])
@@ -227,7 +258,7 @@ class DiscreteOperator:
         with np.errstate(divide="ignore", invalid="ignore"):
             cp = np.where(active, 2.0 / (a_plus * denom), 0.0)
             cm = np.where(active, 2.0 / (a_minus * denom), 0.0)
-        scale = norms**2
+        scale = s * s
 
         # one call for both ends, so they share one set of pinned axes and
         # one corner count, the row width _directional_matrix assumes
@@ -383,6 +414,12 @@ def solve(
         iterations = _bicgstab(op, lin, inv_diag, r, u_flat, stop, cfg.max_iters, iterations)
         outer += 1
     solve_s = time.perf_counter() - t1
+    # one sweep over L_A's data; a row's centre, at column interior[row], is
+    # the one negative weight a monotone row has
+    neg = np.flatnonzero(lin.data < 0.0)
+    rows = np.searchsorted(lin.indptr, neg, side="right") - 1
+    off = lin.indices[neg] != op.interior[rows]
+    neg, rows = neg[off], rows[off]
     report = SolveReport(
         iterations=iterations,
         final_residual=history[-1],
@@ -393,6 +430,9 @@ def solve(
         nnz=sum(s.nnz for s in op.stencils),
         outer_iterations=outer,
         residual_history=history,
+        negative_weights=int(neg.size),
+        negative_rows=int(np.count_nonzero(np.diff(rows, prepend=-1))),
+        most_negative_weight=float(lin.data[neg].min(initial=0.0)),
     )
     return GridFunction(grid, u_flat.reshape(grid.shape)), report
 

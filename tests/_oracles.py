@@ -18,7 +18,7 @@ from carnotpde import symmat
 from carnotpde.grids import GridFunction, multilinear_weights
 from carnotpde.holder import _offset_table
 from carnotpde.operators import OperatorSpec, frame_hessians, g_values
-from carnotpde.solver import _ARM_EPS
+from carnotpde.solver import _ARM_EPS, VERTICAL_STEPS
 from carnotpde.structures import CarnotStructure, as_point
 
 
@@ -165,13 +165,16 @@ def _ref_multilinear_weights(grid, pts):
 
 def _ref_arm_ends(op, w):
     """The row-major arm ends DiscreteOperator._arm_ends replaced: fields and
-    ends as (n_int, n) rows, the arm lengths from room.min(axis=1) over both
-    room quotients of each sign, and C-contiguous (n_int, 2^k) results. The
-    corners come from multilinear_weights, transposed into rows."""
+    ends as (n_int, n) rows, each field divided by
+    max(|w[:m]|_inf, |w|_inf / VERTICAL_STEPS), the arm lengths from
+    room.min(axis=1) over both room quotients of each sign, and C-contiguous
+    (n_int, 2^k) results. The corners come from multilinear_weights,
+    transposed into rows."""
     grid = op.grid
     lo = np.array(grid.lo)
     hi = np.array(grid.hi)
-    norms = np.linalg.norm(w, axis=1)
+    aw = np.abs(w)
+    norms = np.maximum(aw[:, : op.spec.structure.m].max(axis=1), aw.max(axis=1) / VERTICAL_STEPS)
     active = norms > _ARM_EPS
     v = np.zeros_like(w)
     v[active] = w[active] / norms[active, None]

@@ -142,7 +142,7 @@ class TestSolveCommand:
         assert code == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["converged"] is True
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert "dt" not in report and "cfl_bound" not in report
         assert report["final_residual"] <= 1e-6
         assert report["nnz"] > 0 and report["assembly_s"] > 0.0
@@ -275,11 +275,11 @@ class TestSolveCommand:
         validator_for(schema).check_schema(schema)
 
     def test_validator_implements_every_schema_keyword(self):
-        # what config._violation reads; $schema, title and definitions are
-        # annotations or reference targets
+        # what config._violation reads; $schema, title, description and
+        # definitions are annotations or reference targets
         implemented = {"type", "enum", "oneOf", "$ref", "properties", "required", "items"}
         implemented |= {"additionalProperties", "minItems", "maxItems", "minimum", "maximum"}
-        implemented |= {"exclusiveMinimum", "$schema", "title", "definitions"}
+        implemented |= {"exclusiveMinimum", "$schema", "title", "description", "definitions"}
         for node in _schema_nodes(_schema()):
             assert set(node) <= implemented, node
             assert isinstance(node.get("type", ""), str), node  # one type name, not a list

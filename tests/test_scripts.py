@@ -14,6 +14,14 @@ COLUMNS = {
     "run_convergence.py": ["nnz"],
     "run_cc_scaling.py": ["settled", "levels", "frontier_peak"],
 }
+# the "== label ==" line above each table of run_convergence.py, in order
+CONVERGENCE_INSTANCES = [
+    "heisenberg trace",
+    "heisenberg pucci_plus",
+    "heisenberg trace, u* = x1^2 + x2 + x3^2",
+    "engel1 trace",
+    "planar extremal",
+]
 
 
 def _starts_with_number(fields):
@@ -59,8 +67,15 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert "DID NOT CONVERGE" not in proc.stdout
-    tables = _tables(proc.stdout.splitlines(), COLUMNS[script])
+    lines = proc.stdout.splitlines()
+    tables = _tables(lines, COLUMNS[script])
     assert tables
+    if script == "run_convergence.py":
+        # one table per instance, one row per grid
+        labels = [line.strip("= ") for line in lines if line.startswith("== ")]
+        assert labels == CONVERGENCE_INSTANCES
+        assert len(tables) == len(labels)
+        assert all(len(rows) == len(args) - 1 for _, rows in tables)
     for header, rows in tables:
         assert rows
         for column in COLUMNS[script]:

@@ -53,6 +53,14 @@ ONE_SIDE_PINNED = {
     "n": 2, "m": 2, "entries": [[[[1.0, 0, 0]], [[1.0, 0, 1]]], [[[0.0, 0, 0]], [[1.0, 0, 0]]]]
 }
 _ARM_EPS = 1e-12
+# constant frames: diag(1, 10), and the unit axes rotated by 30 degrees
+DIAG_1_10 = {
+    "n": 2, "m": 2, "entries": [[[[1.0, 0, 0]], [[0.0, 0, 0]]], [[[0.0, 0, 0]], [[10.0, 0, 0]]]]
+}
+_COS, _SIN = math.cos(math.pi / 6), math.sin(math.pi / 6)
+ROTATED = {
+    "n": 2, "m": 2, "entries": [[[[_COS, 0, 0]], [[_SIN, 0, 0]]], [[[-_SIN, 0, 0]], [[_COS, 0, 0]]]]
+}
 
 
 def constant_coeffs(n, c_value=1.0, f_value=0.0, **holder):
@@ -146,11 +154,18 @@ def _clipped_second_difference(u, x, v, h_eff):
     return float(2.0 * ((vals[0] - vals[1]) / a + (vals[2] - vals[1]) / b) / (a + b))
 
 
+def _arm_scale(w, m):
+    """The field's step normalizer: its largest horizontal component, or a
+    quarter of its largest component if that is more."""
+    return max(float(np.abs(w[:m]).max()), float(np.abs(w).max()) / 4.0)
+
+
 def _node_residual(spec, coeffs, u, node, h_eff=None):
     """The scheme one interior node at a time, kept as a test oracle for
     DiscreteOperator: F_h(u, x) - c(x) u(x) - f(x) at the flat index node,
     from scalar clipped second differences along the frame at x and, for the
-    Pucci kinds, along X_i +/- X_j for the polarized cross entries."""
+    Pucci kinds, along X_i +/- X_j for the polarized cross entries, each
+    along w / _arm_scale(w) and weighted by _arm_scale(w)^2."""
     grid = u.grid
     if h_eff is None:
         h_eff = default_h_eff_cells(grid.h) * grid.h
@@ -158,7 +173,7 @@ def _node_residual(spec, coeffs, u, node, h_eff=None):
     s = sigma_at(spec.structure, x)
     m = spec.structure.m
     n_h = np.zeros((m, m))
-    norms = np.linalg.norm(s, axis=1)
+    norms = [_arm_scale(w, m) for w in s]
     for i in range(m):
         if norms[i] > _ARM_EPS:
             n_h[i, i] = norms[i] ** 2 * _clipped_second_difference(u, x, s[i] / norms[i], h_eff)
@@ -167,7 +182,7 @@ def _node_residual(spec, coeffs, u, node, h_eff=None):
             for j in range(i + 1, m):
                 val = 0.0
                 for w, sign in ((s[i] + s[j], 0.25), (s[i] - s[j], -0.25)):
-                    wn = float(np.linalg.norm(w))
+                    wn = _arm_scale(w, m)
                     if wn > _ARM_EPS:
                         val += sign * wn**2 * _clipped_second_difference(u, x, w / wn, h_eff)
                 n_h[i, j] = n_h[j, i] = val
@@ -455,20 +470,22 @@ class TestDiscreteOperator:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_ends_pinned_on_one_side_match_full_corners(self, monkeypatch, sign):
-        # X1 = (1, +-x2) on [0, 6] x [0, 4] with 4-cell arms: the ends of X1
-        # that head for the x2 = 0 face stop on it at a node, pinned on both
-        # axes, while the other ends move off the node planes; both ends of a
-        # row must keep one corner count. The reference interpolates with all
-        # 2^n corners, as before any axis was pinned.
+        # X1 = (1, +-x2) on [0, 6] x [0, 4] with 2.5-cell arms: on x2 = 1 the
+        # ends of X1 that head for the x2 = 0 face stop on it at a node,
+        # pinned on both axes, while the other ends move off both node planes;
+        # both ends of a row must keep one corner count. A whole-cell arm
+        # would land every unclipped end on the node plane of the axis that
+        # normalizes X1. The reference interpolates with all 2^n corners, as
+        # before any axis was pinned.
         rows = [[[[1.0, 0, 0]], [[sign, 0, 1]]], [[[0.0, 0, 0]], [[1.0, 0, 0]]]]
         desc = {"n": 2, "m": 2, "entries": rows}
         spec = trace_operator(structure_from_json(desc))
         grid = Grid((0, 0), (6, 4), (7, 5))
-        op = DiscreteOperator(spec, constant_coeffs(2), grid, h_eff=4.0)
+        op = DiscreteOperator(spec, constant_coeffs(2), grid, h_eff=2.5)
         idx_p, _, idx_m, _ = op._arm_ends(frames(spec.structure, op.coords)[:, 0, :])
         assert idx_p.shape == idx_m.shape == (4, op.interior.size)
         monkeypatch.setattr(solver_module, "multilinear_weights", _ref_multilinear_weights)
-        ref = DiscreteOperator(spec, constant_coeffs(2), grid, h_eff=4.0)
+        ref = DiscreteOperator(spec, constant_coeffs(2), grid, h_eff=2.5)
         for mat, full in zip(op.stencils, ref.stencils):
             assert np.array_equal(mat.indptr, full.indptr)
             assert np.array_equal(mat.indices, full.indices)
@@ -535,6 +552,96 @@ class TestDiscreteOperator:
         assert default_h_eff_cells(2.0 / 15.0) == 2
         assert default_h_eff_cells(2.0 / 31.0) == 3
         assert default_h_eff_cells(1.0) == 1
+
+
+def manufactured_error(structure, kind, terms, nodes):
+    """Max error against u* of the c = 1 solve of u* on [-1, 1]^n, (nodes,)^n,
+    with the solve report."""
+    n = structure.n
+    if kind == "trace":
+        spec = trace_operator(structure)
+    else:
+        spec = pucci_operator(structure, 1.0, 2.0, plus=kind == "pucci_plus")
+    ustar = polynomial_field(terms, n)
+    c = constant_field(1.0, n).value
+    coeffs = Coefficients(
+        c=c, f=manufactured_rhs(spec, c, ustar), L_c=0.0, beta=1.0, L_f=1.0, beta_prime=1.0,
+        c0=1.0,
+    )
+    grid = Grid((-1,) * n, (1,) * n, (nodes,) * n)
+    u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
+    return float(np.abs(u.values - from_callable(grid, ustar.value).values).max()), rep
+
+
+class TestArmNormalization:
+    """Arms step along w / s with s = max(|w[:m]|_inf, |w|_inf / 4): the
+    horizontal block steps whole cells where it can, and s stays continuous
+    in x and shared by the two fields of a polarization pair."""
+
+    @pytest.mark.parametrize(
+        "structure, terms, kind, errors",
+        [
+            # u* = x1^4 + x2^2 on X1 = (x1 / (1 + x1^2), 0)
+            ("grushin-like2d", [[1.0, 4, 0], [1.0, 0, 2]], "trace", (1.142662e-2, 2.089141e-3)),
+            (
+                "grushin-like2d",
+                [[1.0, 4, 0], [1.0, 0, 2]],
+                "pucci_plus",
+                (1.152236e-2, 2.667455e-3),
+            ),
+            # u* = x1^4 + x2^4, convex, so Pucci+ reads no cross stencil at the solution
+            (DIAG_1_10, [[1.0, 4, 0], [1.0, 0, 4]], "trace", (6.285831e-2, 1.571553e-2)),
+            (DIAG_1_10, [[1.0, 4, 0], [1.0, 0, 4]], "pucci_plus", (6.310581e-2, 1.576286e-2)),
+        ],
+    )
+    def test_axis_aligned_frames_keep_their_errors(self, structure, terms, kind, errors):
+        # an axis-aligned field has s = |w|_2, so its arms are the unit-vector
+        # arms of |w|_2 normalization, whose errors at 33^2 and 65^2 these are
+        s = preset(structure) if isinstance(structure, str) else structure_from_json(structure)
+        for nodes, want in zip((33, 65), errors):
+            err, rep = manufactured_error(s, kind, terms, nodes)
+            assert rep.converged
+            assert err == pytest.approx(want, rel=1e-5)
+
+    def test_rotated_frame_pucci_converges(self):
+        # a rule that rounds each node's step to whole cells broke Howard here
+        err, rep = manufactured_error(
+            structure_from_json(ROTATED), "pucci_plus", [[1.0, 4, 0], [1.0, 0, 2]], 65
+        )
+        assert rep.converged and rep.outer_iterations <= 12
+        assert err <= 2.049e-2
+
+    def test_heisenberg_pucci_49_converges(self):
+        err, rep = manufactured_error(HEIS, "pucci_plus", [[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 49)
+        assert rep.converged and rep.outer_iterations <= 12
+        assert err <= 1e-3
+
+    @pytest.mark.parametrize(
+        "structure, shape", [("heisenberg1", (17,) * 3), ("euclidean:2", (17, 17))]
+    )
+    def test_unclipped_ends_land_on_horizontal_nodes(self, structure, shape):
+        # X1, X2 and X1 +- X2 have s = 1 on the unit box, so an unclipped end
+        # x +- h_eff w sits on x1/x2 nodes and interpolates along x3 alone:
+        # at most 2 corners of nonzero weight, on its own x1/x2 node. On
+        # euclidean:2 that is the node x +- h_eff w itself.
+        s = preset(structure)
+        grid = Grid((-1,) * s.n, (1,) * s.n, shape)
+        op = DiscreteOperator(trace_operator(s), constant_coeffs(s.n), grid)
+        frame = frames(s, op.coords)
+        fields = [frame[:, 0], frame[:, 1], frame[:, 0] + frame[:, 1], frame[:, 0] - frame[:, 1]]
+        corners = 2 if structure == "heisenberg1" else 1
+        for w in fields:
+            idx_p, w_p, idx_m, w_m = op._arm_ends(w)
+            for sign, idx, wts in ((1.0, idx_p, w_p), (-1.0, idx_m, w_m)):
+                ends = op.coords + sign * op.h_eff * w
+                inside = np.all((ends >= -1.0 - 1e-12) & (ends <= 1.0 + 1e-12), axis=1)
+                assert inside.sum() >= op.interior.size // 2
+                node = np.rint((ends[:, :2] + 1.0) / grid.h).astype(np.int64)
+                for row in np.flatnonzero(inside):
+                    kept = idx[:, row][wts[:, row] != 0.0]
+                    assert 1 <= kept.size <= corners
+                    at = np.array(np.unravel_index(kept, grid.shape))[:2].T
+                    assert np.all(at == node[row])
 
 
 class TestBatchProtocol:
@@ -876,7 +983,7 @@ class TestSolve:
         for key in ("iterations", "final_residual", "converged", "wall_time_s"):
             assert key in payload
         assert "dt" not in payload and "cfl_bound" not in payload
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert 0.0 < payload["assembly_s"] <= payload["wall_time_s"]
         assert 0.0 < payload["solve_s"]
         assert payload["assembly_s"] + payload["solve_s"] <= payload["wall_time_s"]
@@ -888,6 +995,34 @@ class TestSolve:
         assert len(history) == payload["outer_iterations"] + 1
         assert history[0] > cfg.tol >= history[-1] == payload["final_residual"]
         assert 1 <= payload["outer_iterations"] <= payload["iterations"]
+
+    @pytest.mark.parametrize(
+        "kind, structure, shape",
+        [
+            ("trace", "heisenberg1", (9, 9, 9)),
+            ("trace", "engel1", (7,) * 4),
+            ("pucci_plus", "heisenberg1", (17,) * 3),
+        ],
+    )
+    def test_report_counts_negative_weights_of_final_matrix(self, kind, structure, shape):
+        spec, coeffs, grid, cfg, _ = pucci_instance("pucci_plus", preset(structure), shape=shape)
+        if kind == "trace":
+            spec = trace_operator(spec.structure)
+        u, rep = solve(spec, coeffs, grid, cfg)
+        assert rep.converged
+        # the final L_A is the policy matrix at the returned iterate
+        lin = DiscreteOperator(spec, coeffs, grid).policy_matrix(u.flat).tocoo()
+        off = (lin.col != grid.interior_indices()[lin.row]) & (lin.data < 0.0)
+        assert rep.negative_weights == np.count_nonzero(off)
+        assert rep.negative_rows == np.unique(lin.row[off]).size
+        assert rep.most_negative_weight == (lin.data[off].min() if off.any() else 0.0)
+        if kind == "trace":
+            assert rep.negative_weights == rep.negative_rows == 0
+        else:
+            assert rep.negative_weights > 0 and rep.most_negative_weight < 0.0
+        payload = rep.to_dict()
+        for key in ("negative_weights", "negative_rows", "most_negative_weight"):
+            assert payload[key] == getattr(rep, key)
 
     @pytest.mark.parametrize("pad", [0, -1])
     def test_two_box_sensitivity_rejects_pad_below_one(self, pad):
