@@ -21,21 +21,12 @@ test then run as 1-D passes over rows; only the frame call sees the (K, n)
 view level.T, the batch form every sigma takes.
 
 Two states are one state when they share the cell floor(p / cell) of the
-half-step lattice. The visited set has two forms, chosen from the box; each
-settles a level's (n, N) candidates with settle(cand), which returns the
-indices of the candidates that reach a cell first, in candidate order:
-
-- one int32 stamp per cell of the box's lattice (_CellStamps), indexed by
-  (floor(p / cell) - floor(lo / cell)) @ strides. It runs when every bound is
-  finite and the lattice has at most _stamp_cells(s, max_nodes) cells, so its
-  4 bytes per cell never take more memory than the 8 * n bytes per state of
-  the sorted keys at the node budget;
-- otherwise the sorted bytes of the float64 floors (_SortedCells), one row of
-  n floors per state after one transpose a level, which grow with the settled
-  states and are the only form for huge or unbounded boxes.
-
-Both map two states to one key exactly when their floors match, so they
-settle the same states.
+half-step lattice. The visited set (_CellStamps) keeps one int32 stamp per
+cell of a lattice inside the box, which starts on the cells the box shares
+with default_box(start, goal) and grows, clipped to the box, when a level
+reaches past it. Its settle(cand) settles a level's (n, N) candidates and
+returns the indices of the candidates that reach a cell first, in candidate
+order, with no sort.
 """
 
 from __future__ import annotations
@@ -72,94 +63,97 @@ def default_box(a: np.ndarray, b: np.ndarray) -> list[tuple[float, float]]:
     return [(min(ai, bi) - pad, max(ai, bi) + pad) for ai, bi in zip(a, b)]
 
 
-def _cell_keys(points: np.ndarray, cell: float) -> np.ndarray:
-    """One sortable key per column of the (n, K) points: the bytes of its cell floor(p / cell).
-
-    The keys of the sorted visited set, which serves boxes too large or
-    unbounded for a bitmap. The floors stay float64, which holds every integer
-    cell index exactly at any box size; + 0.0 turns -0.0 into 0.0, whose bytes
-    differ. They are transposed once into C-contiguous rows of n, one key each.
-    """
-    floors = np.ascontiguousarray((np.floor(points / cell) + 0.0).T)
-    return floors.view(np.dtype((np.void, floors.itemsize * floors.shape[1]))).ravel()
-
-
-def _stamp_cells(s: CarnotStructure, max_nodes: int) -> float:
-    """Most lattice cells for the stamps: 4 bytes each, against 8 * n * max_nodes sorted bytes.
-
-    A stamp holds a position among a level's < 2 * m * max_nodes candidates,
-    so budgets where that could pass int32 take the sorted keys.
-    """
-    return 2.0 * s.n * max_nodes if 2 * s.m * max_nodes < 2**31 else 0.0
-
-
-def _cell_lattice(
-    lo: np.ndarray, hi: np.ndarray, cell: float, max_cells: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Origin floor(lo / cell) and cells per axis of the box's lattice.
-
-    None when the lattice is infinite or has more than max_cells (_stamp_cells)
-    cells. The count is a float product: an integer one overflows on large boxes.
-    """
-    origin = np.floor(lo / cell)
-    extent = np.floor(hi / cell) - origin + 1.0
-    if not np.prod(extent) <= max_cells:  # also rejects inf and nan
-        return None
-    return origin, extent
-
-
-class _SortedCells:
-    """Visited set as the sorted _cell_keys of every settled state, from start (one column)."""
-
-    def __init__(self, cell: float, lo: np.ndarray, hi: np.ndarray, start: np.ndarray):
-        self.cell, self.lo, self.hi = cell, lo, hi
-        self.settled = _cell_keys(start, cell)
-
-    def settle(self, cand: np.ndarray) -> np.ndarray:
-        outside = (cand < self.lo[:, None]) | (cand > self.hi[:, None])
-        inbox = np.flatnonzero(~outside.any(axis=0))
-        keys = _cell_keys(np.take(cand, inbox, axis=1), self.cell)
-        at = np.minimum(np.searchsorted(self.settled, keys), len(self.settled) - 1)
-        fresh = np.flatnonzero(self.settled[at] != keys)
-        new_keys, first = np.unique(keys[fresh], return_index=True)
-        self.settled = np.insert(self.settled, np.searchsorted(self.settled, new_keys), new_keys)
-        return inbox[fresh[np.sort(first)]]
+MAX_LATTICE_CELLS = 2**24
+"""Most cells of the visited lattice: its stamps take 4 bytes each, 64 MiB in all."""
 
 
 class _CellStamps:
-    """Visited set as one int32 stamp per cell of the box's lattice (see _cell_lattice).
+    """Visited set as one int32 stamp per cell of a lattice inside the box.
 
-    A cell's index counts from floor(lo / cell), not from lo, so that cells stay
-    the floor(p / cell) cells when lo is no multiple of cell. An in-box index is
-    an integer below the cell count, exact in float64. Between levels a stamp is
-    SETTLED or FREE; the extra cell at index `cells` starts settled and takes
-    every candidate outside the box.
+    The lattice starts on the cells the box shares with near (default_box),
+    or on the cell of start (one column) when those are more than
+    MAX_LATTICE_CELLS. It holds the cells first..last (inclusive) of
+    floor(p / cell) on each axis, and a cell's index is
+    (floor(p / cell) - first) @ strides, an integer below the cell count,
+    exact in float64. An in-box candidate past the lattice grows it along that
+    axis by at least half its extent on the side left by, clipped to the box's
+    cells; axes where the lattice already spans the box skip that test.
+    Between levels a stamp is SETTLED or FREE; the extra cell at index `cells`
+    starts settled and takes every candidate outside the box.
     """
 
     SETTLED = -1
     FREE = np.iinfo(np.int32).max
 
     def __init__(self, cell: float, lo: np.ndarray, hi: np.ndarray, start: np.ndarray,
-                 origin: np.ndarray, extent: np.ndarray):
-        self.cell, self.lo, self.hi, self.origin = cell, lo, hi, origin
-        self.strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1.0)
-        self.cells = int(np.prod(extent))
-        self.stamp = np.full(self.cells + 1, self.FREE, dtype=np.int32)
-        self.stamp[self.cells] = self.SETTLED
+                 near: Sequence[Sequence[float]]):
+        self.cell, self.lo, self.hi = cell, lo, hi
+        with np.errstate(over="ignore"):  # bounds near 1e308 reach past every cell, as inf does
+            self.box_first, self.box_last = np.floor(lo / cell), np.floor(hi / cell)
+        near_lo, near_hi = np.array(near).T
+        first = np.floor(np.maximum(lo, near_lo) / cell)
+        last = np.floor(np.minimum(hi, near_hi) / cell)
+        if np.prod(last - first + 1.0) > MAX_LATTICE_CELLS:
+            first = last = np.floor(start[:, 0] / cell)
+        self.stamp = None
+        self._span(first, last)
         self.settle(start)
 
-    def settle(self, cand: np.ndarray) -> np.ndarray:
+    def _span(self, first: np.ndarray, last: np.ndarray) -> None:
+        """Lay the lattice on the cells first..last, copying the stamps of the old one in."""
+        extent = last - first + 1.0
+        cells = np.prod(extent)
+        if cells > MAX_LATTICE_CELLS:
+            raise NoPathError(
+                f"the visited lattice would need {cells:.0f} cells, past its cap "
+                f"of {MAX_LATTICE_CELLS}; bound the box or coarsen the resolution"
+            )
+        stamp = np.full(int(cells) + 1, self.FREE, dtype=np.int32)
+        stamp[-1] = self.SETTLED
+        shape = tuple(int(e) for e in extent)
+        if self.stamp is not None:
+            at = tuple(slice(int(o), int(o) + e) for o, e in zip(self.first - first, self.shape))
+            stamp[:-1].reshape(shape)[at] = self.stamp[:-1].reshape(self.shape)
+        self.first, self.last, self.extent, self.shape, self.stamp = first, last, extent, shape, stamp
+        self.cells = len(stamp) - 1
+        self.strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1.0)
+        self.open = ((first > self.box_first) | (last < self.box_last)).tolist()
+
+    def _grow(self, points: np.ndarray) -> None:
+        """Grow the lattice over the cells of the (n, K) in-box points."""
+        at = np.floor(points / self.cell)
+        half = np.ceil(self.extent / 2.0)
+        low, high = at.min(axis=1), at.max(axis=1)
+        first = np.where(low < self.first, np.minimum(low, self.first - half), self.first)
+        last = np.where(high > self.last, np.maximum(high, self.last + half), self.last)
+        self._span(np.maximum(first, self.box_first), np.minimum(last, self.box_last))
+
+    def _keys(self, cand: np.ndarray) -> np.ndarray:
+        """Cell index of each column of cand, `cells` outside the box; grows the lattice first."""
         # one contiguous row of cand per axis: key and box test in 1-D passes,
-        # the key's (floor(col / cell) - origin) * stride formed in place
+        # the key's (floor(col / cell) - first) * stride formed in place
         keys, outside = np.zeros(cand.shape[1]), np.zeros(cand.shape[1], dtype=bool)
+        past = np.zeros(cand.shape[1], dtype=bool) if any(self.open) else None
         term = np.empty(cand.shape[1])
-        for col, lo, hi, origin, stride in zip(cand, self.lo, self.hi, self.origin, self.strides):
+        for col, lo, hi, first, extent, stride, open_ in zip(
+            cand, self.lo, self.hi, self.first, self.extent, self.strides, self.open
+        ):
             np.floor(np.divide(col, self.cell, out=term), out=term)
-            term -= origin
+            term -= first
+            if open_:
+                past |= (term < 0.0) | (term >= extent)
             term *= stride
             keys += term
             outside |= (col < lo) | (col > hi)
-        keys = np.where(outside, self.cells, keys.astype(np.intp))
+        if past is not None:
+            past &= ~outside
+            if past.any():
+                self._grow(cand[:, past])
+                return self._keys(cand)
+        return np.where(outside, self.cells, keys.astype(np.intp))
+
+    def settle(self, cand: np.ndarray) -> np.ndarray:
+        keys = self._keys(cand)
         order = np.arange(len(keys), dtype=np.int32)
         # each fresh cell takes its first candidate's position; a settled
         # cell's SETTLED is below every position, so it stays and matches none
@@ -201,12 +195,18 @@ def cc_search(
     resolution is the control step per move; the goal is accepted within
     resolution/2 by default. Raises NoPathError when the search exhausts the
     box or the node budget (the max_nodes-th settled state is not the goal),
-    which signals a box too small or a resolution too coarse, and
+    which signals a box too small or a resolution too coarse, or when the
+    settled states span more than MAX_LATTICE_CELLS cells of the visited
+    lattice, which signals a box too large or a resolution too fine; and
     NumericalError when the frame is not finite at an expanded state.
+    max_nodes must keep 2 * m * max_nodes below 2**31, the int32 stamps' range.
     """
     t0 = time.perf_counter()
     if not 0.0 < resolution < np.inf:
         raise ValueError("resolution must be positive and finite")
+    if 2 * s.m * max_nodes >= 2**31:
+        # a stamp holds a candidate's position, below 2 * m * max_nodes in a level
+        raise ValueError(f"max_nodes must be below 2**31 / (2 m) = {2**31 // (2 * s.m)}")
     start = as_point(a, s.n)
     goal = as_point(b, s.n)
     tol = resolution / 2.0 if goal_tol is None else float(goal_tol)
@@ -214,8 +214,9 @@ def cc_search(
         raise ValueError("goal_tol must be nonnegative and finite")
     if float(np.linalg.norm(start - goal)) <= tol:
         return CCResult(0.0, 0, 0, 0, time.perf_counter() - t0)
+    near = default_box(start, goal)
     if box is None:
-        box = default_box(start, goal)
+        box = near
     if len(box) != s.n:
         raise ValueError(f"box must have {s.n} rows, one (lo, hi) per coordinate; got {len(box)}")
     lo = np.array([float(c[0]) for c in box])
@@ -232,11 +233,7 @@ def cc_search(
     tol2 = tol * tol
 
     level = start[:, None]
-    lattice = _cell_lattice(lo, hi, cell, _stamp_cells(s, max_nodes))
-    if lattice is None:
-        visited = _SortedCells(cell, lo, hi, level)
-    else:
-        visited = _CellStamps(cell, lo, hi, level, *lattice)
+    visited = _CellStamps(cell, lo, hi, level, near)
     cost = 0.0
     depth = 0
     popped = 0

@@ -2,13 +2,12 @@
 
 import heapq
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from carnotpde import CarnotStructure, cc_distance_estimate, cc_search, ccdist, preset
-from carnotpde.ccdist import _cell_lattice, _stamp_cells, default_box
+from carnotpde.ccdist import default_box
 from carnotpde.errors import NoPathError, NumericalError
 from carnotpde.structures import as_point, sigma_at
 
@@ -240,14 +239,21 @@ EQUIVALENCE_QUERIES = [
     ),
     # states on the faces x1 = 0.2 and x2 = 0.2 of a box whose lower corner is off the lattice
     ("euclidean:2", [0, 0], [0.2, -0.1], {"box": [(-0.23, 0.2), (-0.17, 0.2)]}),
-    # infinite bounds leave no finite lattice
+    # infinite and huge bounds: the lattice starts on default_box's cells, and grows
+    # on the euclidean:2 and engel1 queries
     ("heisenberg1", [0, 0, 0], [0.3, -0.2, 0.15], {"box": [(-np.inf, np.inf)] * 3}),
+    ("euclidean:2", [0, 0], [0.73, -0.41], {"box": [(-np.inf, np.inf)] * 2}),
+    ("euclidean:2", [0, 0], [1.2, 0.9], {"box": [(-1e7, 1e7)] * 2}),
+    ("engel1", [0, 0, 0, 0], [0.8, -0.5, 0.0, 0.0], {"box": [(-np.inf, np.inf)] * 4}),
+    ("engel1", [0, 0, 0, 0], [0.8, -0.5, 0.0, 0.0], {"box": [(-1e7, 1e7)] * 4}),
     (
         "heisenberg1",
         [0, 0, 0],
         [0.3, -0.2, 0.15],
         {"box": [(-np.inf, 1.0), (-1.0, np.inf), (-1.0, 1.0)]},
     ),
+    # bounds whose cell index overflows to inf
+    ("heisenberg1", [0, 0, 0], [0.3, -0.2, 0.15], {"box": [(-1e308, 1e308)] * 3}),
 ]
 
 
@@ -282,45 +288,79 @@ class TestHeapEquivalence:
         assert str(new.value) == str(ref.value)
 
 
+def _spans(monkeypatch):
+    """(first, last) cells of each lattice the visited set lays, in order."""
+    spans = []
+    span = ccdist._CellStamps._span
+    monkeypatch.setattr(
+        ccdist._CellStamps,
+        "_span",
+        lambda self, first, last: spans.append((first, last)) or span(self, first, last),
+    )
+    return spans
+
+
 class TestVisitedSets:
     @pytest.mark.parametrize(
         "name,a,b,box",
         [
-            # a box of 61^3 cells: the stamps run while 61^3 <= _stamp_cells(s, max_nodes)
-            ("heisenberg1", [0, 0, 0], [0.5, 0.0, 0.0], [(-1.5, 1.5)] * 3),
-            ("euclidean:2", [0, 0], [0.43, -0.27], [(-1.5, 1.5)] * 2),
-            ("engel1", [0, 0, 0, 0], [0.3, 0.2, 0.0, 0.0], [(-0.6, 0.6)] * 4),
+            # boxes past default_box: the search leaves the starting lattice on some side
+            ("heisenberg1", [0, 0, 0], [0.0, 0.0, 0.5], [(-1.5, 1.5)] * 3),
+            ("euclidean:2", [0, 0], [1.2, 0.9], [(-1.5, 1.7), (-2.6, 2.0)]),
+            ("engel1", [0, 0, 0, 0], [0.8, -0.5, 0.0, 0.0], [(-1.5, 1.5)] * 4),
         ],
     )
-    def test_stamps_and_sorted_keys_agree(self, name, a, b, box):
-        # the smallest budget whose stamp bound admits the box's lattice runs on
-        # the stamps, one less on the sorted keys, with the same box and query
+    def test_lattice_grows_within_the_box(self, name, a, b, box, monkeypatch):
         s = preset(name)
-        lo, hi = np.array(box, dtype=float).T
-        cells = int(np.prod(_cell_lattice(lo, hi, 0.05, np.inf)[1]))
-        stamp_budget = -(-cells // int(_stamp_cells(s, 1)))
-        assert _cell_lattice(lo, hi, 0.05, _stamp_cells(s, stamp_budget)) is not None
-        assert _cell_lattice(lo, hi, 0.05, _stamp_cells(s, stamp_budget - 1)) is None
+        spans = _spans(monkeypatch)
+        assert _figures(cc_search(s, a, b, 0.1, box)) == _heap_reference(s, a, b, 0.1, box)
+        lo, hi = np.array(box).T
+        near_lo, near_hi = np.array(default_box(np.array(a, float), np.array(b, float))).T
+        assert np.array_equal(spans[0][0], np.floor(np.maximum(lo, near_lo) / 0.05))
+        assert np.array_equal(spans[0][1], np.floor(np.minimum(hi, near_hi) / 0.05))
+        assert len(spans) > 1
+        for (first, last), (grown_first, grown_last) in zip(spans, spans[1:]):
+            assert np.all(grown_first <= first) and np.all(grown_last >= last)
+        assert np.all(spans[-1][0] >= np.floor(lo / 0.05))
+        assert np.all(spans[-1][1] <= np.floor(hi / 0.05))
 
-        def result(max_nodes):
-            fields = asdict(cc_search(s, a, b, 0.1, box, max_nodes=max_nodes))
-            del fields["elapsed_s"]
-            return fields
+    def test_huge_box_starts_on_the_default_box(self, monkeypatch):
+        # a +/-1e7 box has 4e8 cells per axis at cell 0.05; the second lattice
+        # is the default box's
+        s, a, b = preset("heisenberg1"), [0, 0, 0], [0.3, -0.2, 0.15]
+        spans = _spans(monkeypatch)
+        huge = cc_search(s, a, b, 0.1, [(-1e7, 1e7)] * 3)
+        assert _figures(huge) == _figures(cc_search(s, a, b, 0.1))
+        assert len(spans) == 2
+        assert np.array_equal(spans[0][0], spans[1][0]) and np.array_equal(spans[0][1], spans[1][1])
 
-        on_stamps = result(stamp_budget)
-        assert on_stamps["nodes_settled"] <= stamp_budget - 1
-        assert result(stamp_budget - 1) == on_stamps
-        assert tuple(on_stamps.values()) == _heap_reference(s, a, b, 0.1, box)
+    def test_default_box_past_the_cap_starts_on_the_start_cell(self, monkeypatch):
+        # default_box's 47 x 45 cells are past a cap of 1000; the lattice starts
+        # on one cell, and each growth adds at least half its extent on each side
+        monkeypatch.setattr(ccdist, "MAX_LATTICE_CELLS", 1000)
+        spans = _spans(monkeypatch)
+        s, a, b = preset("euclidean:2"), [0, 0], [0.3, 0.2]
+        assert _figures(cc_search(s, a, b, 0.1)) == _heap_reference(s, a, b, 0.1)
+        assert [(int(first[0]), int(last[0])) for first, last in spans] == [
+            (0, 0), (-2, 2), (-5, 5), (-11, 11)
+        ]
+        assert all(np.all(first == first[0]) and np.all(last == last[0]) for first, last in spans)
 
-    def test_huge_box_takes_the_sorted_keys(self):
-        lo, hi = np.array([(-1e7, 1e7)] * 3).T
-        assert _cell_lattice(lo, hi, 0.05, _stamp_cells(preset("heisenberg1"), 2_000_000)) is None
-
-    def test_int32_positions_bound_the_stamp_budget(self):
-        # a level has fewer than 2 * m * max_nodes candidates, each stamped with its position
+    def test_lattice_past_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(ccdist, "MAX_LATTICE_CELLS", 81 * 81 * 121)
         s = preset("heisenberg1")
-        assert _stamp_cells(s, (2**31 - 1) // (2 * s.m)) > 0.0
-        assert _stamp_cells(s, 2**31 // (2 * s.m)) == 0.0
+        with pytest.raises(NoPathError, match="visited lattice would need .* cells, past its cap"):
+            cc_search(s, [0, 0, 0], [0, 0, 1], 0.05, [(-np.inf, np.inf)] * 3)
+        # the default box fits the cap and never grows
+        assert cc_search(s, [0, 0, 0], [0, 0, 1], 0.05).nodes_settled == 203457
+
+    def test_int32_positions_bound_the_node_budget(self):
+        # a level has fewer than 2 * m * max_nodes candidates, each stamped with its position
+        s, a, b = preset("heisenberg1"), [0, 0, 0], [0.3, 0.2, 0.1]
+        expected = _figures(cc_search(s, a, b, 0.1))
+        assert _figures(cc_search(s, a, b, 0.1, max_nodes=(2**31 - 1) // (2 * s.m))) == expected
+        with pytest.raises(ValueError, match="max_nodes"):
+            cc_search(s, a, b, 0.1, max_nodes=2**31 // (2 * s.m))
 
 
 class TestBenchmarkQueries:
@@ -354,6 +394,19 @@ class TestBenchmarkQueries:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("bound", [np.inf, 1e7])
+    def test_grown_lattice_figures_and_memory(self, bound):
+        # measured with the sorted keys of every settled state, whose peak was 42.8 MiB;
+        # the lattice grows from 81 x 81 x 121 to 183 x 183 x 182 cells, 24 MiB of stamps
+        tracemalloc.start()
+        try:
+            r = cc_search(preset("heisenberg1"), [0, 0, 0], [0, 0, 1], 0.05, [(-bound, bound)] * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _figures(r) == (2.000000000000001, 483105, 40, 51162)
+        assert peak < 48 * 2**20
 
 
 class TestNonFiniteFrames:

@@ -582,6 +582,17 @@ class TestGeometryCommands:
         assert 1 <= report["frontier_peak"] < report["nodes_settled"]
         assert report["elapsed_s"] > 0.0
 
+    def test_cc_distance_on_a_huge_box(self, tmp_path):
+        # config files take no infinite bound; a +/-1e7 box stands in, and the
+        # visited lattice grows past default_box's cells
+        config = tmp_path / "cc.json"
+        cc = {"a": [0, 0, 0], "b": [0, 0, 1], "resolution": 0.05, "box": [[-1e7, 1e7]] * 3}
+        config.write_text(json.dumps({"structure": "heisenberg1", "cc": cc}))
+        assert run("cc-distance", "--config", str(config), "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "cc_report.json").read_text())
+        figures = [report[k] for k in ("distance", "nodes_settled", "levels", "frontier_peak")]
+        assert figures == [2.000000000000001, 483105, 40, 51162]
+
     @pytest.mark.parametrize(
         "cc",
         [
