@@ -21,12 +21,9 @@ test then run as 1-D passes over rows; only the frame call sees the (K, n)
 view level.T, the batch form every sigma takes.
 
 Two states are one state when they share the cell floor(p / cell) of the
-half-step lattice. The visited set (_CellStamps) keeps one int32 stamp per
-cell of a lattice inside the box, which starts on the cells the box shares
-with default_box(start, goal) and grows, clipped to the box, when a level
-reaches past it. Its settle(cand) settles a level's (n, N) candidates and
-returns the indices of the candidates that reach a cell first, in candidate
-order, with no sort.
+half-step lattice. The visited set (_CellStamps) settles a level's (n, N)
+candidates and returns the indices of those that reach a cell first, in
+candidate order, with no sort.
 """
 
 from __future__ import annotations
@@ -64,60 +61,69 @@ def default_box(a: np.ndarray, b: np.ndarray) -> list[tuple[float, float]]:
 
 
 MAX_LATTICE_CELLS = 2**24
-"""Most cells of the visited lattice: its stamps take 4 bytes each, 64 MiB in all."""
+"""Most cells of a lattice of stamps: 4 bytes each, 64 MiB in all."""
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio: Fibonacci hashing
 
 
 class _CellStamps:
-    """Visited set as one int32 stamp per cell of a lattice inside the box.
+    """Visited set of the cells floor(p / cell): int32 stamps on a lattice, or a hash table.
 
-    The lattice starts on the cells the box shares with near (default_box),
-    or on the cell of start (one column) when those are more than
-    MAX_LATTICE_CELLS. It holds the cells first..last (inclusive) of
-    floor(p / cell) on each axis, and a cell's index is
-    (floor(p / cell) - first) @ strides, an integer below the cell count,
-    exact in float64. An in-box candidate past the lattice grows it along that
-    axis by at least half its extent on the side left by, clipped to the box's
-    cells; axes where the lattice already spans the box skip that test.
-    Between levels a stamp is SETTLED or FREE; the extra cell at index `cells`
-    starts settled and takes every candidate outside the box.
+    The lattice holds the cells first..last on each axis, and a cell's index
+    (floor(p / cell) - first) @ strides is exact in float64. It starts on the
+    cells the box shares with near (default_box). An in-box candidate past it
+    grows it along that axis by at least half its extent on that side, clipped
+    to the box; axes that span the box skip that test. It keeps a stamp per
+    cell, SETTLED or FREE between levels, and a settled extra cell `cells` for
+    candidates outside the box, while it has at most dense_cells cells:
+    MAX_LATTICE_CELLS, or the 2 * n * max_nodes stamps that take the bytes of
+    max_nodes states' floors if fewer. Past that the set keeps the settled
+    floors in rows and their row numbers in a table at most half full, probed
+    linearly from a hash of the floors: its memory follows the states settled,
+    not the box, as in four dimensions or on huge boxes.
     """
 
     SETTLED = -1
     FREE = np.iinfo(np.int32).max
+    EMPTY = -1
+    CLAIM = np.iinfo(np.int32).min  # plus a position: a claim on a free slot, below every row
+    SLOTS = 2**16  # fewest slots of a table
 
     def __init__(self, cell: float, lo: np.ndarray, hi: np.ndarray, start: np.ndarray,
-                 near: Sequence[Sequence[float]]):
+                 near: Sequence[Sequence[float]], max_nodes: int):
         self.cell, self.lo, self.hi = cell, lo, hi
+        self.dense_cells = min(MAX_LATTICE_CELLS, 2 * len(lo) * max_nodes)
         with np.errstate(over="ignore"):  # bounds near 1e308 reach past every cell, as inf does
-            self.box_first, self.box_last = np.floor(lo / cell), np.floor(hi / cell)
+            self.box_first = np.floor(lo / cell)
+            self.box_last = np.floor(hi / cell)
         near_lo, near_hi = np.array(near).T
+        self.stamp = self.table = None
         first = np.floor(np.maximum(lo, near_lo) / cell)
-        last = np.floor(np.minimum(hi, near_hi) / cell)
-        if np.prod(last - first + 1.0) > MAX_LATTICE_CELLS:
-            first = last = np.floor(start[:, 0] / cell)
-        self.stamp = None
-        self._span(first, last)
+        self._span(first, np.floor(np.minimum(hi, near_hi) / cell), np.empty((len(lo), 0)))
         self.settle(start)
 
-    def _span(self, first: np.ndarray, last: np.ndarray) -> None:
-        """Lay the lattice on the cells first..last, copying the stamps of the old one in."""
+    def _span(self, first: np.ndarray, last: np.ndarray, floors: np.ndarray) -> None:
+        """Lay the lattice on the cells first..last with the (n, S) settled floors, or hash them."""
         extent = last - first + 1.0
-        cells = np.prod(extent)
-        if cells > MAX_LATTICE_CELLS:
-            raise NoPathError(
-                f"the visited lattice would need {cells:.0f} cells, past its cap "
-                f"of {MAX_LATTICE_CELLS}; bound the box or coarsen the resolution"
-            )
-        stamp = np.full(int(cells) + 1, self.FREE, dtype=np.int32)
-        stamp[-1] = self.SETTLED
-        shape = tuple(int(e) for e in extent)
-        if self.stamp is not None:
-            at = tuple(slice(int(o), int(o) + e) for o, e in zip(self.first - first, self.shape))
-            stamp[:-1].reshape(shape)[at] = self.stamp[:-1].reshape(self.shape)
-        self.first, self.last, self.extent, self.shape, self.stamp = first, last, extent, shape, stamp
-        self.cells = len(stamp) - 1
+        self.stamp = None
+        if np.prod(extent) > self.dense_cells:
+            self.rows = np.empty((len(first), 0))
+            self.count = 0
+            self._append(floors)
+            self._rehash(0)
+            return
+        self.first = first
+        self.last = last
+        self.extent = extent
+        self.cells = int(np.prod(extent))
         self.strides = np.append(np.cumprod(extent[:0:-1])[::-1], 1.0)
         self.open = ((first > self.box_first) | (last < self.box_last)).tolist()
+        keys = np.zeros(floors.shape[1])
+        for row, first_, stride in zip(floors, first, self.strides):
+            keys += (row - first_) * stride
+        self.stamp = np.full(self.cells + 1, self.FREE, dtype=np.int32)
+        self.stamp[keys.astype(np.intp)] = self.SETTLED
+        self.stamp[-1] = self.SETTLED
 
     def _grow(self, points: np.ndarray) -> None:
         """Grow the lattice over the cells of the (n, K) in-box points."""
@@ -126,10 +132,17 @@ class _CellStamps:
         low, high = at.min(axis=1), at.max(axis=1)
         first = np.where(low < self.first, np.minimum(low, self.first - half), self.first)
         last = np.where(high > self.last, np.maximum(high, self.last + half), self.last)
-        self._span(np.maximum(first, self.box_first), np.minimum(last, self.box_last))
+        index = np.flatnonzero(self.stamp[:-1] == self.SETTLED)
+        floors = np.array(
+            [f + index // int(s) % int(e) for f, s, e in zip(self.first, self.strides, self.extent)]
+        )
+        self._span(np.maximum(first, self.box_first), np.minimum(last, self.box_last), floors)
 
-    def _keys(self, cand: np.ndarray) -> np.ndarray:
-        """Cell index of each column of cand, `cells` outside the box; grows the lattice first."""
+    def _keys(self, cand: np.ndarray) -> np.ndarray | None:
+        """Cell index of each column of cand, `cells` outside the box; grows the lattice first.
+
+        None when the lattice grows past dense_cells and the set turns to its table.
+        """
         # one contiguous row of cand per axis: key and box test in 1-D passes,
         # the key's (floor(col / cell) - first) * stride formed in place
         keys, outside = np.zeros(cand.shape[1]), np.zeros(cand.shape[1], dtype=bool)
@@ -149,11 +162,14 @@ class _CellStamps:
             past &= ~outside
             if past.any():
                 self._grow(cand[:, past])
-                return self._keys(cand)
+                return None if self.stamp is None else self._keys(cand)
         return np.where(outside, self.cells, keys.astype(np.intp))
 
     def settle(self, cand: np.ndarray) -> np.ndarray:
-        keys = self._keys(cand)
+        keys = None if self.stamp is None else self._keys(cand)
+        if keys is None:
+            inbox = ~((cand < self.lo[:, None]) | (cand > self.hi[:, None])).any(axis=0)
+            return self._probe(np.floor(cand / self.cell) + 0.0, np.flatnonzero(inbox))
         order = np.arange(len(keys), dtype=np.int32)
         # each fresh cell takes its first candidate's position; a settled
         # cell's SETTLED is below every position, so it stays and matches none
@@ -161,6 +177,68 @@ class _CellStamps:
         first = np.flatnonzero(self.stamp[keys] == order)
         self.stamp[keys[first]] = self.SETTLED  # every fresh cell has one first candidate
         return first
+
+    def _rehash(self, room: int) -> None:
+        """Lay a table over the settled rows, at most half full and with room more slots free."""
+        size = self.SLOTS if self.table is None else len(self.table)
+        while size < 2 * self.count or size <= self.count + room:
+            size *= 2
+        self.table = None
+        self.table = np.full(size, self.EMPTY, dtype=np.int32)
+        for k in range(0, self.count, 2**18):  # in parts, to bound the probe's scratch
+            rows = np.arange(k, min(k + 2**18, self.count))
+            self._probe(self.rows[:, rows], rows, settled=True)
+
+    def _append(self, floors: np.ndarray) -> np.ndarray:
+        """Row numbers of the (n, K) floors, added after the settled rows."""
+        count = self.count + floors.shape[1]
+        if count > self.rows.shape[1]:  # grow the rows by half
+            grown = np.empty((len(self.rows), count + count // 2))
+            grown[:, : self.count] = self.rows[:, : self.count]
+            self.rows = grown
+        self.rows[:, self.count : count] = floors
+        rows = np.arange(self.count, count, dtype=np.int32)
+        self.count = count
+        return rows
+
+    def _probe(self, floors: np.ndarray, at: np.ndarray, settled: bool = False) -> np.ndarray:
+        """Positions among `at` (ascending) whose column of floors is the first of a fresh cell.
+
+        Columns of one cell start on one slot and step together, so they meet
+        at the first free slot or at their cell's row; a free slot takes the
+        least position among the columns on it, the least CLAIM written there.
+        Settled columns are rows already, numbered `at`, which _rehash lays.
+        """
+        # every column may take a slot, so each probe path ends at a free one
+        full = 2 * self.count > len(self.table) or self.count + len(at) >= len(self.table)
+        if full and not settled:
+            self._rehash(len(at))
+        fresh = np.zeros(floors.shape[1], dtype=bool)
+        floors = floors[:, at] if not settled else floors
+        slot = np.zeros(len(at), dtype=np.uint64)
+        for row in floors:  # a float's low bits are mostly zero: fold the high half down
+            slot ^= row.view(np.uint64)
+            slot ^= slot >> np.uint64(32)
+            slot *= _GOLDEN
+        slot = (slot >> np.uint64(65 - len(self.table).bit_length())).astype(np.intp)
+        while len(at):
+            held = self.table[slot]
+            free = np.flatnonzero(held == self.EMPTY)
+            if len(free):
+                claim = (at[free] + self.CLAIM).astype(np.int32)
+                np.minimum.at(self.table, slot[free], claim)
+                won = free[self.table[slot[free]] == claim]
+                if settled:
+                    self.table[slot[won]] = at[won]
+                else:
+                    self.table[slot[won]] = self._append(floors[:, won])
+                    fresh[at[won]] = True
+                held[free] = self.table[slot[free]]
+            on = np.zeros(len(at), dtype=bool)
+            for mine, theirs in zip(floors, self.rows):
+                on |= theirs[held] != mine
+            at, floors, slot = at[on], floors[:, on], (slot[on] + 1) & (len(self.table) - 1)
+        return np.flatnonzero(fresh)
 
 
 def _goal_index(level: np.ndarray, goal: np.ndarray, tol2: float) -> int:
@@ -195,11 +273,10 @@ def cc_search(
     resolution is the control step per move; the goal is accepted within
     resolution/2 by default. Raises NoPathError when the search exhausts the
     box or the node budget (the max_nodes-th settled state is not the goal),
-    which signals a box too small or a resolution too coarse, or when the
-    settled states span more than MAX_LATTICE_CELLS cells of the visited
-    lattice, which signals a box too large or a resolution too fine; and
+    which signals a box too small or a resolution too coarse; and
     NumericalError when the frame is not finite at an expanded state.
-    max_nodes must keep 2 * m * max_nodes below 2**31, the int32 stamps' range.
+    max_nodes must keep 2 * m * max_nodes below 2**31, the range of the int32
+    positions the visited set compares.
     """
     t0 = time.perf_counter()
     if not 0.0 < resolution < np.inf:
@@ -233,7 +310,7 @@ def cc_search(
     tol2 = tol * tol
 
     level = start[:, None]
-    visited = _CellStamps(cell, lo, hi, level, near)
+    visited = _CellStamps(cell, lo, hi, level, near, max_nodes)
     cost = 0.0
     depth = 0
     popped = 0

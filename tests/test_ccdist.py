@@ -254,6 +254,9 @@ EQUIVALENCE_QUERIES = [
     ),
     # bounds whose cell index overflows to inf
     ("heisenberg1", [0, 0, 0], [0.3, -0.2, 0.15], {"box": [(-1e308, 1e308)] * 3}),
+    # at x2 = 1e6 a step moves x3 by 2e6 cells: the search spans over 2**64
+    # lattice cells, and the table keys the cells it settles by their floors
+    ("engel1", [0, 1e6, 0, 0], [0, 1e6, 0.06, -29999.994], {"box": [(-np.inf, np.inf)] * 4}),
 ]
 
 
@@ -289,70 +292,96 @@ class TestHeapEquivalence:
 
 
 def _spans(monkeypatch):
-    """(first, last) cells of each lattice the visited set lays, in order."""
+    """(first, last, on a table) of each lattice the visited set lays, in order."""
     spans = []
     span = ccdist._CellStamps._span
-    monkeypatch.setattr(
-        ccdist._CellStamps,
-        "_span",
-        lambda self, first, last: spans.append((first, last)) or span(self, first, last),
-    )
+
+    def spy(self, first, last, floors):
+        span(self, first, last, floors)
+        spans.append((first, last, self.table is not None))
+
+    monkeypatch.setattr(ccdist._CellStamps, "_span", spy)
     return spans
 
 
+def _starting_cells(a, b, box, cell):
+    """first and last cells of box and default_box(a, b) in common."""
+    lo, hi = np.array(box).T
+    near_lo, near_hi = np.array(default_box(np.array(a, float), np.array(b, float))).T
+    return np.floor(np.maximum(lo, near_lo) / cell), np.floor(np.minimum(hi, near_hi) / cell)
+
+
+# boxes past default_box: the search leaves the starting lattice on some side
+GROWING_QUERIES = [
+    ("heisenberg1", [0, 0, 0], [0.0, 0.0, 0.5], [(-1.5, 1.5)] * 3),
+    ("euclidean:2", [0, 0], [1.2, 0.9], [(-1.5, 1.7), (-2.6, 2.0)]),
+    ("engel1", [0, 0, 0, 0], [0.8, -0.5, 0.0, 0.0], [(-1.5, 1.5)] * 4),
+]
+
+
 class TestVisitedSets:
-    @pytest.mark.parametrize(
-        "name,a,b,box",
-        [
-            # boxes past default_box: the search leaves the starting lattice on some side
-            ("heisenberg1", [0, 0, 0], [0.0, 0.0, 0.5], [(-1.5, 1.5)] * 3),
-            ("euclidean:2", [0, 0], [1.2, 0.9], [(-1.5, 1.7), (-2.6, 2.0)]),
-            ("engel1", [0, 0, 0, 0], [0.8, -0.5, 0.0, 0.0], [(-1.5, 1.5)] * 4),
-        ],
-    )
+    @pytest.mark.parametrize("name,a,b,box", GROWING_QUERIES)
     def test_lattice_grows_within_the_box(self, name, a, b, box, monkeypatch):
         s = preset(name)
         spans = _spans(monkeypatch)
         assert _figures(cc_search(s, a, b, 0.1, box)) == _heap_reference(s, a, b, 0.1, box)
-        lo, hi = np.array(box).T
-        near_lo, near_hi = np.array(default_box(np.array(a, float), np.array(b, float))).T
-        assert np.array_equal(spans[0][0], np.floor(np.maximum(lo, near_lo) / 0.05))
-        assert np.array_equal(spans[0][1], np.floor(np.minimum(hi, near_hi) / 0.05))
+        first, last = _starting_cells(a, b, box, 0.05)
+        assert np.array_equal(spans[0][0], first) and np.array_equal(spans[0][1], last)
         assert len(spans) > 1
-        for (first, last), (grown_first, grown_last) in zip(spans, spans[1:]):
+        assert not any(table for _, _, table in spans)
+        for (first, last, _), (grown_first, grown_last, _) in zip(spans, spans[1:]):
             assert np.all(grown_first <= first) and np.all(grown_last >= last)
+        lo, hi = np.array(box).T
         assert np.all(spans[-1][0] >= np.floor(lo / 0.05))
         assert np.all(spans[-1][1] <= np.floor(hi / 0.05))
 
     def test_huge_box_starts_on_the_default_box(self, monkeypatch):
-        # a +/-1e7 box has 4e8 cells per axis at cell 0.05; the second lattice
-        # is the default box's
+        # a +/-1e7 box has 4e8 cells per axis at cell 0.05; the search stays in
+        # default_box's cells and lays no other lattice
         s, a, b = preset("heisenberg1"), [0, 0, 0], [0.3, -0.2, 0.15]
+        default = _figures(cc_search(s, a, b, 0.1))
         spans = _spans(monkeypatch)
-        huge = cc_search(s, a, b, 0.1, [(-1e7, 1e7)] * 3)
-        assert _figures(huge) == _figures(cc_search(s, a, b, 0.1))
-        assert len(spans) == 2
-        assert np.array_equal(spans[0][0], spans[1][0]) and np.array_equal(spans[0][1], spans[1][1])
+        assert _figures(cc_search(s, a, b, 0.1, [(-1e7, 1e7)] * 3)) == default
+        first, last = _starting_cells(a, b, [(-1e7, 1e7)] * 3, 0.05)
+        assert len(spans) == 1
+        assert np.array_equal(spans[0][0], first) and np.array_equal(spans[0][1], last)
 
-    def test_default_box_past_the_cap_starts_on_the_start_cell(self, monkeypatch):
-        # default_box's 47 x 45 cells are past a cap of 1000; the lattice starts
-        # on one cell, and each growth adds at least half its extent on each side
-        monkeypatch.setattr(ccdist, "MAX_LATTICE_CELLS", 1000)
+    @pytest.mark.parametrize("name,a,b,box", GROWING_QUERIES)
+    @pytest.mark.parametrize("dense", ["none", "starting lattice"])
+    def test_table_agrees_with_the_heap(self, name, a, b, box, dense, monkeypatch):
+        # tables of 4 slots or more: they fill, collide and resize; with no
+        # dense cells the set starts on a table, with the starting lattice's
+        # cells its first growth moves it to one
+        first, last = _starting_cells(a, b, box, 0.05)
+        cells = int(np.prod(last - first + 1.0)) if dense == "starting lattice" else 0
+        monkeypatch.setattr(ccdist, "MAX_LATTICE_CELLS", cells)
+        monkeypatch.setattr(ccdist._CellStamps, "SLOTS", 4)
+        spans = _spans(monkeypatch)
+        s = preset(name)
+        assert _figures(cc_search(s, a, b, 0.1, box)) == _heap_reference(s, a, b, 0.1, box)
+        assert spans[0][2] == (cells == 0)
+        assert spans[-1][2]
+
+    def test_table_takes_the_budget_error(self, monkeypatch):
+        monkeypatch.setattr(ccdist, "MAX_LATTICE_CELLS", 0)
+        s, a, b = preset("heisenberg1"), [0, 0, 0], [0.3, 0.2, 0.1]
+        budget = cc_search(s, a, b, 0.1).nodes_settled - 1
+        with pytest.raises(NoPathError) as ref:
+            _heap_reference(s, a, b, 0.1, max_nodes=budget)
+        with pytest.raises(NoPathError) as new:
+            cc_search(s, a, b, 0.1, max_nodes=budget)
+        assert str(new.value) == str(ref.value)
+
+    def test_dense_cells_follow_the_node_budget(self, monkeypatch):
+        # default_box's 47 x 45 cells are more than the 2 * 2 * 500 stamps that
+        # take the bytes of 500 states, so the set starts on a table
         spans = _spans(monkeypatch)
         s, a, b = preset("euclidean:2"), [0, 0], [0.3, 0.2]
-        assert _figures(cc_search(s, a, b, 0.1)) == _heap_reference(s, a, b, 0.1)
-        assert [(int(first[0]), int(last[0])) for first, last in spans] == [
-            (0, 0), (-2, 2), (-5, 5), (-11, 11)
-        ]
-        assert all(np.all(first == first[0]) and np.all(last == last[0]) for first, last in spans)
-
-    def test_lattice_past_the_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(ccdist, "MAX_LATTICE_CELLS", 81 * 81 * 121)
-        s = preset("heisenberg1")
-        with pytest.raises(NoPathError, match="visited lattice would need .* cells, past its cap"):
-            cc_search(s, [0, 0, 0], [0, 0, 1], 0.05, [(-np.inf, np.inf)] * 3)
-        # the default box fits the cap and never grows
-        assert cc_search(s, [0, 0, 0], [0, 0, 1], 0.05).nodes_settled == 203457
+        assert _figures(cc_search(s, a, b, 0.1, max_nodes=500)) == _heap_reference(s, a, b, 0.1)
+        assert [table for _, _, table in spans] == [True]
+        spans.clear()
+        cc_search(s, a, b, 0.1, max_nodes=529)
+        assert [table for _, _, table in spans] == [False]
 
     def test_int32_positions_bound_the_node_budget(self):
         # a level has fewer than 2 * m * max_nodes candidates, each stamped with its position
@@ -398,7 +427,7 @@ class TestBenchmarkQueries:
     @pytest.mark.parametrize("bound", [np.inf, 1e7])
     def test_grown_lattice_figures_and_memory(self, bound):
         # measured with the sorted keys of every settled state, whose peak was 42.8 MiB;
-        # the lattice grows from 81 x 81 x 121 to 183 x 183 x 182 cells, 24 MiB of stamps
+        # the dense lattice grows from 81 x 81 x 121 to 183 x 183 x 182 cells, 24 MiB
         tracemalloc.start()
         try:
             r = cc_search(preset("heisenberg1"), [0, 0, 0], [0, 0, 1], 0.05, [(-bound, bound)] * 3)
@@ -406,7 +435,27 @@ class TestBenchmarkQueries:
         finally:
             tracemalloc.stop()
         assert _figures(r) == (2.000000000000001, 483105, 40, 51162)
-        assert peak < 48 * 2**20
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize(
+        "name,b,figures,sorted_keys_peak_mib",
+        [
+            ("heisenberg1", [0, 0, 1.5], (2.499999999999999, 1202249, 50, 99328), 96.1),
+            ("engel1", [1.5, 1, 0, 0], (2.499999999999999, 762162, 50, 125489), 105.8),
+            ("engel1", [0, 0, 0.2, 0], (1.800000000000001, 97735, 36, 15388), 13.0),
+        ],
+    )
+    def test_table_figures_and_memory(self, name, b, figures, sorted_keys_peak_mib):
+        # unbounded boxes on which the set moves to its table; the figures and
+        # peaks were measured with the sorted keys of every settled state
+        tracemalloc.start()
+        try:
+            r = cc_search(preset(name), [0] * len(b), b, 0.05, [(-np.inf, np.inf)] * len(b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _figures(r) == figures
+        assert peak < 1.2 * sorted_keys_peak_mib * 2**20
 
 
 class TestNonFiniteFrames:
