@@ -18,7 +18,7 @@ _EXPORTS = {
     "doubling": (
         "ConstantBundle",
         "growth_condition_margin",
-        "growth_margin_asymptotic",
+        "growth_verdict",
         "holder_constant_bound",
         "phi_hessian_block",
         "phi_hessian_square",

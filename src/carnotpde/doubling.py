@@ -200,25 +200,6 @@ def holder_constant_bound(k: ConstantBundle, alpha: float) -> float:
     return float((total / denom) ** (1.0 / (1.0 + g_hi - alpha)))
 
 
-def growth_margin_asymptotic(s: CarnotStructure, c0: float, Lambda: float) -> float | None:
-    """Analytic value of limsup Tr(P(x))/|x|^2 - c0/(2 Lambda), from the
-    structure's growth_limsup.
-
-    Returns None for structures without a known closed form, which includes
-    every frame loaded from JSON whatever its name.
-    """
-    if s.growth_limsup is None:
-        return None
-    return s.growth_limsup - c0 / (2.0 * Lambda)
-
-
-def growth_satisfied(asymptotic: float | None, margins: Sequence[float] | None) -> bool:
-    """The growth-condition verdict: the analytic margin when there is one,
-    else the margin at the largest sampled radius, is at most GROWTH_TOL."""
-    margin = margins[-1] if asymptotic is None else asymptotic
-    return bool(margin <= GROWTH_TOL)
-
-
 def growth_condition_margin(
     s: CarnotStructure,
     c0: float,
@@ -254,3 +235,21 @@ def growth_condition_margin(
         best = float(np.einsum("kij,kij->k", frame, frame).max())
         margins.append(best / (r * r) - shift)
     return margins
+
+
+def growth_verdict(
+    s: CarnotStructure, c0: float, Lambda: float, radii: Sequence[float], seed: int = 0
+) -> tuple[float | None, list[float], bool]:
+    """The growth condition limsup Tr(P(x))/|x|^2 <= c0/(2 Lambda), for every
+    command that checks it.
+
+    Returns (asymptotic, margins, satisfied): the analytic margin from the
+    structure's growth_limsup (None for a frame loaded from JSON, whatever its
+    name), the sampled margin at each radius and the verdict: the analytic
+    margin, else the one at the largest radius, is at most GROWTH_TOL.
+    """
+    limsup = s.growth_limsup
+    asymptotic = None if limsup is None else limsup - c0 / (2.0 * Lambda)
+    margins = growth_condition_margin(s, c0, Lambda, radii, seed=seed)
+    margin = margins[-1] if asymptotic is None else asymptotic
+    return asymptotic, margins, bool(margin <= GROWTH_TOL)

@@ -29,13 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .doubling import (
-    ConstantBundle,
-    growth_condition_margin,
-    growth_margin_asymptotic,
-    growth_satisfied,
-    holder_constant_bound,
-)
+from .doubling import ConstantBundle, growth_verdict, holder_constant_bound
 from .errors import InadmissibleExponentError, PreconditionError
 from .grids import Grid, GridFunction
 from .operators import Coefficients, OperatorSpec
@@ -45,7 +39,7 @@ from .structures import lipschitz_sigma_estimate
 ALL_PAIRS_NODE_CAP = 4096
 PAIR_BUDGET = 1_000_000
 NUM_BINS = 12
-# sigma is sampled at this many points for its Lipschitz estimate
+# sigma is sampled at this many points when the structure declares no Lipschitz constant
 LIPSCHITZ_SAMPLES = 128
 
 
@@ -262,6 +256,7 @@ class HolderReport:
     l_fit_within_bound: bool
     growth_box_local: bool
     lipschitz_estimate: float
+    lipschitz_certified: bool
     lipschitz_samples: int
     seed: int
     increments: list
@@ -270,6 +265,19 @@ class HolderReport:
     @property
     def hypotheses_pass(self) -> bool:
         return all(self.hypothesis_verdicts.values())
+
+    @property
+    def failures(self) -> list[str]:
+        """The checks of the theorem's statement that fail, by name: each false
+        hypothesis verdict, then admissible_alpha, l_fit_within_bound and
+        max_violation (when positive). verify passes when there is none."""
+        checks = {
+            **self.hypothesis_verdicts,
+            "admissible_alpha": self.admissible_alpha,
+            "l_fit_within_bound": self.l_fit_within_bound,
+            "max_violation": self.max_violation <= 0.0,
+        }
+        return [name for name, holds in checks.items() if not holds]
 
     def to_dict(self) -> dict:
         return {"schema_version": 1, **asdict(self)}
@@ -284,12 +292,15 @@ def bundle_for_instance(
 ) -> ConstantBundle:
     """Assemble the constants the seminorm bound needs from a solved instance.
 
-    The trace-inequality constant is eta times the squared sampled Lipschitz
-    bound of sigma on the grid box; the bundle carries that bound, so a
-    verify samples sigma once.
+    The trace-inequality constant is eta times the squared Lipschitz constant
+    of sigma: the structure's declared lipschitz_sigma when it has one, else
+    the bound sampled on the grid box. The bundle carries that constant, so a
+    verify samples sigma at most once.
     """
-    box = list(zip(u.grid.lo, u.grid.hi))
-    lip = lipschitz_sigma_estimate(spec.structure, box, samples=LIPSCHITZ_SAMPLES, seed=seed)
+    lip = spec.structure.lipschitz_sigma
+    if lip is None:
+        box = list(zip(u.grid.lo, u.grid.hi))
+        lip = lipschitz_sigma_estimate(spec.structure, box, samples=LIPSCHITZ_SAMPLES, seed=seed)
     return ConstantBundle(
         c0=coeffs.c0,
         Lambda=spec.bounds.Lam,
@@ -314,30 +325,21 @@ def verify_theorem(
 ) -> HolderReport:
     """Hypothesis checks plus fitted Holder modulus for a converged solution.
 
-    The Lipschitz figure is the one the bundle carries. The growth condition
-    uses the preset's analytic asymptotic margin when one exists; otherwise
-    it samples the sphere of the largest of growth_radii, or of the box
-    half-width when none are given, and the report is flagged box-local.
+    The Lipschitz figure is the one the bundle carries, certified when the
+    structure declares it. The growth condition is doubling.growth_verdict on
+    the sphere of the largest of growth_radii, or of the box half-width when
+    none are given; without an analytic margin the report is box-local.
     """
     if not solve_report.converged:
         raise PreconditionError("verify_theorem requires a converged solve")
-    s = spec.structure
-    box = list(zip(u.grid.lo, u.grid.hi))
     lip = bundle.lipschitz_estimate
-
-    asym = growth_margin_asymptotic(s, bundle.c0, bundle.Lambda)
-    margins = None
-    if asym is None:
-        if growth_radii is None:
-            radius = min((hi - lo) / 2.0 for lo, hi in box)
-        else:
-            radius = max(growth_radii)
-        margins = growth_condition_margin(s, bundle.c0, bundle.Lambda, [radius], seed=seed)
-
-    verdicts = {
-        "lipschitz_sigma": bool(np.isfinite(lip)),
-        "growth_condition": growth_satisfied(asym, margins),
-    }
+    if growth_radii is None:
+        radius = min((hi - lo) / 2.0 for lo, hi in zip(u.grid.lo, u.grid.hi))
+    else:
+        radius = max(growth_radii)
+    asym, _, grows = growth_verdict(spec.structure, bundle.c0, bundle.Lambda, [radius], seed=seed)
+    verdicts = {"lipschitz_sigma": bool(np.isfinite(lip)), "growth_condition": grows}
+    certified = spec.structure.lipschitz_sigma is not None
 
     t0 = time.perf_counter()
     table = _offset_table(u, seed)
@@ -366,7 +368,8 @@ def verify_theorem(
         l_fit_within_bound=admissible and bool(l_fit <= bound),
         growth_box_local=asym is None,
         lipschitz_estimate=float(lip),
-        lipschitz_samples=LIPSCHITZ_SAMPLES,
+        lipschitz_certified=certified,
+        lipschitz_samples=0 if certified else LIPSCHITZ_SAMPLES,
         seed=seed,
         increments=increments,
         scan_s=scan_s,

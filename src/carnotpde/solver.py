@@ -65,6 +65,7 @@ _ARM_EPS = 1e-12
 # (DiscreteOperator._arm_ends)
 VERTICAL_STEPS = 4.0
 FORCING = 1e-2  # a cycle stops at max(tol, FORCING * its policy step's starting residual)
+STALL_STEPS = 10  # policy steps in a row without a new residual minimum that end a solve
 
 
 def default_h_eff_cells(h: float) -> int:
@@ -378,8 +379,9 @@ def solve(
     cycle on L_A's system. Each cycle stops at max(tol, FORCING * r0), with r0
     that recorded residual; only this loop checks tol. A Krylov restart is the
     next step, so the report's outer_iterations counts the cycles.
-    Non-convergence within cfg.max_iters is reported, not raised; NaN or Inf
-    in the data or the iterates raises NumericalError.
+    Non-convergence within cfg.max_iters, or a stall of STALL_STEPS policy
+    steps in a row without a new residual minimum, is reported, not raised;
+    NaN or Inf in the data or the iterates raises NumericalError.
     """
     # scipy.sparse is loaded before the timers, so that the first assembly_s
     # of a process times the assembly and not the import
@@ -393,8 +395,9 @@ def solve(
     boundary = grid.boundary_mask()
     u_flat[boundary] = field_values(cfg.boundary, grid.coords()[boundary], "boundary")
 
-    iterations = outer = 0
+    iterations = outer = stalled = 0
     history = []
+    best = np.inf
     # the trace kind's policy_matrix returns one L_A object, never modified,
     # so its diagonal is read once
     diag_of = inv_diag = None
@@ -405,7 +408,9 @@ def solve(
         history.append(float(np.abs(r).max()))
         if not np.isfinite(history[-1]):
             raise NumericalError(f"solve diverged by Krylov step {iterations}")
-        if history[-1] <= cfg.tol or iterations >= cfg.max_iters:
+        stalled = 0 if history[-1] < best else stalled + 1
+        best = min(best, history[-1])
+        if history[-1] <= cfg.tol or iterations >= cfg.max_iters or stalled >= STALL_STEPS:
             break
         if lin is not diag_of:
             diag = np.asarray(lin[np.arange(op.interior.size), op.interior]).ravel()
@@ -440,18 +445,20 @@ def solve(
 def two_box_sensitivity(
     spec: OperatorSpec,
     coeffs: Coefficients,
-    grid: Grid,
+    u: GridFunction,
     cfg: SolveConfig,
     pad_cells: int | None = None,
 ) -> float:
-    """Truncation probe: re-solve on a box enlarged by pad_cells nodes per side
-    and return the max solution difference over the inner half-window.
+    """Truncation probe: solve on the box of the converged solve u enlarged by
+    pad_cells nodes per side and return the max difference from u over the
+    inner half-window.
 
     The half-window is the set of nodes within a quarter extent of the box
     center on every axis. Both solves share spacing, so compared nodes match.
     Raises ValueError when pad_cells < 1, which would compare a solve with
     itself or with a smaller box.
     """
+    grid = u.grid
     if pad_cells is None:
         pad_cells = max(2, (min(grid.shape) - 1) // 4)
     if pad_cells < 1:
@@ -462,15 +469,10 @@ def two_box_sensitivity(
         tuple(hi + pad_cells * h for hi in grid.hi),
         tuple(s + 2 * pad_cells for s in grid.shape),
     )
-    u_small, rep_small = solve(spec, coeffs, grid, cfg)
     u_big, rep_big = solve(spec, coeffs, big, cfg)
-    if not (rep_small.converged and rep_big.converged):
-        raise NumericalError("two-box sensitivity needs both solves to converge")
-    small, large = [], []
-    for k in range(grid.n):
-        center = (grid.lo[k] + grid.hi[k]) / 2.0
-        quarter = (grid.hi[k] - grid.lo[k]) / 4.0
-        near = np.flatnonzero(np.abs(grid.axis_coords(k) - center) <= quarter + 1e-12)
-        small.append(slice(near[0], near[-1] + 1))
-        large.append(slice(near[0] + pad_cells, near[-1] + 1 + pad_cells))
-    return float(np.abs(u_small.values[tuple(small)] - u_big.values[tuple(large)]).max())
+    if not rep_big.converged:
+        raise NumericalError("two-box sensitivity needs the padded solve to converge")
+    inner = u_big.values[(slice(pad_cells, -pad_cells),) * grid.n]  # at u's nodes
+    lo, hi = np.array(grid.lo), np.array(grid.hi)
+    near = (np.abs(grid.coords() - (lo + hi) / 2.0) <= (hi - lo) / 4.0 + 1e-12).all(axis=1)
+    return float(np.abs(u.values - inner).ravel()[near].max())

@@ -32,6 +32,14 @@ HEISENBERG_AS_JSON = {
 }
 
 
+IDENTITY_3 = {
+    "name": "identity3",
+    "n": 3,
+    "m": 3,
+    "entries": [[[[float(i == j), 0, 0, 0]] for j in range(3)] for i in range(3)],
+}
+
+
 def run(*argv) -> int:
     return main(list(argv))
 
@@ -360,7 +368,12 @@ class TestSolveCommand:
         path.write_text(json.dumps(config))
         assert run("solve", "--config", str(path), "--out", str(tmp_path)) == 3
 
-    def test_two_box_sensitivity_report(self, tmp_path):
+    def test_two_box_sensitivity_report(self, tmp_path, monkeypatch):
+        # the probe reuses the command's solve: two solves, not three
+        from carnotpde import solver
+
+        shapes = []
+        monkeypatch.setattr(solver, "solve", lambda *a: shapes.append(a[2].shape) or solve(*a))
         config = json.loads((CONFIGS / "line2d.json").read_text())
         config["solver"]["two_box_check"] = True
         config["grid"]["shape"] = [9, 9]
@@ -369,6 +382,7 @@ class TestSolveCommand:
         assert run("solve", "--config", str(path), "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert 0.0 <= report["two_box_gap"] < 1.0
+        assert shapes == [(9, 9), (13, 13)]
 
 
 class TestBuildSetup:
@@ -420,10 +434,13 @@ class TestVerifyCommand:
             [row["distance"], row["max_increment"], row["pairs"]] for row in report["increments"]
         ]
 
-    def test_verify_samples_sigma_once(self, tmp_path, monkeypatch):
-        # the bundle carries the sampled Lipschitz bound that verify_theorem
-        # reports, so one verify samples sigma once; the figures are those of
-        # the two-sample verify before
+    @pytest.mark.parametrize("declared", [True, False], ids=["preset", "json-frame"])
+    def test_verify_samples_sigma_only_without_a_declared_constant(
+        self, tmp_path, monkeypatch, declared
+    ):
+        # the preset declares lipschitz_sigma = 2 and is not sampled; the
+        # same frame from JSON without the key is sampled once, and the
+        # bundle carries that sample to the report. Both give the same C.
         from carnotpde import holder
 
         calls = []
@@ -431,13 +448,91 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             holder, "lipschitz_sigma_estimate", lambda *a, **k: calls.append(1) or sample(*a, **k)
         )
-        config = str(CONFIGS / "heisenberg_verify.json")
-        assert run("verify", "--config", config, "--out", str(tmp_path)) == 0
-        assert len(calls) == 1
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        if not declared:
+            config["structure"] = HEISENBERG_AS_JSON
+        path = tmp_path / "verify.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == 0
+        assert len(calls) == (0 if declared else 1)
         report = json.loads((tmp_path / "holder_report.json").read_text())
+        assert report["lipschitz_certified"] is declared
+        assert report["lipschitz_samples"] == (0 if declared else holder.LIPSCHITZ_SAMPLES)
         assert report["lipschitz_estimate"] == 2.0
         assert report["bundle"]["lipschitz_estimate"] == 2.0
         assert report["bundle"]["C"] == 4.4
+
+    def test_l_fit_above_the_bound_exits_4(self, tmp_path, capsys):
+        # L_f = L_c = 0 makes the theorem's bound 0, which the non-constant
+        # u* = x1^2 + x2 exceeds while every hypothesis holds
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        config["coefficients"]["L_f"] = 0
+        config["grid"]["shape"] = [9, 9, 9]
+        path = tmp_path / "bound0.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == 4
+        assert "verify failed: l_fit_within_bound" in capsys.readouterr().err
+        report = json.loads((tmp_path / "holder_report.json").read_text())
+        assert all(report["hypothesis_verdicts"].values()) and report["admissible_alpha"]
+        assert report["theorem_bound"] == 0.0 < report["L_fit"]
+
+    def test_inadmissible_alpha_exits_4(self, tmp_path, capsys):
+        # a declared lipschitz_sigma of 5 gives C = 1.1 * 25, so with c0 = 8
+        # only alpha < 8 / 27.5 is admissible, far below the fitted exponent
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        config["structure"] = {**IDENTITY_3, "lipschitz_sigma": 5}
+        config["coefficients"].update({"c": {"const": 8}, "c0": 8})
+        config["grid"]["shape"] = [9, 9, 9]
+        path = tmp_path / "inadmissible.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == 4
+        err = capsys.readouterr().err
+        assert "verify failed: admissible_alpha, l_fit_within_bound" in err
+        report = json.loads((tmp_path / "holder_report.json").read_text())
+        assert all(report["hypothesis_verdicts"].values())
+        assert report["lipschitz_certified"] is True and report["lipschitz_samples"] == 0
+        assert report["alpha_fit"] > 8 / 27.5 and report["theorem_bound"] == float("inf")
+
+    @pytest.mark.parametrize("c0", [1, 16])
+    @pytest.mark.parametrize(
+        "structure, n",
+        [
+            ("euclidean:2", 2),
+            ("heisenberg1", 3),
+            ("engel1", 4),
+            ("line2d", 2),
+            ("grushin-like2d", 2),
+            (HEISENBERG_AS_JSON, 3),
+        ],
+        ids=["euclidean:2", "heisenberg1", "engel1", "line2d", "grushin-like2d", "json-frame"],
+    )
+    def test_growth_check_and_verify_agree(self, tmp_path, structure, n, c0):
+        # growth-check at radius R and verify with growth_radii [R] read the
+        # one growth rule; c0 = 1 fails it on Heisenberg, Engel and the JSON
+        # frame, and c0 = 16 passes it everywhere
+        radius = 1.5
+        growth = {"structure": structure, "growth": {"c0": c0, "Lambda": 1, "radii": [radius]}}
+        verify = {
+            "structure": structure,
+            "manufactured_solution": {"terms": [[1, 2] + [0] * (n - 1)]},
+            "coefficients": {"c": {"const": c0}, "f": "manufactured", "L_f": 1, "c0": c0},
+            "grid": {"box": [[-1, 1]] * n, "shape": [5] * n},
+            "solver": {"boundary": "manufactured"},
+            "analysis": {"growth_radii": [radius]},
+        }
+        verdicts = []
+        for command, config, report in (
+            ("growth-check", growth, "growth_report.json"),
+            ("verify", verify, "holder_report.json"),
+        ):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(config))
+            assert run(command, "--config", str(path), "--out", str(tmp_path)) in (0, 4)
+            verdicts.append(json.loads((tmp_path / report).read_text()))
+        satisfied = verdicts[0]["satisfied"]
+        assert verdicts[1]["hypothesis_verdicts"]["growth_condition"] is satisfied
+        assert verdicts[1]["growth_box_local"] is verdicts[0]["box_local"]
+        assert satisfied is (c0 == 16 or structure in ("euclidean:2", "line2d", "grushin-like2d"))
 
     def test_verify_fails_growth_with_small_c0(self, tmp_path):
         code = run(

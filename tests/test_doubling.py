@@ -1,5 +1,7 @@
 """Unit tests for the doubled-variable calculus and the constant machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,6 @@ from _jacobi import eigh
 from carnotpde import (
     ConstantBundle,
     growth_condition_margin,
-    growth_margin_asymptotic,
     holder_constant_bound,
     phi_hessian_block,
     phi_hessian_square,
@@ -18,7 +19,8 @@ from carnotpde import (
     sums_trace_bound,
     touching_pair,
 )
-from carnotpde.doubling import GROWTH_TOL, finite_difference_hessian, growth_satisfied, phi_value
+from carnotpde import doubling
+from carnotpde.doubling import finite_difference_hessian, growth_verdict, phi_value
 from carnotpde.errors import InadmissibleExponentError, SingularPointError
 
 
@@ -249,6 +251,9 @@ class TestGrowthMargin:
             assert m >= exact - 0.05
 
     def test_asymptotic_presets(self):
+        def growth_margin_asymptotic(s, c0, Lambda):
+            return growth_verdict(s, c0, Lambda, [1.0])[0]
+
         assert growth_margin_asymptotic(preset("heisenberg1"), 16.0, 2.0) == pytest.approx(0.0)
         assert growth_margin_asymptotic(preset("heisenberg1"), 1.0, 1.0) == pytest.approx(3.5)
         assert growth_margin_asymptotic(preset("euclidean:3"), 2.0, 1.0) == pytest.approx(-1.0)
@@ -268,11 +273,36 @@ class TestGrowthMargin:
         with pytest.raises(ValueError):
             growth_condition_margin(preset("euclidean:2"), 1.0, 1.0, [2.0, 1.0])
 
-    def test_verdict_prefers_the_analytic_margin(self):
+    def test_verdict_prefers_the_analytic_margin(self, monkeypatch):
+        # a power-of-two tolerance and frames whose sphere maximum sits on an
+        # axis keep every margin below exact, so the boundary cases are exact
+        tol = 2.0**-20
+        monkeypatch.setattr(doubling, "GROWTH_TOL", tol)
+        flat = preset("euclidean:2")  # Tr P = 2
+
+        def analytic(limsup):
+            return dataclasses.replace(flat, growth_limsup=limsup)
+
         # the analytic margin decides whatever the samples say
-        assert growth_satisfied(0.0, [5.0]) is True
-        assert growth_satisfied(GROWTH_TOL, None) is True
-        assert growth_satisfied(2 * GROWTH_TOL, [-1.0]) is False
-        # without one, the margin at the largest radius decides
-        assert growth_satisfied(None, [5.0, GROWTH_TOL]) is True
-        assert growth_satisfied(None, [-5.0, 2 * GROWTH_TOL]) is False
+        assert growth_verdict(analytic(1.0), 2.0, 1.0, [0.5]) == (0.0, [7.0], True)
+        assert growth_verdict(analytic(1.0 + tol), 2.0, 1.0, [4.0]) == (tol, [-0.875], True)
+        assert growth_verdict(analytic(1.0 + 2 * tol), 2.0, 1.0, [4.0]) == (
+            2 * tol,
+            [-0.875],
+            False,
+        )
+        # without one, the margin at the largest radius decides: on the flat
+        # frame 2 / R^2 - c0 / 2, and on diag(1, x1^2), whose Tr P = 1 + x1^4
+        # peaks on the x1 axis, 1 / R^2 + R^2 - c0 / 2
+        assert growth_verdict(analytic(None), 4.0 - 2 * tol, 1.0, [0.5, 1.0]) == (
+            None,
+            [6.0 + tol, tol],
+            True,
+        )
+        rows = [[[[1.0, 0, 0]], [[0.0, 0, 0]]], [[[0.0, 0, 0]], [[1.0, 2, 0]]]]
+        steep = structure_from_json({"n": 2, "m": 2, "entries": rows})
+        assert growth_verdict(steep, 8.5 - 4 * tol, 1.0, [1.0, 2.0]) == (
+            None,
+            [-2.25 + 2 * tol, 2 * tol],
+            False,
+        )

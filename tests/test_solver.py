@@ -23,6 +23,7 @@ from carnotpde import (
     Coefficients,
     DiscreteOperator,
     Grid,
+    GridFunction,
     SolveConfig,
     constant_field,
     from_callable,
@@ -40,7 +41,7 @@ from carnotpde import (
 from carnotpde import solver as solver_module
 from carnotpde.errors import NumericalError
 from carnotpde.operators import g_values, policies
-from carnotpde.solver import default_h_eff_cells
+from carnotpde.solver import STALL_STEPS, default_h_eff_cells
 from carnotpde.structures import frames
 
 HEIS = preset("heisenberg1")
@@ -897,6 +898,8 @@ class TestSolve:
         assert rep.residual_history[-1] == rep.final_residual
         assert len(rep.residual_history) == rep.outer_iterations + 1
         assert 1 <= rep.outer_iterations <= rep.iterations
+        # every step sets a new residual minimum, so the stall stop never acts
+        assert (np.diff(rep.residual_history) < 0.0).all()
         reference, reference_residual = _explicit_reference(spec, coeffs, grid, cfg)
         assert reference_residual <= cfg.tol
         assert np.abs(u.flat - reference).max() <= 2.0 * cfg.tol / coeffs.c0
@@ -947,12 +950,34 @@ class TestSolve:
         assert rep.iterations < rep_exact.iterations
         assert np.abs(u.values - u_exact.values).max() <= 2.0 * cfg.tol / coeffs.c0
 
+    def test_cycling_policy_stops_unconverged(self, monkeypatch):
+        # a stub policy alternating between lambda I and Lambda I keeps the
+        # residual between two levels: the loop stops at the first run of
+        # STALL_STEPS steps without a new minimum, long before max_iters
+        spec, coeffs, grid, cfg, _ = pucci_instance("pucci_plus", shape=(9, 9))
+        calls = []
+
+        def alternating(spec, mats):
+            calls.append(None)
+            return np.broadcast_to((1.0 + len(calls) % 2) * np.eye(mats.shape[1]), mats.shape)
+
+        monkeypatch.setattr(solver_module, "policies", alternating)
+        _, rep = solve(spec, coeffs, grid, cfg)
+        assert not rep.converged
+        assert rep.iterations < cfg.max_iters
+        history = rep.residual_history
+        assert len(history) == rep.outer_iterations + 1 == len(calls)
+        records = [k for k, r in enumerate(history) if r < min(history[:k], default=np.inf)]
+        assert np.diff(records + [len(history) - 1]).max() == STALL_STEPS
+        assert len(history) - 1 - records[-1] == STALL_STEPS
+
     def test_two_box_sensitivity_finite(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance(shape=(9, 9, 9))
-        gap = two_box_sensitivity(spec, coeffs, grid, cfg, pad_cells=2)
+        u, _ = solve(spec, coeffs, grid, cfg)
+        gap = two_box_sensitivity(spec, coeffs, u, cfg, pad_cells=2)
         assert 0.0 <= gap < 1.0
 
-    def test_two_box_sensitivity_matches_node_loop(self):
+    def test_two_box_sensitivity_matches_node_loop(self, monkeypatch):
         spec, coeffs, _, cfg, _ = heisenberg_instance()
         grid = Grid((-1, -1, -1), (1, 1, 0), (9, 9, 5))
         pad = 2
@@ -962,7 +987,8 @@ class TestSolve:
             tuple(hi + pad * h for hi in grid.hi),
             tuple(n + 2 * pad for n in grid.shape),
         )
-        small_vals = solve(spec, coeffs, grid, cfg)[0].values
+        u_small = solve(spec, coeffs, grid, cfg)[0]
+        small_vals = u_small.values
         big_vals = solve(spec, coeffs, big, cfg)[0].values
         center = [(lo + hi) / 2.0 for lo, hi in zip(grid.lo, grid.hi)]
         quarter = [(hi - lo) / 4.0 for lo, hi in zip(grid.lo, grid.hi)]
@@ -974,7 +1000,11 @@ class TestSolve:
                 worst = max(worst, abs(float(small_vals[idx]) - float(big_vals[big_idx])))
                 compared += 1
         assert compared == 5 * 5 * 3
-        assert two_box_sensitivity(spec, coeffs, grid, cfg, pad_cells=pad) == worst
+        # the probe takes the converged solve and solves the padded box alone
+        calls = []
+        monkeypatch.setattr(solver_module, "solve", lambda *a: calls.append(a[2]) or solve(*a))
+        assert two_box_sensitivity(spec, coeffs, u_small, cfg, pad_cells=pad) == worst
+        assert calls == [big]
 
     def test_report_fields(self):
         spec, coeffs, grid, cfg, _ = heisenberg_instance()
@@ -1028,5 +1058,6 @@ class TestSolve:
     def test_two_box_sensitivity_rejects_pad_below_one(self, pad):
         # 0 compares a solve with itself, -1 with a smaller box
         spec, coeffs, grid, cfg, _ = pucci_instance("pucci_plus", shape=(9, 9))
+        u = GridFunction(grid, np.zeros(grid.shape))
         with pytest.raises(ValueError, match="pad_cells must be >= 1"):
-            two_box_sensitivity(spec, coeffs, grid, cfg, pad_cells=pad)
+            two_box_sensitivity(spec, coeffs, u, cfg, pad_cells=pad)
