@@ -6,7 +6,9 @@ the flags --config and --out. lemma-check also takes --trials (a positive draw
 count), and lemma-check, verify and growth-check take --seed (nonnegative) to
 override the config seed; solve and cc-distance use no randomness. Exit codes:
 0 success, 1 property failure, 2 config error or bad flag, 3 non-convergence /
-no path, 4 a failed hypothesis or, on verify, any failed Holder check.
+no path, 4 a failed hypothesis or, on verify, any failed Holder check. verify
+refuses a grid past the Holder scan's node cap (exit 2) before it solves.
+Reports are strict JSON: a non-finite number is written as null.
 
 Each command imports the modules it runs when it starts, so a cold
 cc-distance never loads the solver, and no command but solve and verify
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -39,12 +42,24 @@ from .structures import (
 SCHEMA_VERSION = 1
 
 
+def _finite_or_null(value):
+    """value with each non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
+    """Write payload as strict JSON: a non-finite float becomes null."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    payload = _finite_or_null({"schema_version": SCHEMA_VERSION, **payload})
     path = out_dir / name
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=float)
+        json.dump(payload, fh, indent=2, default=float, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -265,6 +280,7 @@ def cmd_verify(args) -> int:
     from .solver import solve
 
     setup = build_setup(load_config(args.config), need_solve=True)
+    holder.check_scan_size(setup.grid)
     seed = args.seed if args.seed is not None else setup.seed
     u, report = solve(setup.spec, setup.coeffs, setup.grid, setup.solve_cfg)
     if not report.converged:

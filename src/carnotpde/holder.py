@@ -1,22 +1,21 @@
 """Holder modulus estimation on grid functions and end-to-end verification.
 
 On a uniform grid the pairs sharing a lattice offset o lie h|o| apart and
-their increments are one slice difference |u[x + o] - u[x]|. One pass over
-offsets tabulates each offset's maximal increment and pair count, over one of
-each pair of opposite offsets +-o (each unordered node pair once) up to 4096
-nodes and otherwise over a seeded stratified sample (about one million pairs
-spread over geometric distance bins). Both scans give an offset the distance
-h|o|, and a bin's distance is the smallest among the offsets that reach the
-bin's maximal increment, so no statistic depends on the order of the table
-or on how the grid is numbered. The exhaustive pass batches the grid's
-shortest axis: for each offset along the other axes it takes the source and
-destination lines, forms every |A[i] - B[j]| and reads all offsets j - i
-along the short axis from that block at once. Under the node cap a block has
-at most 262,144 elements (2 MiB), and so has the array of every block's
-per-cell maxima, so the scratch memory is bounded. fit_alpha regresses the log of the per-bin
-maximal increment against log distance; verify_theorem reduces one table to
-the fitted modulus and adds the hypothesis checks and the seminorm bound.
-Every statistic raises ValueError on a grid function with a non-finite value.
+their increments are one slice difference |u[x + o] - u[x]|. One exact pass
+over one of each pair of opposite offsets +-o (each unordered node pair once)
+tabulates each offset's distance h|o|, maximal increment and pair count.
+check_scan_size refuses a grid of more than ALL_PAIRS_NODE_CAP = 32768 nodes
+(32^3) with PreconditionError, so no statistic is ever read from a sample.
+A bin's distance is the smallest among the offsets that reach the bin's
+maximal increment, so no statistic depends on the order of the table or on
+how the grid is numbered. The pass batches the grid's shortest axis: for
+each offset along the other axes it takes the source and destination lines,
+forms every |A[i] - B[j]| and reads all offsets j - i along the short axis
+from that block at once (see _line_scan for its memory). fit_alpha regresses
+the log of the per-bin maximal increment against log distance;
+verify_theorem reduces one table to the fitted modulus and adds the
+hypothesis checks and the seminorm bound. Every statistic raises ValueError
+on a grid function with a non-finite value.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from itertools import islice, product
-from typing import Iterator
 
 import numpy as np
 
@@ -36,8 +34,7 @@ from .operators import Coefficients, OperatorSpec
 from .solver import SolveReport
 from .structures import lipschitz_sigma_estimate
 
-ALL_PAIRS_NODE_CAP = 4096
-PAIR_BUDGET = 1_000_000
+ALL_PAIRS_NODE_CAP = 32768
 NUM_BINS = 12
 # sigma is sampled at this many points when the structure declares no Lipschitz constant
 LIPSCHITZ_SAMPLES = 128
@@ -46,9 +43,9 @@ LIPSCHITZ_SAMPLES = 128
 @dataclass(frozen=True)
 class _OffsetTable:
     """One row per scanned lattice offset o, in no particular order: its
-    distance h|o|, its maximal increment and its pair count (sampled pairs
-    when stratified). Every statistic read from it is a maximum, a minimum
-    or a sum over rows, so the rows' order never shows."""
+    distance h|o|, its maximal increment and its pair count. Every statistic
+    read from it is a maximum, a minimum or a sum over rows, so the rows'
+    order never shows."""
 
     distance: np.ndarray
     max_inc: np.ndarray
@@ -66,56 +63,6 @@ def _bin_edges(grid: Grid) -> np.ndarray:
 def _lattice_distance(h: float, sq_norm) -> np.ndarray:
     """The distance h|o| of lattice offsets o, from their integer |o|^2."""
     return h * np.sqrt(sq_norm)
-
-
-def _increments(values: np.ndarray, offset) -> np.ndarray | None:
-    """|u(x + offset) - u(x)| over the block of source nodes x of every pair
-    realizing the lattice offset; None if no pair does."""
-    if any(abs(o) >= size for o, size in zip(offset, values.shape)):
-        return None
-    src = tuple(slice(max(-o, 0), size - max(o, 0)) for o, size in zip(offset, values.shape))
-    dst = tuple(slice(max(o, 0), size - max(-o, 0)) for o, size in zip(offset, values.shape))
-    return np.abs(values[dst] - values[src])
-
-
-def _sampled_offsets(u: GridFunction, seed: int) -> Iterator[tuple[float, np.ndarray]]:
-    """(distance, increments) of seeded random offsets, bin by bin."""
-    grid = u.grid
-    h = grid.h
-    edges = _bin_edges(grid)
-    rng = np.random.default_rng(seed)
-    quota = PAIR_BUDGET // NUM_BINS
-    for b in range(NUM_BINS):
-        lo_r, hi_r = edges[b], edges[b + 1]
-        got = 0
-        seen: set = set()
-        for _ in range(400):
-            if got >= quota:
-                break
-            direction = rng.normal(size=grid.n)
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                continue
-            radius = lo_r * (hi_r / lo_r) ** rng.random()
-            offset = np.rint(radius * direction / (norm * h)).astype(int)
-            if not offset.any():
-                continue
-            dist = float(_lattice_distance(h, offset @ offset))
-            if not (lo_r <= dist < hi_r):
-                continue
-            key = tuple(offset)
-            if key in seen:
-                continue
-            seen.add(key)
-            inc = _increments(u.values, offset)
-            if inc is None:
-                continue
-            inc = inc.ravel()
-            remaining = quota - got
-            if inc.size > remaining:
-                inc = inc[rng.integers(0, inc.size, size=remaining)]
-            got += inc.size
-            yield dist, inc
 
 
 def _axis_slices(size: int, sign: int) -> list:
@@ -137,10 +84,12 @@ def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and cell (i, j) of |A[i] - B[j]| holds the pairs of offset (lead, j - i).
     Each cell keeps its maximum over lines, and each diagonal j - i the
     maximum of its cells. A lead's block is formed whole: L <= N^(1/n) and a
-    lead has at most N / L lines, so the block has at most L * N elements,
-    64 * 4096 = 262,144 (2 MiB) under the node cap. The (leads, L * L) cell
-    maxima number about 2^(n-2) L N, at most 262,144 too (on 64^2; 16^3 has
-    123,136).
+    lead has at most N / L lines, so the block has at most L * N elements.
+    Under the node cap that is 181 * 32761 = 5,929,741 (45 MiB, on 181^2) and
+    32 * 32768 = 1,048,576 (8 MiB) on 32^3. The (leads, L * L) cell maxima,
+    and their copy sorted by diagonal, number about 2^(n-2) L N each, as many
+    as the block on 181^2 and 2,032,640 on 32^3. The tracemalloc peak of a
+    scan was 32.1 MiB on 32^3, 48.2 MiB on 128^2 and 135.9 MiB on 181^2.
     """
     shape = values.shape if values.ndim > 1 else (1,) + values.shape
     a = int(np.argmin(shape))
@@ -174,12 +123,19 @@ def _line_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return max_inc[keep], sq_norm[keep], pairs[keep]
 
 
-def _offset_table(u: GridFunction, seed: int) -> _OffsetTable:
+def check_scan_size(grid: Grid) -> None:
+    """Raise PreconditionError if the exact scan would exceed its node cap."""
+    if grid.num_nodes > ALL_PAIRS_NODE_CAP:
+        raise PreconditionError(
+            f"the exact Holder scan takes at most {ALL_PAIRS_NODE_CAP} nodes; "
+            f"this grid has {grid.num_nodes}"
+        )
+
+
+def _offset_table(u: GridFunction) -> _OffsetTable:
+    check_scan_size(u.grid)
     if not np.isfinite(u.values).all():
         raise ValueError("grid function has a non-finite value")
-    if u.grid.num_nodes > ALL_PAIRS_NODE_CAP:
-        rows = [(dist, inc.max(), inc.size) for dist, inc in _sampled_offsets(u, seed)]
-        return _OffsetTable(*np.array(rows, dtype=float).reshape(-1, 3).T)
     max_inc, sq_norm, pairs = _line_scan(u.values)
     return _OffsetTable(_lattice_distance(u.grid.h, sq_norm), max_inc, pairs)
 
@@ -213,9 +169,9 @@ def _fit(table: _OffsetTable, increments: list[dict]) -> tuple[float, float]:
     return alpha, float(table.quotients(alpha).max(initial=0.0))
 
 
-def pair_count(u: GridFunction, seed: int = 0) -> int:
-    """Number of unordered node pairs the scan covers (N(N-1)/2 when exhaustive)."""
-    return int(_offset_table(u, seed).pairs.sum())
+def pair_count(u: GridFunction) -> int:
+    """Number of unordered node pairs the scan covers, N(N-1)/2."""
+    return int(_offset_table(u).pairs.sum())
 
 
 def binned_increments(u: GridFunction, seed: int = 0) -> list[dict]:
@@ -223,25 +179,26 @@ def binned_increments(u: GridFunction, seed: int = 0) -> list[dict]:
 
     A bin's distance is the smallest distance h|o| among its offsets o that
     reach its maximal increment, 0.0 if all its increments vanish, its lower
-    edge if it is empty.
+    edge if it is empty. seed is not read: the scan is exact, and the
+    parameter stays for callers that pass it by position.
     """
-    return _binned(u.grid, _offset_table(u, seed))
+    return _binned(u.grid, _offset_table(u))
 
 
-def fit_alpha(u: GridFunction, seed: int = 0) -> tuple[float, float]:
+def fit_alpha(u: GridFunction) -> tuple[float, float]:
     """Log-log fit of the per-bin maximal increments; returns (alpha_fit, L_fit).
 
     alpha_fit is the regression slope clamped to (0, 1]; L_fit is the Holder
     seminorm at alpha_fit. A constant u yields the degenerate signal
     (nan, 0.0).
     """
-    table = _offset_table(u, seed)
+    table = _offset_table(u)
     return _fit(table, _binned(u.grid, table))
 
 
-def max_quotient_violation(u: GridFunction, alpha: float, L: float, seed: int = 0) -> float:
-    """max over scanned pairs of |u(x)-u(y)|/|x-y|^alpha - L (<= 0 for the scan's seminorm)."""
-    return float(_offset_table(u, seed).quotients(alpha).max(initial=-math.inf) - L)
+def max_quotient_violation(u: GridFunction, alpha: float, L: float) -> float:
+    """max over node pairs of |u(x)-u(y)|/|x-y|^alpha - L (<= 0 for the seminorm)."""
+    return float(_offset_table(u).quotients(alpha).max(initial=-math.inf) - L)
 
 
 @dataclass
@@ -342,7 +299,7 @@ def verify_theorem(
     certified = spec.structure.lipschitz_sigma is not None
 
     t0 = time.perf_counter()
-    table = _offset_table(u, seed)
+    table = _offset_table(u)
     scan_s = time.perf_counter() - t0
     increments = _binned(u.grid, table)
     alpha_fit, l_fit = _fit(table, increments)

@@ -125,13 +125,13 @@ def degenerate_ellipticity_check(
     return _verdict(name, fm - fn, 1e-9 * scale, (m_mats, n_mats), seed)
 
 
-def holder_seminorm(u: GridFunction, alpha: float, seed: int = 0) -> float:
-    """max over scanned pairs of |u(x) - u(y)| / |x - y|^alpha."""
+def holder_seminorm(u: GridFunction, alpha: float) -> float:
+    """max over node pairs of |u(x) - u(y)| / |x - y|^alpha."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     if u.grid.num_nodes < 2:
         raise ValueError("need at least two nodes")
-    return float(_offset_table(u, seed).quotients(alpha).max(initial=0.0))
+    return float(_offset_table(u).quotients(alpha).max(initial=0.0))
 
 
 def interpolate(gf: GridFunction, pts: np.ndarray) -> np.ndarray:

@@ -491,7 +491,35 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "holder_report.json").read_text())
         assert all(report["hypothesis_verdicts"].values())
         assert report["lipschitz_certified"] is True and report["lipschitz_samples"] == 0
-        assert report["alpha_fit"] > 8 / 27.5 and report["theorem_bound"] == float("inf")
+        # the in-memory bound is inf; strict JSON has no such number, so null
+        assert report["alpha_fit"] > 8 / 27.5 and report["theorem_bound"] is None
+
+    def test_lowc_report_is_strict_json(self, tmp_path):
+        config = str(CONFIGS / "heisenberg_verify_lowc.json")
+        assert run("verify", "--config", config, "--out", str(tmp_path)) == 4
+
+        def refuse(literal):
+            raise ValueError(f"non-standard JSON constant {literal}")
+
+        text = (tmp_path / "holder_report.json").read_text()
+        report = json.loads(text, parse_constant=refuse)
+        assert report["admissible_alpha"] is False and report["theorem_bound"] is None
+
+    def test_grid_past_the_scan_cap_is_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        from carnotpde import solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("verify solved a grid its Holder scan refuses")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        config["grid"]["shape"] = [33, 33, 33]
+        path = tmp_path / "verify33.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: ") and "35937" in err and "32768" in err
+        assert not (tmp_path / "holder_report.json").exists()
 
     @pytest.mark.parametrize("c0", [1, 16])
     @pytest.mark.parametrize(

@@ -32,7 +32,6 @@ from carnotpde.grids import GridFunction
 from carnotpde.holder import (
     ALL_PAIRS_NODE_CAP,
     NUM_BINS,
-    PAIR_BUDGET,
     _lattice_distance,
     _offset_table,
     binned_increments,
@@ -45,11 +44,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
-# Reference pair scan: every ordered pair, chunked, or the seeded stratified
-# sample, each pair binned by its own lattice distance h|index difference|.
-# A bin keeps its maximal increment and the nearest pair reaching it. The
-# offset table in carnotpde.holder must reproduce its per-bin maxima and
-# distances exactly and count each unordered pair once.
+# Reference pair scan: every ordered pair, chunked, each binned by its own
+# lattice distance h|index difference|. A bin keeps its maximal increment and
+# the nearest pair reaching it. The offset table in carnotpde.holder must
+# reproduce its per-bin maxima and distances exactly and count each unordered
+# pair once.
 
 
 def _ref_scan_all_pairs(u, chunk=256) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -65,77 +64,17 @@ def _ref_scan_all_pairs(u, chunk=256) -> Iterator[tuple[np.ndarray, np.ndarray]]
         yield dist[mask], inc[mask]
 
 
-def _ref_offset_increments(values, offset):
-    src = []
-    dst = []
-    for k, o in enumerate(offset):
-        size = values.shape[k]
-        if abs(o) >= size:
-            return np.empty(0)
-        if o >= 0:
-            src.append(slice(0, size - o))
-            dst.append(slice(o, size))
-        else:
-            src.append(slice(-o, size))
-            dst.append(slice(0, size + o))
-    return np.abs(values[tuple(dst)] - values[tuple(src)]).ravel()
-
-
 def _ref_edges(grid):
     diam = math.sqrt(sum((hi - lo) ** 2 for lo, hi in zip(grid.lo, grid.hi)))
     return np.geomspace(grid.h, diam * (1.0 + 1e-12), NUM_BINS + 1)
 
 
-def _ref_scan_stratified(u, seed, budget=PAIR_BUDGET):
-    grid = u.grid
-    h = grid.h
-    edges = _ref_edges(grid)
-    rng = np.random.default_rng(seed)
-    quota = budget // NUM_BINS
-    for b in range(NUM_BINS):
-        lo_r, hi_r = edges[b], edges[b + 1]
-        got = 0
-        seen = set()
-        for _ in range(400):
-            if got >= quota:
-                break
-            direction = rng.normal(size=grid.n)
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                continue
-            radius = lo_r * (hi_r / lo_r) ** rng.random()
-            offset = np.rint(radius * direction / (norm * h)).astype(int)
-            if not offset.any():
-                continue
-            dist = h * float(np.linalg.norm(offset))
-            if not (lo_r <= dist < hi_r):
-                continue
-            key = tuple(offset)
-            if key in seen:
-                continue
-            seen.add(key)
-            inc = _ref_offset_increments(u.values, offset)
-            if inc.size == 0:
-                continue
-            remaining = quota - got
-            if inc.size > remaining:
-                inc = inc[rng.integers(0, inc.size, size=remaining)]
-            got += inc.size
-            yield np.full(inc.size, dist), inc
-
-
-def _ref_pair_scan(u, seed):
-    if u.grid.num_nodes <= ALL_PAIRS_NODE_CAP:
-        return _ref_scan_all_pairs(u)
-    return _ref_scan_stratified(u, seed)
-
-
-def _ref_binned_increments(u, seed):
+def _ref_binned_increments(u):
     edges = _ref_edges(u.grid)
     max_inc = np.full(NUM_BINS, -1.0)
     at_dist = np.full(NUM_BINS, np.inf)
     counts = np.zeros(NUM_BINS, dtype=np.int64)
-    for dist, inc in _ref_pair_scan(u, seed):
+    for dist, inc in _ref_scan_all_pairs(u):
         if dist.size == 0:
             continue
         bins = np.clip(np.searchsorted(edges, dist, side="right") - 1, 0, NUM_BINS - 1)
@@ -161,9 +100,9 @@ def _ref_binned_increments(u, seed):
     ]
 
 
-def _ref_holder_seminorm(u, alpha, seed):
+def _ref_holder_seminorm(u, alpha):
     best = 0.0
-    for dist, inc in _ref_pair_scan(u, seed):
+    for dist, inc in _ref_scan_all_pairs(u):
         if dist.size:
             best = max(best, float((inc / dist**alpha).max()))
     return best
@@ -173,8 +112,7 @@ def _step_function(X):
     return np.where(X[:, 0] + 0.5 * X[:, 1] - 0.25 * X[:, 2] > 0.1, 1.0, 0.0)
 
 
-@pytest.fixture(scope="module")
-def heisenberg_verify_solution():
+def _heisenberg_verify_solution(size):
     struct = preset("heisenberg1")
     spec = trace_operator(struct)
     ustar = polynomial_field([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3)
@@ -188,62 +126,53 @@ def heisenberg_verify_solution():
         beta_prime=1.0,
         c0=16.0,
     )
-    grid = Grid((-1, -1, -1), (1, 1, 1), (16, 16, 16))
+    grid = Grid((-1, -1, -1), (1, 1, 1), (size,) * 3)
     u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
     assert rep.converged
     return spec, coeffs, u, rep
 
 
+@pytest.fixture(scope="module")
+def heisenberg_verify_solution():
+    return _heisenberg_verify_solution(16)
+
+
 ORACLE_CASES = {
-    "line-sqrt": (lambda: from_callable(LINE, lambda X: np.sqrt(np.abs(X[:, 0]))), 0),
-    "square-33": (
-        lambda: from_callable(
-            Grid((-1, -1), (1, 1), (33, 33)), lambda X: np.sin(3 * X[:, 0]) * X[:, 1] ** 2
-        ),
-        0,
+    "line-sqrt": lambda: from_callable(LINE, lambda X: np.sqrt(np.abs(X[:, 0]))),
+    "square-33": lambda: from_callable(
+        Grid((-1, -1), (1, 1), (33, 33)), lambda X: np.sin(3 * X[:, 0]) * X[:, 1] ** 2
     ),
-    "step-9": (lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (9, 9, 9)), _step_function), 0),
-    "stratified-17-seed0": (
-        lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda X: X[:, 0] ** 2 + X[:, 1]),
-        0,
-    ),
-    "stratified-17-seed3": (
-        lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda X: X[:, 0] ** 2 + X[:, 1]),
-        3,
+    "step-9": lambda: from_callable(Grid((-1,) * 3, (1,) * 3, (9, 9, 9)), _step_function),
+    "cube-17": lambda: from_callable(
+        Grid((-1,) * 3, (1,) * 3, (17,) * 3), lambda X: X[:, 0] ** 2 + X[:, 1]
     ),
 }
 
 
-def _check_against_reference(u, seed):
-    exhaustive = u.grid.num_nodes <= ALL_PAIRS_NODE_CAP
-    table = binned_increments(u, seed)
-    ref = _ref_binned_increments(u, seed)
+def _check_against_reference(u):
+    table = binned_increments(u)
+    ref = _ref_binned_increments(u)
     for row, old in zip(table, ref, strict=True):
         assert row["max_increment"] == old["max_increment"]
         assert row["distance"] == old["distance"]
-        assert row["pairs"] == (old["pairs"] // 2 if exhaustive else old["pairs"])
-        if exhaustive:
-            assert old["pairs"] % 2 == 0
-    alpha, level = fit_alpha(u, seed)
+        assert old["pairs"] % 2 == 0
+        assert row["pairs"] == old["pairs"] // 2
+    alpha, level = fit_alpha(u)
     ref_xs = [math.log(r["distance"]) for r in ref if r["pairs"] and r["max_increment"] > 0]
     ref_ys = [math.log(r["max_increment"]) for r in ref if r["pairs"] and r["max_increment"] > 0]
     ref_alpha = float(np.clip(float(np.polyfit(ref_xs, ref_ys, 1)[0]), 1e-9, 1.0))
     assert alpha == ref_alpha
-    assert level == pytest.approx(_ref_holder_seminorm(u, ref_alpha, seed), rel=1e-12, abs=0.0)
-    assert max_quotient_violation(u, alpha, level, seed) == 0.0
+    assert level == pytest.approx(_ref_holder_seminorm(u, ref_alpha), rel=1e-12, abs=0.0)
+    assert max_quotient_violation(u, alpha, level) == 0.0
     n = u.grid.num_nodes
     total = sum(row["pairs"] for row in table)
-    assert pair_count(u, seed) == total
-    if exhaustive:
-        assert total == n * (n - 1) // 2
-    else:
-        assert total == sum(d.size for d, _ in _ref_scan_stratified(u, seed))
+    assert pair_count(u) == total == n * (n - 1) // 2
 
 
 class TestOffsetTableMatchesPairScan:
     def test_zero_increment_bins(self):
         u = from_callable(Grid((-1, -1), (1, 1), (9, 9)), lambda X: np.full(len(X), 2.5))
-        ref = _ref_binned_increments(u, 0)
+        ref = _ref_binned_increments(u)
         table = binned_increments(u)
         assert [row["distance"] for row in table] == [row["distance"] for row in ref]
         assert all(row["max_increment"] == 0.0 for row in table)
@@ -251,14 +180,13 @@ class TestOffsetTableMatchesPairScan:
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_grids(self, case):
-        make, seed = ORACLE_CASES[case]
-        _check_against_reference(make(), seed)
+        _check_against_reference(ORACLE_CASES[case]())
 
     def test_heisenberg_verify_solution(self, heisenberg_verify_solution):
         spec, coeffs, u, rep = heisenberg_verify_solution
-        _check_against_reference(u, 0)
+        _check_against_reference(u)
         report = verify_theorem(spec, coeffs, u, bundle_for_instance(spec, coeffs, u), rep)
-        assert report.increments == binned_increments(u, 0)
+        assert report.increments == binned_increments(u)
         assert report.pair_count == 4096 * 4095 // 2
         assert sum(row["pairs"] for row in report.increments) == report.pair_count
         assert report.max_violation == 0.0
@@ -302,10 +230,10 @@ def _tie_heavy(shape):
     return GridFunction(_lattice_grid(shape), rng.integers(0, 3, size=shape).astype(float))
 
 
-# (64, 64) has the largest block a lead can form under the node cap
+# (64, 64) has the largest block a lead can form on 4096 nodes
 TIE_SHAPES = [(5, 7, 3), (9, 11), (3, 3, 3, 3), (3, 1365), (64, 64)]
 TABLE_CASES = {
-    **{name: make for name, (make, _) in ORACLE_CASES.items() if not name.startswith("stratified")},
+    **ORACLE_CASES,
     **{"ties-" + "x".join(map(str, s)): partial(_tie_heavy, s) for s in TIE_SHAPES},
     "constant-9x9": lambda: GridFunction(_lattice_grid((9, 9)), np.full((9, 9), 2.5)),
 }
@@ -313,7 +241,7 @@ TABLE_CASES = {
 
 def _assert_table_matches_loop(u):
     assert u.grid.num_nodes <= ALL_PAIRS_NODE_CAP
-    table = _offset_table(u, 0)
+    table = _offset_table(u)
     rows = _sorted_rows(table.distance, table.max_inc, table.pairs)
     assert np.array_equal(rows, _ref_offset_table(u))
 
@@ -331,11 +259,37 @@ class TestLineScanMatchesPerOffsetLoop:
         u = _tie_heavy(shape)
         tracemalloc.start()
         try:
-            _offset_table(u, 0)
+            _offset_table(u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestExactScanCap:
+    # every grid up to ALL_PAIRS_NODE_CAP = 32^3 nodes is scanned exactly, and
+    # a larger one is refused: no statistic is read from a sample
+    def test_verify_on_17_cubed_ignores_the_seed(self):
+        spec, coeffs, u, rep = _heisenberg_verify_solution(17)
+        bundle = bundle_for_instance(spec, coeffs, u)
+        first, second = (verify_theorem(spec, coeffs, u, bundle, rep, seed=s) for s in (0, 3))
+        for name in ("alpha_fit", "L_fit", "increments", "pair_count"):
+            assert getattr(first, name) == getattr(second, name), name
+        assert first.pair_count == 4913 * 4912 // 2
+
+    def test_grid_past_the_cap_is_refused(self):
+        grid = Grid((-1,) * 3, (1,) * 3, (33,) * 3)
+        assert grid.num_nodes == 35937 > ALL_PAIRS_NODE_CAP == 32**3
+        u = from_callable(grid, lambda X: X[:, 0] ** 2 + X[:, 1])
+        for stat in (
+            binned_increments,
+            fit_alpha,
+            pair_count,
+            partial(holder_seminorm, alpha=0.5),
+            partial(max_quotient_violation, alpha=0.5, L=1.0),
+        ):
+            with pytest.raises(PreconditionError, match="at most 32768 nodes; this grid has 35937"):
+                stat(u)
 
 
 def _renumbered(u):
@@ -404,12 +358,11 @@ class TestSeminorm:
 class TestNonFiniteValues:
     # unchecked, one non-finite node gives numpy's empty-reduction error in the
     # binning or a nan statistic instead of naming the bad input
-    @pytest.mark.parametrize("shape", [(9, 9), (17, 17, 17)])  # exhaustive, stratified
+    @pytest.mark.parametrize("shape", [(9, 9), (17, 17, 17)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejected_by_every_statistic(self, shape, bad):
         n = len(shape)
         grid = Grid((-1.0,) * n, (1.0,) * n, shape)
-        assert (grid.num_nodes > ALL_PAIRS_NODE_CAP) == (n == 3)
         u = from_callable(grid, lambda X: X[:, 0] ** 2)
         u.values[(4,) * n] = bad
         for stat in (
@@ -451,27 +404,14 @@ class TestFitAlpha:
         alpha, level = fit_alpha(u)
         assert max_quotient_violation(u, alpha, level) <= 0.0
 
-    def test_violation_nonpositive_stratified(self):
-        grid = Grid((-1, -1, -1), (1, 1, 1), (17, 17, 17))  # 4913 > all-pairs cap
-        u = from_callable(grid, lambda X: X[:, 0] ** 2 + X[:, 1])
-        alpha, level = fit_alpha(u, seed=3)
-        assert max_quotient_violation(u, alpha, level, seed=3) <= 0.0
-
-    def test_stratified_pair_budget(self):
-        grid = Grid((-1, -1, -1), (1, 1, 1), (17, 17, 17))
-        u = from_callable(grid, lambda X: X[:, 0])
-        count = pair_count(u, seed=0)
-        assert 100_000 <= count <= 1_200_000
-
     @pytest.mark.parametrize(
-        "grid", [LINE, Grid((-1, -1, -1), (1, 1, 1), (17, 17, 17))], ids=["exhaustive", "stratified"]
+        "grid", [LINE, Grid((-1, -1, -1), (1, 1, 1), (24, 24, 24))], ids=["line", "cube-24"]
     )
     def test_bins_count_each_unordered_pair_once(self, grid):
         u = from_callable(grid, lambda X: X[:, 0] ** 2)
-        total = sum(row["pairs"] for row in binned_increments(u, seed=2))
-        assert total == pair_count(u, seed=2)
-        if grid is LINE:
-            assert total == 257 * 256 // 2
+        total = sum(row["pairs"] for row in binned_increments(u))
+        n = grid.num_nodes
+        assert total == pair_count(u) == n * (n - 1) // 2
 
     def test_binned_table_shape(self):
         u = from_callable(LINE, lambda X: X[:, 0])
