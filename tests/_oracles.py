@@ -131,7 +131,7 @@ def holder_seminorm(u: GridFunction, alpha: float) -> float:
         raise ValueError("alpha must lie in (0, 1]")
     if u.grid.num_nodes < 2:
         raise ValueError("need at least two nodes")
-    return float(_offset_table(u).quotients(alpha).max(initial=0.0))
+    return max(0.0, _offset_table(u).max_quotient(alpha))
 
 
 def interpolate(gf: GridFunction, pts: np.ndarray) -> np.ndarray:

@@ -32,6 +32,8 @@ from carnotpde.grids import GridFunction
 from carnotpde.holder import (
     ALL_PAIRS_NODE_CAP,
     NUM_BINS,
+    _binned,
+    _fit,
     _lattice_distance,
     _offset_table,
     binned_increments,
@@ -196,15 +198,14 @@ class TestOffsetTableMatchesPairScan:
 # ---------------------------------------------------------------------------
 # Reference offset table: one slice difference per lexicographically positive
 # lattice offset o, giving its distance h|o|, maximal increment and pair count.
-# The batched scan in carnotpde.holder must reproduce the same rows bit for
-# bit, in any order.
-
-
-def _sorted_rows(distance, max_inc, pairs):
-    return np.column_stack([distance, max_inc, pairs])[np.lexsort((pairs, max_inc, distance))]
+# The table in carnotpde.holder holds one of each pair +-o with its distance
+# and pair count, an upper bound on its maximal increment and, for the offsets
+# its statistics scanned, the exact maximal increment. Every bound must hold,
+# and every scanned row and every statistic must equal the loop's bit for bit.
 
 
 def _ref_offset_table(u):
+    """(offsets, distance, max_inc, pairs), one row per positive offset."""
     grid = u.grid
     span = 2 * np.array(grid.shape) - 1
     offsets = np.indices(span).reshape(grid.n, -1).T - span // 2  # in lexicographic order
@@ -217,7 +218,7 @@ def _ref_offset_table(u):
         inc = np.abs(u.values[to_x] - u.values[from_x])
         max_inc[k], pairs[k] = inc.max(), inc.size
     distance = _lattice_distance(grid.h, (offsets * offsets).sum(axis=1))
-    return _sorted_rows(distance, max_inc, pairs)
+    return offsets, distance, max_inc, pairs
 
 
 def _lattice_grid(shape):
@@ -230,6 +231,22 @@ def _tie_heavy(shape):
     return GridFunction(_lattice_grid(shape), rng.integers(0, 3, size=shape).astype(float))
 
 
+def _rough(shape, base=0.0):
+    """base plus a seeded normal: nearly every bound reaches its bin's best."""
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    return GridFunction(_lattice_grid(shape), base + rng.normal(size=shape))
+
+
+def _ramp(shape):
+    """A linear u through 0 with irrational slopes of unlike sizes: along an
+    axis-parallel path its increments add up exactly, up to the rounding of
+    values and differences, and only the bound's slack keeps a computed
+    increment below the computed sum of its axis steps."""
+    X = np.indices(shape).reshape(len(shape), -1).T / 8.0
+    slopes = np.array([100 * math.pi, math.e, math.sqrt(2.0) / 100])[: len(shape)]
+    return GridFunction(_lattice_grid(shape), (X @ slopes - 200.0).reshape(shape))
+
+
 # (64, 64) has the largest block a lead can form on 4096 nodes
 TIE_SHAPES = [(5, 7, 3), (9, 11), (3, 3, 3, 3), (3, 1365), (64, 64)]
 TABLE_CASES = {
@@ -237,13 +254,45 @@ TABLE_CASES = {
     **{"ties-" + "x".join(map(str, s)): partial(_tie_heavy, s) for s in TIE_SHAPES},
     "constant-9x9": lambda: GridFunction(_lattice_grid((9, 9)), np.full((9, 9), 2.5)),
 }
+# rough u, where nearly every row is scanned, and linear ramps, where only
+# the bound's rounding slack keeps it sound (ramp-16 fails without it)
+BOUND_CASES = {
+    "normal-16": partial(_rough, (16,) * 3),
+    "1e8-plus-normal-16": partial(_rough, (16,) * 3, 1e8),
+    "ramp-16": partial(_ramp, (16,) * 3),
+    "ramp-33x65": partial(_ramp, (33, 65)),
+}
+
+
+def _refined_table(u):
+    """The offset table after verify_theorem's passes: the bins, then the
+    quotient at alpha_fit."""
+    table = _offset_table(u)
+    _fit(table, _binned(u.grid, table))
+    return table
+
+
+def _positive(offsets):
+    """Each (K, n) offset as the lexicographically positive one of +-o."""
+    lead = offsets[np.arange(len(offsets)), (offsets != 0).argmax(axis=1)]
+    return offsets * np.where(lead < 0, -1, 1)[:, None]
 
 
 def _assert_table_matches_loop(u):
     assert u.grid.num_nodes <= ALL_PAIRS_NODE_CAP
-    table = _offset_table(u)
-    rows = _sorted_rows(table.distance, table.max_inc, table.pairs)
-    assert np.array_equal(rows, _ref_offset_table(u))
+    table = _refined_table(u)
+    offsets, distance, max_inc, pairs = _ref_offset_table(u)
+    ours = _positive(table.offsets.T)
+    # one row per pair +-o, matched to the loop's row of the same offset
+    order = np.lexsort(ours.T[::-1])
+    assert np.array_equal(ours[order], offsets)
+    assert np.array_equal(table.distance[order], distance)
+    assert np.array_equal(table.pairs[order], pairs)
+    bound, exact = table.bound[order], table.max_inc[order]
+    assert (max_inc <= bound).all()
+    scanned = ~np.isnan(exact)
+    assert scanned.any()
+    assert np.array_equal(exact[scanned], max_inc[scanned])
 
 
 class TestLineScanMatchesPerOffsetLoop:
@@ -253,6 +302,10 @@ class TestLineScanMatchesPerOffsetLoop:
 
     def test_heisenberg_verify_solution(self, heisenberg_verify_solution):
         _assert_table_matches_loop(heisenberg_verify_solution[2])
+
+    @pytest.mark.parametrize("case", sorted(BOUND_CASES))
+    def test_bound_holds(self, case):
+        _assert_table_matches_loop(BOUND_CASES[case]())
 
     @pytest.mark.parametrize("shape", [(3, 1365), (4096,), (64, 64)])
     def test_scratch_memory_is_bounded(self, shape):
@@ -264,6 +317,85 @@ class TestLineScanMatchesPerOffsetLoop:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("shape", [(3, 1365), (4096,), (64, 64)])
+    def test_refined_scan_memory_is_bounded(self, shape):
+        # tie-heavy: every bound reaches its bin's best, so every lead is formed whole
+        u = _tie_heavy(shape)
+        tracemalloc.start()
+        try:
+            _refined_table(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def _ref_statistics(u):
+    """binned increments, (alpha_fit, L_fit), pair count and the quotient
+    maximum at any alpha, all from the per-offset loop."""
+    _, distance, max_inc, pairs = _ref_offset_table(u)
+    edges = _ref_edges(u.grid)
+    bins = np.clip(np.searchsorted(edges, distance, side="right") - 1, 0, NUM_BINS - 1)
+    table = []
+    for b in range(NUM_BINS):
+        sel = bins == b
+        row = {"distance": float(edges[b]), "max_increment": 0.0, "pairs": 0}
+        if sel.any():
+            top = max_inc[sel].max()
+            near = distance[sel][max_inc[sel] == top].min()
+            row = {"distance": float(near if top else 0.0), "max_increment": float(top)}
+            row["pairs"] = int(pairs[sel].sum())
+        table.append(row)
+    quotient = lambda a: float((max_inc / distance**a).max())  # noqa: E731
+    kept = [r for r in table if r["pairs"] and r["max_increment"] > 0]
+    if len(kept) < 3:
+        return table, None, int(pairs.sum()), quotient
+    xs = [math.log(r["distance"]) for r in kept]
+    ys = [math.log(r["max_increment"]) for r in kept]
+    alpha = float(np.clip(float(np.polyfit(xs, ys, 1)[0]), 1e-9, 1.0))
+    return table, (alpha, quotient(alpha)), int(pairs.sum()), quotient
+
+
+STATISTIC_CASES = {
+    **TABLE_CASES,
+    "normal-16": partial(_rough, (16,) * 3),
+    "heisenberg-24": lambda: _heisenberg_verify_solution(24)[2],
+}
+
+
+def _assert_statistics_match_loop(u):
+    table, fit, count, quotient = _ref_statistics(u)
+    n = u.grid.num_nodes
+    assert binned_increments(u) == table
+    assert pair_count(u) == count == n * (n - 1) // 2
+    if fit is None:  # a constant u
+        alpha, level = fit_alpha(u)
+        assert math.isnan(alpha) and level == 0.0
+    else:
+        assert fit_alpha(u) == fit
+    for alpha in (0.1, 0.5, 1.0):
+        assert max_quotient_violation(u, alpha, 0.25) == quotient(alpha) - 0.25
+        assert holder_seminorm(u, alpha) == max(quotient(alpha), 0.0)
+
+
+class TestStatisticsMatchPerOffsetLoop:
+    @pytest.mark.parametrize("case", sorted(STATISTIC_CASES))
+    def test_cases(self, case):
+        _assert_statistics_match_loop(STATISTIC_CASES[case]())
+
+    def test_heisenberg_verify_solution(self, heisenberg_verify_solution):
+        _assert_statistics_match_loop(heisenberg_verify_solution[2])
+
+    def test_report_counts_the_offsets_it_scanned(self, heisenberg_verify_solution):
+        spec, coeffs, u, rep = heisenberg_verify_solution
+        report = verify_theorem(spec, coeffs, u, bundle_for_instance(spec, coeffs, u), rep)
+        assert report.offsets_total == (31**3 - 1) // 2
+        assert 0 < report.offsets_scanned < report.offsets_total / 10
+        assert report.pair_count == 4096 * 4095 // 2
+        payload = report.to_dict()
+        assert payload["schema_version"] == 2
+        assert payload["offsets_scanned"] == report.offsets_scanned
 
 
 class TestExactScanCap:
