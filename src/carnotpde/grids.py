@@ -9,6 +9,7 @@ dumps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,7 +54,7 @@ class Grid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axis_coords(self, k: int) -> np.ndarray:
         return self.lo[k] + self.h * np.arange(self.shape[k])

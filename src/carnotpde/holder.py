@@ -19,21 +19,24 @@ of their sum, the one of the increment and the one of the product each move
 a value by at most eps / 2 relative, about (n + 1) eps in all, which the
 factor covers four times over; the range needs no slack, since rounding is
 monotone. So a computed increment never exceeds its computed bound, and
-every statistic is bit for bit the exhaustive one. The offsets along one
-axis are exact from the A_k themselves.
+every statistic is bit for bit the exhaustive one. The A_k are the maxima of
+the table's offsets along one axis, which it scans first, one slice
+difference each; |a - b| and |b - a| round alike, so a step taken either way
+along an axis is bounded by the same A_k.
 
 Each distance bin takes its offsets in decreasing bound until the bound falls
 strictly below the bin's best. An offset whose bound ties the best is still
 scanned, so a bin's distance, the smallest among the offsets that reach the
 bin's maximal increment, does not depend on the order of the table or on how
 the grid is numbered. The quotient max_o max_inc(o) / (h|o|)^alpha is refined
-the same way, at whichever alpha is asked for. The exact pass batches the
-grid's shortest axis (see _line_scan) for a lead, an offset along the other
-axes, whose wanted offsets would cost at least half its block one slice
-difference at a time, and takes one slice difference per wanted offset of
-the other leads. On a rough u nearly every bound reaches its bin's best,
-every lead is whole and the pass is the exhaustive scan, so
-ALL_PAIRS_NODE_CAP still holds the worst case.
+the same way, at whichever alpha is asked for. A row of the table is an
+offset (d, lead) of lines, u with the grid's shortest axis moved first: d
+along that batched axis, the lead along the others. One helper cuts lines
+for a lead, at one d or with the batched axis whole, for both kernels: one
+slice difference per offset, and a lead's whole block (see _line_scan). On
+a rough u nearly every bound reaches its bin's best, every lead is whole and
+the pass is the exhaustive scan, so ALL_PAIRS_NODE_CAP still holds the
+worst case.
 
 fit_alpha regresses the log of the per-bin maximal increment against log
 distance; verify_theorem reduces one table to the fitted modulus and adds the
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from itertools import compress, islice, product
+from itertools import repeat
 
 import numpy as np
 
@@ -78,61 +81,40 @@ def _lattice_distance(h: float, sq_norm) -> np.ndarray:
 
 
 def _axis_slices(size: int, sign: int) -> list:
-    """For o = 1 - size .. size - 1, the slice of the nodes x on the axis
-    whose partner x + sign * o is on the axis too."""
-    o = sign * np.arange(1 - size, size)
+    """For o = 1 - size .. size - 1, at list index o (a negative o counts from
+    the end), the slice of the nodes x on the axis whose partner x + sign * o
+    is on the axis too."""
+    o = sign * np.r_[0:size, 1 - size : 0]
     lo = np.maximum(-o, 0)
     return list(map(slice, lo.tolist(), (lo + size - np.abs(o)).tolist()))
 
 
-def _axis_increments(values: np.ndarray) -> list[np.ndarray]:
-    """A_k(t) = max_x |u(x + t e_k) - u(x)| for each axis k and t = 0 .. n_k - 1."""
-    out = []
-    for k in range(values.ndim):
-        v = np.moveaxis(values, k, 0)
-        inc = np.zeros(len(v))
-        for t in range(1, len(v)):
-            inc[t] = np.abs(v[t:] - v[:-t]).max()
-        out.append(inc)
-    return out
-
-
-def _line_scan(lines: np.ndarray, whole: np.ndarray) -> np.ndarray:
-    """The maximal increment of every offset (lead, j - i) of each lead where
-    whole is true: one row per such lead and one column per j - i = 1 - L ..
-    L - 1. The leads are the zero offset along the axes after the first, then
-    the lexicographically positive ones, in lexicographic order.
+def _line_scan(lines: np.ndarray, cuts: list) -> np.ndarray:
+    """The maximal increment of every offset (j - i, lead) of each lead in
+    cuts, by its (source, destination) cuts of lines with the batched axis
+    whole: one row per lead, one column per j - i = 1 - L .. L - 1.
 
     lines has the batched axis, of length L, first. A and B are a lead's
     (L, lines) source and destination lines, and cell (i, j) of |A[i] - B[j]|
-    holds the pairs of offset (lead, j - i). Each cell keeps its maximum over
+    holds the pairs of offset (j - i, lead). Each cell keeps its maximum over
     lines, and each diagonal j - i the maximum of its cells. A lead's block is
     formed whole: with the shortest axis batched, L <= N^(1/n) and a lead has
-    at most N / L lines, so the block has at most L * N elements. Under the
-    node cap that is 181 * 32761 = 5,929,741 (45 MiB, on 181^2) and
-    32 * 32768 = 1,048,576 (8 MiB) on 32^3. The (leads, L * L) cell maxima,
-    kept in diagonal order, number about 2^(n-2) L N when every lead is
-    whole, as on a rough u.
+    fewer than N / L lines, so the block has fewer than L * N elements. Under
+    the node cap that is at most 181 * 181 * 180 = 5,896,980 (45 MiB, on
+    181^2) and 32 * 32 * 992 = 1,015,808 (8 MiB) on 32^3. The (leads, L * L)
+    cell maxima, kept in diagonal order, number about 2^(n-2) L N when every
+    lead is whole, as on a rough u.
 
     This is the dense kernel of the pruned scan: _OffsetTable._scan takes a
-    lead whole when the slice differences of its wanted offsets, those whose
-    bound reaches their best (ties included), would cost at least half its
-    block. Both forms round |u(y) - u(x)| alike, so no statistic depends on
-    which one computed a row, and every row stays below its bound, which
-    carries the 1 + 4(n + 2) eps slack of the module docstring.
+    lead whole when the slice differences of its wanted offsets would cost at
+    least half its block. Both kernels round |u(y) - u(x)| alike, so no
+    statistic depends on which one computed a row.
     """
     L = lines.shape[0]
-    # the source and destination slices of every lead; the product runs in
-    # the lexicographic order of np.indices, negative leads first
-    colon = slice(None)
-    skip = len(whole) - 1
-    lead_shape = lines.shape[1:]
-    src_cuts = islice(product([colon], *(_axis_slices(s, 1) for s in lead_shape)), skip, None)
-    dst_cuts = islice(product([colon], *(_axis_slices(s, -1) for s in lead_shape)), skip, None)
     by_diag = np.argsort((np.arange(L) - np.arange(L)[:, None]).ravel())  # cells by j - i
-    cells = np.empty((np.count_nonzero(whole), L * L))
-    block = np.empty(L * lines.size)  # the zero lead's, the largest
-    for row, src, dst in zip(cells, compress(src_cuts, whole), compress(dst_cuts, whole)):
+    cells = np.empty((len(cuts), L * L))
+    block = np.empty(L * max(lines[src].size for src, _ in cuts))  # the largest lead's
+    for row, (src, dst) in zip(cells, cuts):
         a, b = lines[src].reshape(L, 1, -1), lines[dst].reshape(1, L, -1)
         m = block[: L * a.size].reshape(L, L, -1)
         np.subtract(a, b, out=m)
@@ -153,45 +135,44 @@ def check_scan_size(grid: Grid) -> None:
 
 
 class _OffsetTable:
-    """One row per lattice offset o of each pair +-o, in no particular order:
-    o itself, its distance h|o|, its pair count, an upper bound on its
-    maximal increment and its maximal increment, nan until computed. Every
-    statistic read from it is a maximum, a minimum or a sum over rows, so the
-    rows' order never shows. offsets is (n, rows), one line per axis."""
+    """One row per lattice offset o of each pair +-o: its distance h|o|, its
+    pair count, an upper bound on its maximal increment and its maximal
+    increment, nan until computed. Row lead * (2L - 1) + d - 1 is the offset
+    (d, leads[lead]) of lines, d = 1 - L .. L - 1; the zero lead's d <= 0
+    are left out. Every statistic read from it is a maximum, a minimum or a
+    sum over rows, so neither the rows' order nor the axes' shows."""
 
     def __init__(self, grid: Grid, values: np.ndarray):
         # a line is taken as shape (1, N), whose first axis has no offset
         shape = values.shape if values.ndim > 1 else (1,) + values.shape
         a = int(np.argmin(shape))
         L = shape[a]
-        self.lines = np.moveaxis(values.reshape(shape), a, 0)
+        # a copy, since slices of the strided moved view are slower
+        self.lines = np.ascontiguousarray(np.moveaxis(values.reshape(shape), a, 0))
         span = 2 * np.array(self.lines.shape[1:]) - 1
         leads = np.indices(span).reshape(len(span), -1).T - span // 2
         self.leads = leads[len(leads) // 2 :]  # zero, then the lexicographically positive ones
-        # entry (lead, d) of a (leads, 2L - 1) array, flattened, is row
-        # lead * (2L - 1) + L - 1 + d - L: the zero lead's d <= 0 are dropped
         diag = np.arange(1 - L, L)
-        moved = np.empty((len(shape), len(self.leads), 2 * L - 1), dtype=np.int64)
-        moved[0] = diag
-        moved[1:] = self.leads.T[:, :, None]
-        back = [*range(1, a + 1), 0, *range(a + 1, len(shape))]  # the grid's axis order
-        self.offsets = moved.reshape(len(shape), -1)[back[-grid.n :], L:]
         self.lead_lines = np.prod(self.lines.shape[1:] - np.abs(self.leads), axis=1)
         self.pairs = np.outer(self.lead_lines, L - np.abs(diag)).ravel()[L:]
         sq_norm = (self.leads**2).sum(axis=1)[:, None] + diag**2
         self.distance = _lattice_distance(grid.h, sq_norm.ravel()[L:])
-        along, *across = _axis_increments(self.lines)
+        self.src = [_axis_slices(s, 1) for s in self.lines.shape]
+        self.dst = [_axis_slices(s, -1) for s in self.lines.shape]
+        self.max_inc = np.full(len(self.pairs), np.nan)
+        # the offsets along one axis, one slice difference each: the zero
+        # lead's rows, then the d = 0 row of each lead t e_k, by axis and t
+        on_axis = np.count_nonzero(self.leads, axis=1) == 1
+        axis_rows = [np.arange(L - 1)]
+        axis_rows += [np.flatnonzero(on_axis & (o > 0)) * (2 * L - 1) - 1 for o in self.leads.T]
+        self._slice_scan(np.concatenate(axis_rows))
+        # their maxima are A_k(t) for t = 1 .. n_k - 1, and A_k(0) = 0
+        along, *across = (np.r_[0.0, self.max_inc[rows]] for rows in axis_rows)
         lead_path = sum(inc[np.abs(o)] for inc, o in zip(across, self.leads.T))
         path = (lead_path[:, None] + along[np.abs(diag)]).ravel()[L:]
         # covers every rounding behind a computed increment and this bound
         slack = 1.0 + 4 * (grid.n + 2) * np.finfo(float).eps
         self.bound = np.minimum(values.max() - values.min(), slack * path)
-        self.max_inc = np.full(len(path), np.nan)
-        on_axis = (self.offsets != 0).sum(axis=0) == 1
-        self.max_inc[on_axis] = path[on_axis]
-        self.src = [_axis_slices(s, 1) for s in values.shape]
-        self.dst = [_axis_slices(s, -1) for s in values.shape]
-        self.values = values
         self.quotient_max = {}  # alpha -> max_quotient(alpha), exact once computed
 
     @property
@@ -199,25 +180,42 @@ class _OffsetTable:
         """Rows whose exact maximal increment has been computed."""
         return int(np.count_nonzero(~np.isnan(self.max_inc)))
 
+    def _cuts(self, lead: np.ndarray, d: np.ndarray | None = None):
+        """The source and destination cuts of lines for each lead, an index
+        into leads, with the batched axis at diagonal d or, when d is None,
+        whole: an iterator of (src, dst) pairs."""
+        o = self.leads[lead].T.tolist()
+
+        def cut(slices):
+            first = repeat(slice(None)) if d is None else map(slices[0].__getitem__, d.tolist())
+            return zip(first, *(map(s.__getitem__, k) for s, k in zip(slices[1:], o)))
+
+        return zip(cut(self.src), cut(self.dst))
+
+    def _slice_scan(self, rows: np.ndarray) -> None:
+        """Compute the maximal increment of each row by one slice difference."""
+        L = self.lines.shape[0]
+        lead, d = np.divmod(rows + L, 2 * L - 1)
+        cuts = self._cuts(lead, d + 1 - L)
+        inc = (np.abs(self.lines[dst] - self.lines[src]).max() for src, dst in cuts)
+        self.max_inc[rows] = np.fromiter(inc, float, len(rows))
+
     def _scan(self, rows: np.ndarray) -> None:
-        """Compute the maximal increment of each row, lead by lead: from the
-        lead's whole block (_line_scan) when its rows' slice differences
-        would cost at least half the block, else from those differences."""
+        """Compute the maximal increment of each unscanned row, lead by lead:
+        from the lead's whole block (_line_scan) when its rows' slice
+        differences would cost at least half the block, else from those
+        differences. The zero lead, scanned when the table was built, is
+        never whole."""
         L = self.lines.shape[0]
         width = 2 * L - 1
         lead = (rows + L) // width
         cost = np.bincount(lead, self.pairs[rows] + _SLICE_COST, minlength=len(self.leads))
         whole = 2 * cost >= L * L * self.lead_lines
         if whole.any():
-            cols = np.flatnonzero(whole)[:, None] * width - L + np.arange(width)
-            block = _line_scan(self.lines, whole)
-            self.max_inc[cols[cols >= 0]] = block[cols >= 0]
-        rows = rows[~whole[lead]]
-        ends = (self.offsets[:, rows] + np.array(self.values.shape)[:, None] - 1).T.tolist()
-        for row, o in zip(rows.tolist(), ends):
-            b = self.values[tuple(s[i] for s, i in zip(self.dst, o))]
-            a = self.values[tuple(s[i] for s, i in zip(self.src, o))]
-            self.max_inc[row] = np.abs(b - a).max()
+            formed = np.flatnonzero(whole)
+            cols = formed[:, None] * width - L + np.arange(width)
+            self.max_inc[cols] = _line_scan(self.lines, list(self._cuts(formed)))
+        self._slice_scan(rows[~whole[lead]])
 
     def refine(self, scale: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
         """max of max_inc / scale over the rows of each of count groups.

@@ -521,6 +521,24 @@ class TestVerifyCommand:
         assert err.startswith("precondition error: ") and "35937" in err and "32768" in err
         assert not (tmp_path / "holder_report.json").exists()
 
+    def test_node_count_past_int64_is_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        # (2^21 + 1)^3 nodes wrap an int64 product negative; with c0 declared
+        # the config builds no array on the grid
+        from carnotpde import solver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("verify solved a grid its Holder scan refuses")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        config["grid"]["shape"] = [2**21 + 1] * 3
+        path = tmp_path / "verify_huge.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: ") and str((2**21 + 1) ** 3) in err
+        assert not (tmp_path / "holder_report.json").exists()
+
     @pytest.mark.parametrize("c0", [1, 16])
     @pytest.mark.parametrize(
         "structure, n",

@@ -19,6 +19,7 @@ from carnotpde import (
     constant_field,
     fit_alpha,
     from_callable,
+    holder,
     manufactured_rhs,
     polynomial_field,
     preset,
@@ -37,6 +38,7 @@ from carnotpde.holder import (
     _lattice_distance,
     _offset_table,
     binned_increments,
+    check_scan_size,
     max_quotient_violation,
     pair_count,
 )
@@ -278,11 +280,22 @@ def _positive(offsets):
     return offsets * np.where(lead < 0, -1, 1)[:, None]
 
 
+def _row_offsets(table, shape):
+    """Each row's offset in the grid's axis order, read from its index
+    lead * (2L - 1) + d - 1: d along the batched axis, the grid's first
+    shortest one (none on a line), and the lead along the other axes."""
+    L = table.lines.shape[0]
+    lead, d = np.divmod(np.arange(len(table.pairs)) + L, 2 * L - 1)
+    if len(shape) == 1:
+        return table.leads[lead]
+    return np.insert(table.leads[lead], int(np.argmin(shape)), d + 1 - L, axis=1)
+
+
 def _assert_table_matches_loop(u):
     assert u.grid.num_nodes <= ALL_PAIRS_NODE_CAP
     table = _refined_table(u)
     offsets, distance, max_inc, pairs = _ref_offset_table(u)
-    ours = _positive(table.offsets.T)
+    ours = _positive(_row_offsets(table, u.grid.shape))
     # one row per pair +-o, matched to the loop's row of the same offset
     order = np.lexsort(ours.T[::-1])
     assert np.array_equal(ours[order], offsets)
@@ -317,6 +330,21 @@ class TestLineScanMatchesPerOffsetLoop:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("shape", [(181, 181), (3, 1365), (4096,)])
+    def test_building_the_table_forms_no_block(self, shape, monkeypatch):
+        # the table scans its offsets along one axis, the A_k of the bound,
+        # one slice difference each: the zero lead taken whole would form
+        # the largest block of all
+        def no_block(*args):
+            raise AssertionError("the table formed a block while it was built")
+
+        monkeypatch.setattr(holder, "_line_scan", no_block)
+        u = from_callable(_lattice_grid(shape), lambda X: np.sin(X.sum(axis=1)))
+        table = _offset_table(u)
+        assert table.scanned == sum(s - 1 for s in shape)
+        on_axis = np.count_nonzero(_row_offsets(table, shape), axis=1) == 1
+        assert np.array_equal(~np.isnan(table.max_inc), on_axis)
 
     @pytest.mark.parametrize("shape", [(3, 1365), (4096,), (64, 64)])
     def test_refined_scan_memory_is_bounded(self, shape):
@@ -422,6 +450,14 @@ class TestExactScanCap:
         ):
             with pytest.raises(PreconditionError, match="at most 32768 nodes; this grid has 35937"):
                 stat(u)
+
+    def test_node_count_past_int64_is_refused(self):
+        # (2^21 + 1)^3 nodes wrap an int64 product to a negative count; the
+        # grid is only described, no array is built for it
+        grid = Grid((0.0,) * 3, (1.0,) * 3, (2**21 + 1,) * 3)
+        assert grid.num_nodes == (2**21 + 1) ** 3 > 2**63
+        with pytest.raises(PreconditionError, match=f"this grid has {(2**21 + 1) ** 3}"):
+            check_scan_size(grid)
 
 
 def _renumbered(u):
