@@ -279,8 +279,10 @@ def cmd_verify(args) -> int:
     from . import holder
     from .solver import solve
 
-    setup = build_setup(load_config(args.config), need_solve=True)
-    holder.check_scan_size(setup.grid)
+    raw = load_config(args.config)
+    if "grid" in raw:  # the schema requires its integer shape
+        holder.check_scan_size(raw["grid"]["shape"])
+    setup = build_setup(raw, need_solve=True)
     seed = args.seed if args.seed is not None else setup.seed
     u, report = solve(setup.spec, setup.coeffs, setup.grid, setup.solve_cfg)
     if not report.converged:

@@ -125,12 +125,15 @@ def _line_scan(lines: np.ndarray, cuts: list) -> np.ndarray:
     return np.maximum.reduceat(cells, np.cumsum(dlen) - dlen, axis=1)
 
 
-def check_scan_size(grid: Grid) -> None:
-    """Raise PreconditionError if the exact scan would exceed its node cap."""
-    if grid.num_nodes > ALL_PAIRS_NODE_CAP:
+def check_scan_size(shape) -> None:
+    """Raise PreconditionError if the exact scan of a grid of this node shape
+    would exceed its node cap. Reads the shape alone, so a grid is refused
+    before anything is built on it."""
+    nodes = math.prod(shape)
+    if nodes > ALL_PAIRS_NODE_CAP:
         raise PreconditionError(
             f"the exact Holder scan takes at most {ALL_PAIRS_NODE_CAP} nodes; "
-            f"this grid has {grid.num_nodes}"
+            f"this grid has {nodes}"
         )
 
 
@@ -258,7 +261,7 @@ class _OffsetTable:
 
 
 def _offset_table(u: GridFunction) -> _OffsetTable:
-    check_scan_size(u.grid)
+    check_scan_size(u.grid.shape)
     if not np.isfinite(u.values).all():
         raise ValueError("grid function has a non-finite value")
     return _OffsetTable(u.grid, u.values)

@@ -28,11 +28,14 @@ tr(A M_h(u)) for every kind. The policy is operators.policies of the frame
 Hessians M_h(u), the same rule that evaluates the continuous G: the identity
 for the trace kind, whose L_A is then the one sum of its stencils, and for
 the Pucci kinds a closed form for m <= 2 and LAPACK's eigh above. Every kind
-is solved by Howard policy iteration (Bokanowski-Maroso-Zidani 2009): each
-step takes the policy at the current u, measures the residual
-f - (L_A u - c u) once, and runs one Jacobi-preconditioned BiCGSTAB cycle
-(van der Vorst 1992) on L_A u - c u = f in the interior values from it. A
-Krylov restart is simply the next step.
+is solved by Howard policy iteration (Bokanowski-Maroso-Zidani 2009). It
+starts from the Dirichlet data on the faces and their transfinite blend
+(transfinite_blend, Gordon-Hall 1973) in the interior, which is zero for
+zero data, so such a solve starts from zero. Each step takes the policy at
+the current u, measures the residual f - (L_A u - c u) once, and runs one
+Jacobi-preconditioned BiCGSTAB cycle (van der Vorst 1992) on
+L_A u - c u = f in the interior values from it. A Krylov restart is simply
+the next step.
 
 Each step is inexact (an inexact-Newton forcing term, Dembo-Eisenstat-Steihaug
 1982): its cycle stops at max(tol, FORCING * r0), with r0 the max residual at
@@ -318,6 +321,28 @@ def manufactured_rhs(
     return f
 
 
+def transfinite_blend(g: np.ndarray) -> np.ndarray:
+    """g's face values with the interior filled by their Boolean-sum (Coons)
+    interpolant g - prod_k (I - P_k) g (Gordon-Hall 1973).
+
+    P_k interpolates linearly along axis k between the two faces normal to
+    it, one in-place pass per axis. Only face values are read and returned as
+    they are, bit for bit. The interior reproduces, to roundoff, any sum of
+    terms that each skip one axis and any multilinear function, and is +0.0
+    for zero face data.
+    """
+    inner = (slice(1, -1),) * g.ndim
+    out = np.array(g, dtype=float)
+    out[inner] = 0.0
+    rest = out.copy()
+    for k, size in enumerate(out.shape):
+        t = np.linspace(0.0, 1.0, size).reshape((-1,) + (1,) * (out.ndim - k - 1))
+        lo, hi = rest.take([0], axis=k), rest.take([-1], axis=k)
+        rest -= lo + t * (hi - lo)
+    out[inner] -= rest[inner]
+    return out
+
+
 def _bicgstab(
     op: DiscreteOperator,
     lin,
@@ -373,12 +398,14 @@ def solve(
 ) -> tuple[GridFunction, SolveReport]:
     """Solve to a max-norm residual max|F_h(u) - c u - f| at or below cfg.tol.
 
-    Howard policy iteration: each step builds the policy matrix L_A at the
-    current u (op.policy_matrix), records max|f - (L_A u - c u)| and, unless
-    that meets tol or cfg.max_iters Krylov steps are spent, runs one BiCGSTAB
-    cycle on L_A's system. Each cycle stops at max(tol, FORCING * r0), with r0
-    that recorded residual; only this loop checks tol. A Krylov restart is the
-    next step, so the report's outer_iterations counts the cycles.
+    Howard policy iteration from the Dirichlet data on the faces and their
+    transfinite_blend in the interior (zero for zero data): each step builds
+    the policy matrix L_A at the current u (op.policy_matrix), records
+    max|f - (L_A u - c u)| and, unless that meets tol or cfg.max_iters Krylov
+    steps are spent, runs one BiCGSTAB cycle on L_A's system. Each cycle
+    stops at max(tol, FORCING * r0), with r0 that recorded residual; only
+    this loop checks tol. A Krylov restart is the next step, so the report's
+    outer_iterations counts the cycles.
     Non-convergence within cfg.max_iters, or a stall of STALL_STEPS policy
     steps in a row without a new residual minimum, is reported, not raised;
     NaN or Inf in the data or the iterates raises NumericalError.
@@ -394,6 +421,7 @@ def solve(
     u_flat = np.zeros(grid.num_nodes)
     boundary = grid.boundary_mask()
     u_flat[boundary] = field_values(cfg.boundary, grid.coords()[boundary], "boundary")
+    u_flat = transfinite_blend(u_flat.reshape(grid.shape)).ravel()
 
     iterations = outer = stalled = 0
     history = []

@@ -539,6 +539,28 @@ class TestVerifyCommand:
         assert err.startswith("precondition error: ") and str((2**21 + 1) ** 3) in err
         assert not (tmp_path / "holder_report.json").exists()
 
+    def test_grid_past_the_cap_without_c0_is_refused_before_building(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # without a declared c0 the config would evaluate c at every node;
+        # the cap reads the config's shape first, so no node is formed
+        from carnotpde.grids import Grid
+
+        def no_coords(self):
+            raise AssertionError("verify formed the nodes of a grid its Holder scan refuses")
+
+        monkeypatch.setattr(Grid, "coords", no_coords)
+        config = json.loads((CONFIGS / "heisenberg_verify.json").read_text())
+        del config["coefficients"]["c0"]
+        config["grid"]["shape"] = [2**21 + 1] * 3
+        path = tmp_path / "verify_huge_no_c0.json"
+        path.write_text(json.dumps(config))
+        assert run("verify", "--config", str(path), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition error: the exact Holder scan takes at most 32768")
+        assert str((2**21 + 1) ** 3) in err
+        assert not (tmp_path / "holder_report.json").exists()
+
     @pytest.mark.parametrize("c0", [1, 16])
     @pytest.mark.parametrize(
         "structure, n",

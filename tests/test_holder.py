@@ -457,7 +457,7 @@ class TestExactScanCap:
         grid = Grid((0.0,) * 3, (1.0,) * 3, (2**21 + 1,) * 3)
         assert grid.num_nodes == (2**21 + 1) ** 3 > 2**63
         with pytest.raises(PreconditionError, match=f"this grid has {(2**21 + 1) ** 3}"):
-            check_scan_size(grid)
+            check_scan_size(grid.shape)
 
 
 def _renumbered(u):

@@ -41,7 +41,7 @@ from carnotpde import (
 from carnotpde import solver as solver_module
 from carnotpde.errors import NumericalError
 from carnotpde.operators import g_values, policies
-from carnotpde.solver import STALL_STEPS, default_h_eff_cells
+from carnotpde.solver import STALL_STEPS, default_h_eff_cells, transfinite_blend
 from carnotpde.structures import frames
 
 HEIS = preset("heisenberg1")
@@ -555,23 +555,28 @@ class TestDiscreteOperator:
         assert default_h_eff_cells(1.0) == 1
 
 
-def manufactured_error(structure, kind, terms, nodes):
-    """Max error against u* of the c = 1 solve of u* on [-1, 1]^n, (nodes,)^n,
-    with the solve report."""
-    n = structure.n
-    if kind == "trace":
-        spec = trace_operator(structure)
-    else:
-        spec = pucci_operator(structure, 1.0, 2.0, plus=kind == "pucci_plus")
+def manufactured_instance(spec, terms, shape):
+    """c = 1 instance of u* = terms on [-1, 1]^n, with its solve config."""
+    n = spec.structure.n
     ustar = polynomial_field(terms, n)
     c = constant_field(1.0, n).value
     coeffs = Coefficients(
         c=c, f=manufactured_rhs(spec, c, ustar), L_c=0.0, beta=1.0, L_f=1.0, beta_prime=1.0,
         c0=1.0,
     )
-    grid = Grid((-1,) * n, (1,) * n, (nodes,) * n)
-    u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
-    return float(np.abs(u.values - from_callable(grid, ustar.value).values).max()), rep
+    return spec, coeffs, Grid((-1,) * n, (1,) * n, shape), SolveConfig(boundary=ustar.value)
+
+
+def manufactured_error(structure, kind, terms, nodes, tol=1e-6):
+    """Max error against u* of the c = 1 solve of u* on [-1, 1]^n, (nodes,)^n,
+    to tol, with the solve report."""
+    if kind == "trace":
+        spec = trace_operator(structure)
+    else:
+        spec = pucci_operator(structure, 1.0, 2.0, plus=kind == "pucci_plus")
+    spec, coeffs, grid, cfg = manufactured_instance(spec, terms, (nodes,) * structure.n)
+    u, rep = solve(spec, coeffs, grid, replace(cfg, tol=tol))
+    return float(np.abs(u.values - from_callable(grid, cfg.boundary).values).max()), rep
 
 
 class TestArmNormalization:
@@ -579,28 +584,43 @@ class TestArmNormalization:
     horizontal block steps whole cells where it can, and s stays continuous
     in x and shared by the two fields of a polarization pair."""
 
+    # solved to tol, at which the start no longer shows in the errors' pinned
+    # digits; DIAG_1_10 Pucci+ at 65^2 stalls on rounding at 1e-11
     @pytest.mark.parametrize(
-        "structure, terms, kind, errors",
+        "structure, terms, kind, tol, errors",
         [
             # u* = x1^4 + x2^2 on X1 = (x1 / (1 + x1^2), 0)
-            ("grushin-like2d", [[1.0, 4, 0], [1.0, 0, 2]], "trace", (1.142662e-2, 2.089141e-3)),
+            (
+                "grushin-like2d",
+                [[1.0, 4, 0], [1.0, 0, 2]],
+                "trace",
+                1e-11,
+                (1.142649e-2, 2.089156e-3),
+            ),
             (
                 "grushin-like2d",
                 [[1.0, 4, 0], [1.0, 0, 2]],
                 "pucci_plus",
-                (1.152236e-2, 2.667455e-3),
+                1e-11,
+                (1.152233e-2, 2.667461e-3),
             ),
             # u* = x1^4 + x2^4, convex, so Pucci+ reads no cross stencil at the solution
-            (DIAG_1_10, [[1.0, 4, 0], [1.0, 0, 4]], "trace", (6.285831e-2, 1.571553e-2)),
-            (DIAG_1_10, [[1.0, 4, 0], [1.0, 0, 4]], "pucci_plus", (6.310581e-2, 1.576286e-2)),
+            (DIAG_1_10, [[1.0, 4, 0], [1.0, 0, 4]], "trace", 1e-10, (6.285831e-2, 1.571553e-2)),
+            (
+                DIAG_1_10,
+                [[1.0, 4, 0], [1.0, 0, 4]],
+                "pucci_plus",
+                1e-10,
+                (6.310581e-2, 1.576287e-2),
+            ),
         ],
     )
-    def test_axis_aligned_frames_keep_their_errors(self, structure, terms, kind, errors):
+    def test_axis_aligned_frames_keep_their_errors(self, structure, terms, kind, tol, errors):
         # an axis-aligned field has s = |w|_2, so its arms are the unit-vector
         # arms of |w|_2 normalization, whose errors at 33^2 and 65^2 these are
         s = preset(structure) if isinstance(structure, str) else structure_from_json(structure)
         for nodes, want in zip((33, 65), errors):
-            err, rep = manufactured_error(s, kind, terms, nodes)
+            err, rep = manufactured_error(s, kind, terms, nodes, tol)
             assert rep.converged
             assert err == pytest.approx(want, rel=1e-5)
 
@@ -717,6 +737,76 @@ POLICY_CASES = [
     ("engel1", 1.0, (7, 7, 7, 7)),
     ("euclidean:3", 1.0, (9, 9, 9)),  # m = 3: LAPACK eigh in the policy
 ]
+
+
+def cold_solve(monkeypatch, spec, coeffs, grid, cfg):
+    """The solve from zero in the interior, the start before the blend."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "transfinite_blend", lambda g: g)
+        return solve(spec, coeffs, grid, cfg)
+
+
+class TestBlendStart:
+    """solve starts from the transfinite blend of its Dirichlet data."""
+
+    @pytest.mark.parametrize("shape", [(5, 7), (4, 6, 5), (3, 4, 3, 5)])
+    def test_faces_kept_bit_for_bit_and_interior_unread(self, shape):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+        face = Grid((0,) * len(shape), [s - 1 for s in shape], shape).boundary_mask()
+        face = face.reshape(shape)
+        blend = transfinite_blend(g)
+        assert blend[face].tobytes() == g[face].tobytes()
+        other = np.where(face, g, rng.normal(size=shape))
+        assert transfinite_blend(other).tobytes() == blend.tobytes()
+
+    def test_reproduces_axis_skipping_sums_and_multilinear_functions(self):
+        grid = Grid((-1, -1, -1), (1, 2, 0.5), (9, 13, 7))
+        x1, x2, x3 = grid.coords().T
+        face = grid.boundary_mask().reshape(grid.shape)
+        skipping = np.sin(x1) * x2**2 + np.exp(x2 * x3) + x1**3 * x3
+        multilinear = 2.0 - x1 + 3.0 * x2 * x3 - x1 * x2 * x3 + 0.5 * x1 * x3
+        for values in (skipping, multilinear, skipping + multilinear):
+            g = values.reshape(grid.shape)
+            error = np.abs(transfinite_blend(np.where(face, g, 0.0)) - g).max()
+            assert error <= 1e-14 * np.abs(g).max()
+        # a term that reads every axis is not reproduced
+        g = (x1 * x2 * x3) ** 2
+        assert np.abs(transfinite_blend(g.reshape(grid.shape)).ravel() - g).max() > 0.1
+
+    def test_multilinear_solution_takes_no_krylov_step(self):
+        # the Heisenberg scheme is exact on x1 x2 x3, which the start reproduces
+        instance = manufactured_instance(trace_operator(HEIS), [[1.0, 1, 1, 1]], (9, 9, 9))
+        _, rep = solve(*instance)
+        assert rep.converged
+        assert rep.iterations == rep.outer_iterations == 0
+
+    @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+    @pytest.mark.parametrize("structure, c_value, shape", POLICY_CASES)
+    def test_policy_solve_matches_cold_start(self, monkeypatch, kind, structure, c_value, shape):
+        spec, coeffs, grid, cfg, _ = pucci_instance(kind, preset(structure), c_value, shape)
+        u, rep = solve(spec, coeffs, grid, cfg)
+        u_cold, rep_cold = cold_solve(monkeypatch, spec, coeffs, grid, cfg)
+        assert rep.converged and rep_cold.converged
+        assert np.abs(u.values - u_cold.values).max() <= 2.0 * cfg.tol / coeffs.c0
+
+    def test_trace_solve_matches_cold_start(self, monkeypatch):
+        spec, coeffs, grid, cfg, _ = heisenberg_instance()
+        u, rep = solve(spec, coeffs, grid, cfg)
+        u_cold, rep_cold = cold_solve(monkeypatch, spec, coeffs, grid, cfg)
+        assert rep.converged and rep_cold.converged
+        assert np.abs(u.values - u_cold.values).max() <= 2.0 * cfg.tol / coeffs.c0
+
+    def test_non_separable_solution_takes_no_more_krylov_steps(self, monkeypatch):
+        # u* = x1^2 x3^2 + x2: the start misses the x1^2 x3^2 term inside
+        instance = manufactured_instance(
+            trace_operator(HEIS), [[1.0, 2, 0, 2], [1.0, 0, 1, 0]], (17, 17, 17)
+        )
+        u, rep = solve(*instance)
+        u_cold, rep_cold = cold_solve(monkeypatch, *instance)
+        assert rep.converged and rep_cold.converged
+        assert rep.iterations <= rep_cold.iterations
+        assert np.abs(u.values - u_cold.values).max() <= 2.0 * instance[3].tol
 
 
 class TestSolve:
@@ -931,17 +1021,12 @@ class TestSolve:
         assert (op.policy_matrix(u_flat) != old).nnz == 0
 
     def test_forcing_term_saves_krylov_steps(self, monkeypatch):
-        # planar extremal instance u* = x1^4 + x2^2 on 64^2: inexact policy
-        # steps meet the same tol with fewer Krylov steps than exact ones
-        spec = pucci_operator(EUC2, 1.0, 2.0, plus=True)
-        ustar = polynomial_field([[1.0, 4, 0], [1.0, 0, 2]], 2)
-        c = constant_field(1.0, 2).value
-        coeffs = Coefficients(
-            c=c, f=manufactured_rhs(spec, c, ustar), L_c=0.0, beta=1.0, L_f=5.0,
-            beta_prime=1.0, c0=1.0,
+        # planar extremal instance u* = x1^2 x2^2 on 64^2, which the start
+        # does not reproduce, so the policy changes during the solve: inexact
+        # policy steps meet the same tol with fewer Krylov steps than exact ones
+        spec, coeffs, grid, cfg = manufactured_instance(
+            pucci_operator(EUC2, 1.0, 2.0, plus=True), [[1.0, 2, 2]], (64, 64)
         )
-        grid = Grid((-1, -1), (1, 1), (64, 64))
-        cfg = SolveConfig(boundary=ustar.value)
         u, rep = solve(spec, coeffs, grid, cfg)
         monkeypatch.setattr(solver_module, "FORCING", 0.0)
         u_exact, rep_exact = solve(spec, coeffs, grid, cfg)
