@@ -77,7 +77,12 @@ def _diff_terms(parsed, axis: int):
 
 
 def polynomial_field(terms: Sequence[Sequence[float]], n: int) -> SmoothField:
-    """Build a SmoothField from a monomial table, differentiating exactly."""
+    """Build a SmoothField from a monomial table, differentiating exactly.
+
+    The Hessian is exactly symmetric: each entry (i, j) with i <= j is the
+    polynomial of d^2/dx_i dx_j, written to (i, j) and (j, i), and an entry
+    without terms stays 0.
+    """
     parsed = _check_terms(terms, n)
     grads = [_diff_terms(parsed, i) for i in range(n)]
     hesses = [[_diff_terms(grads[i], j) for j in range(n)] for i in range(n)]
@@ -87,8 +92,12 @@ def polynomial_field(terms: Sequence[Sequence[float]], n: int) -> SmoothField:
 
     def hessian(X):
         X = np.asarray(X, dtype=float)
-        h = np.stack([np.stack([_poly_value(t, X) for t in row], axis=-1) for row in hesses], 1)
-        return (h + np.swapaxes(h, 1, 2)) / 2.0
+        h = np.zeros((len(X), n, n))
+        for i in range(n):
+            for j in range(i, n):
+                if hesses[i][j]:
+                    h[:, i, j] = h[:, j, i] = _poly_value(hesses[i][j], X)
+        return h
 
     return SmoothField(n, value, hessian)
 

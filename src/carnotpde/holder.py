@@ -267,9 +267,19 @@ def _offset_table(u: GridFunction) -> _OffsetTable:
     return _OffsetTable(u.grid, u.values)
 
 
+def _bin_index(edges: np.ndarray, distance: np.ndarray) -> np.ndarray:
+    """The bin of each distance: how many of the inner edges edges[1:-1] lie
+    at or below it. Every lattice distance lies in [edges[0], edges[-1]),
+    and one outside would land in the first or last bin."""
+    bins = np.zeros(distance.shape, dtype=np.intp)
+    for edge in edges[1:-1]:
+        bins += distance >= edge
+    return bins
+
+
 def _binned(grid: Grid, table: _OffsetTable) -> list[dict]:
     edges = _bin_edges(grid)
-    bins = np.clip(np.searchsorted(edges, table.distance, side="right") - 1, 0, NUM_BINS - 1)
+    bins = _bin_index(edges, table.distance)
     best = table.refine(np.ones(len(bins)), bins, NUM_BINS)
     out = []
     for b in range(NUM_BINS):

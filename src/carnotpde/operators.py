@@ -86,9 +86,12 @@ def policies(spec: OperatorSpec, mats: np.ndarray) -> np.ndarray:
 
     The trace kind's A is the identity. The extremal kinds put Lambda on the
     eigenvectors of positive eigenvalues and lambda on the others (swapped
-    for pucci_minus): directly for d = 1, in closed form for d = 2 through
-    the projector onto the positive eigenvector, and from LAPACK's eigh
-    otherwise.
+    for pucci_minus): directly for d = 1, from LAPACK's eigh for d >= 3, and
+    for d = 2 in closed form through the projector onto the positive
+    eigenvector. That form works on the entry vectors M00, M11 and M01 of
+    the stack: with lo <= hi the eigenvalues, A00 = lam + (Lam - lam)(M00 -
+    lo) / (hi - lo), A11 likewise and A01 = (Lam - lam) M01 / (hi - lo), then
+    Lam I where lo > 0 and lam I where hi <= 0. A NaN entry gives a NaN A.
     """
     d = mats.shape[-1]
     if spec.kind == "trace":
@@ -99,13 +102,20 @@ def policies(spec: OperatorSpec, mats: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.where(mats > 0.0, Lam, lam)
     if d == 2:
-        mid = (mats[..., 0, 0] + mats[..., 1, 1]) / 2.0
-        rad = np.sqrt(((mats[..., 0, 0] - mats[..., 1, 1]) / 2.0) ** 2 + mats[..., 0, 1] ** 2)
-        lo, hi = (mid - rad)[..., None, None], (mid + rad)[..., None, None]
-        eye = np.eye(2)
+        m00, m11, m01 = mats[..., 0, 0], mats[..., 1, 1], mats[..., 0, 1]
+        mid = (m00 + m11) / 2.0
+        rad = np.sqrt(((m00 - m11) / 2.0) ** 2 + m01**2)
+        lo, hi = mid - rad, mid + rad
+        pos, neg = lo > 0.0, hi <= 0.0
+        out = np.empty(mats.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mixed = lam * eye + (Lam - lam) * (mats - lo * eye) / (hi - lo)
-        return np.where(lo > 0.0, Lam * eye, np.where(hi <= 0.0, lam * eye, mixed))
+            span = hi - lo
+            for k, mkk in ((0, m00), (1, m11)):
+                mixed = lam + (Lam - lam) * (mkk - lo) / span
+                out[..., k, k] = np.where(pos, Lam, np.where(neg, lam, mixed))
+            mixed = (Lam - lam) * m01 / span
+            out[..., 0, 1] = out[..., 1, 0] = np.where(pos | neg, 0.0, mixed)
+        return out
     evals, vecs = np.linalg.eigh(mats)
     return np.einsum("...ik,...k,...jk->...ij", vecs, np.where(evals > 0.0, Lam, lam), vecs)
 
@@ -117,7 +127,34 @@ def g_values(spec: OperatorSpec, mats: np.ndarray) -> np.ndarray:
 
 
 def frame_hessians(spec: OperatorSpec, X: np.ndarray, hessians: np.ndarray) -> np.ndarray:
-    """sigma(x) H sigma(x)^T at the (N, n) rows X for their (N, n, n) Hessians."""
+    """sigma(x) H sigma(x)^T at the (N, n) rows X for their symmetric (N, n, n)
+    Hessians H, shape (N, m, m) and exactly symmetric.
+
+    Entry (i, j), i <= j, is summed on the entry vectors of the stack, over
+    the entries H_ab with a <= b that are nonzero at some row:
+    (sigma_ia sigma_jb + [a != b] sigma_ib sigma_ja) H_ab; it is mirrored to
+    (j, i). Only H's upper triangle enters the sums. A row whose sigma or H
+    holds a non-finite value comes out NaN.
+    """
     s = frames(spec.structure, X)
-    mats = s @ hessians @ np.swapaxes(s, 1, 2)
-    return (mats + np.swapaxes(mats, 1, 2)) / 2.0
+    m, n = s.shape[1:]
+    upper = [(a, b, hessians[:, a, b]) for a in range(n) for b in range(a, n)]
+    terms = [(a, b, h) for a, b, h in upper if np.count_nonzero(h)]
+    mats = np.zeros((len(X), m, m))
+    weight, cross = np.empty(len(X)), np.empty(len(X))
+    for i in range(m):
+        for j in range(i, m):
+            entry = mats[:, i, j]
+            for a, b, h in terms:
+                np.multiply(s[:, i, a], s[:, j, b], out=weight)
+                if a != b:
+                    weight += np.multiply(s[:, i, b], s[:, j, a], out=cross)
+                weight *= h
+                entry += weight
+            mats[:, j, i] = entry
+    # the sums skip the entries of H that vanish on every row, so a
+    # non-finite sigma there would otherwise not reach the result
+    if not (np.isfinite(s.sum()) and np.isfinite(hessians.sum())):
+        finite = np.isfinite(s).all(axis=(1, 2)) & np.isfinite(hessians).all(axis=(1, 2))
+        mats[~finite] = np.nan
+    return mats

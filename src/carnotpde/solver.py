@@ -22,9 +22,10 @@ Pucci kinds is not, since D- enters with a negative weight, so raising u at
 one node can lower F_h at another, and Howard's convergence on those kinds
 is observed rather than guaranteed.
 
-The solver sees the scheme only through DiscreteOperator.policy_matrix: the
+The solver sees the scheme only through DiscreteOperator.policy_system: the
 sparse L_A of the policy A that attains F_h at u, so that L_A u = F_h(u) =
-tr(A M_h(u)) for every kind. The policy is operators.policies of the frame
+tr(A M_h(u)) for every kind, and the weights at its rows' centres, which are
+the Jacobi diagonal. The policy is operators.policies of the frame
 Hessians M_h(u), the same rule that evaluates the continuous G: the identity
 for the trace kind, whose L_A is then the one sum of its stencils, and for
 the Pucci kinds a closed form for m <= 2 and LAPACK's eigh above. Every kind
@@ -128,7 +129,9 @@ class DiscreteOperator:
     along X_i, or the polarization (D_{X_i+X_j} - D_{X_i-X_j}) / 4. So
     ``stencils[k] @ u`` is M_h(u)[pairs[k]]. The center coefficient of each
     directional row is the negated off-center row sum, so constants are
-    annihilated to roundoff. No matrix stores a zero weight.
+    annihilated to roundoff. No matrix stores a zero weight. ``centres[k]``
+    holds stencils[k]'s weights at (row, interior[row]), the centre of each
+    row, to the bit or +-0.0 where none is stored.
     """
 
     def __init__(
@@ -163,21 +166,24 @@ class DiscreteOperator:
         self.pairs = [(i, i) for i in range(m)]
         if spec.kind != "trace":
             self.pairs += [(i, j) for i in range(m) for j in range(i + 1, m)]
-        self.stencils = []
+        self.stencils, self.centres = [], []
         for i, j in self.pairs:
             if i == j:
-                self.stencils.append(self._directional_matrix(frame[i].T))
+                stencil, centre = self._directional_matrix(frame[i].T)
             else:
-                plus = self._directional_matrix((frame[i] + frame[j]).T)
-                minus = self._directional_matrix((frame[i] - frame[j]).T)
-                self.stencils.append((plus - minus) / 4.0)
+                plus, c_plus = self._directional_matrix((frame[i] + frame[j]).T)
+                minus, c_minus = self._directional_matrix((frame[i] - frame[j]).T)
+                stencil, centre = (plus - minus) / 4.0, (c_plus - c_minus) / 4.0
+            self.stencils.append(stencil)
+            self.centres.append(centre)
 
         self.c_vec = field_values(coeffs.c, coords, "c")
         self.f_vec = field_values(coeffs.f, coords, "f")
         self._trace_matrix = None
 
     def _directional_matrix(self, w: np.ndarray):
-        """Sparse second-difference operator along the per-node fields w (n_int, n).
+        """Sparse second-difference operator along the per-node fields w (n_int, n),
+        and its centre weights.
 
         Returns the (n_int x num_nodes) CSR matrix whose rows already carry
         the s^2 scaling of _arm_ends, s = max(|w[:m]|_inf, |w|_inf /
@@ -192,7 +198,9 @@ class DiscreteOperator:
         of equal columns in the order its sort leaves them, which need not be
         the listed one; so a stored weight is the sum of its column's entries
         to within rounding, at most width * eps times the sum of their
-        magnitudes. Weights that come out exactly 0 are dropped.
+        magnitudes. Weights that come out exactly 0 are dropped. The centre
+        weights are returned as summed, except on the rows where a corner
+        falls on the node itself, which are read back from the matrix.
         """
         # imported here, not at module level, so commands that build no
         # stencil do not pay for it
@@ -207,7 +215,11 @@ class DiscreteOperator:
         mat = sp.csr_matrix((data, indices, indptr), shape=(n_int, self.grid.num_nodes))
         mat.sum_duplicates()
         mat.eliminate_zeros()
-        return mat
+        merged = (idx_p == self.interior).any(axis=0) | (idx_m == self.interior).any(axis=0)
+        rows = np.flatnonzero(merged)
+        if rows.size:
+            center[rows] = np.asarray(mat[rows, self.interior[rows]]).ravel()
+        return mat, center
 
     def _arm_ends(self, w: np.ndarray):
         """Interpolation stencils of the two arm ends along the per-node fields w.
@@ -271,19 +283,26 @@ class DiscreteOperator:
         wts[:, n_int:] *= scale * cm
         return idx[:, :n_int], wts[:, :n_int], idx[:, n_int:], wts[:, n_int:]
 
-    def policy_matrix(self, u_flat: np.ndarray):
+    def policy_system(self, u_flat: np.ndarray):
         """The sparse L_A with L_A @ v = tr(A M_h(v)) for the policy A that
-        attains F_h at u_flat, so L_A @ u_flat = F_h(u_flat).
+        attains F_h at u_flat, so L_A @ u_flat = F_h(u_flat), and its weights
+        L_A[row, interior[row]] at the centre of each row, shape (n_int,).
 
         Per node A is operators.policies of the frame Hessian M_h(u). The
         trace kind's policy is the identity, so its L_A is the sum of its
         stencils whatever u_flat is, built on first use and then reused.
+        The centre weights are the sum of the stencils' centres, each times
+        its policy weight, added in the order L_A sums its terms and from
+        +0.0, so they equal the entries stored in L_A to the bit.
         Raises NumericalError when a Pucci frame Hessian is not finite.
         """
+        diag = np.zeros(self.interior.size)
         if self.spec.kind == "trace":
             if self._trace_matrix is None:
                 self._trace_matrix = sum(self.stencils[1:], self.stencils[0]).tocsr()
-            return self._trace_matrix
+            for centre in self.centres:
+                diag += centre
+            return self._trace_matrix, diag
         import scipy.sparse as sp
 
         mats = self.frame_matrices(u_flat)
@@ -291,12 +310,13 @@ class DiscreteOperator:
             raise NumericalError("frame Hessian is not finite: non-finite data or iterate")
         pol = policies(self.spec, mats)
         terms = []
-        for (i, j), s in zip(self.pairs, self.stencils):
+        for (i, j), s, centre in zip(self.pairs, self.stencils, self.centres):
             w = (1 + (i != j)) * pol[:, i, j]  # tr(A M) counts i != j twice
             # diag(w) @ s: scale each row's entries and share s's index arrays
             data = s.data * np.repeat(w, np.diff(s.indptr))
             terms.append(sp.csr_matrix((data, s.indices, s.indptr), shape=s.shape))
-        return sum(terms[1:], terms[0]).tocsr()
+            diag += centre * w
+        return sum(terms[1:], terms[0]).tocsr(), diag
 
     def frame_matrices(self, u_flat: np.ndarray) -> np.ndarray:
         """The m x m frame Hessian approximation at every interior node."""
@@ -359,37 +379,52 @@ def _bicgstab(
     The cycle starts from the residual r = f - (lin u - c u), which is also
     its shadow residual, and ends on breakdown, when the max of the recurred
     residual meets ``stop`` (solve passes max(tol, FORCING * max|r|)), or at
-    max_iters. Returns the Krylov step count, continued from ``iterations``.
+    max_iters. It iterates on a contiguous copy x of u_flat's interior,
+    updates p, s, r and x in place and writes x back once, at the end; each
+    dot product is one numpy pass, not BLAS ddot, whose threads stall on a
+    busy host. Returns the Krylov step count, continued from ``iterations``.
     """
     interior, pad = op.interior, np.zeros_like(u_flat)
 
-    def matvec(x):
-        pad[interior] = x
-        return lin @ pad - op.c_vec * x
+    def matvec(vec):
+        pad[interior] = vec
+        out = lin @ pad
+        out -= op.c_vec * vec
+        return out
 
-    def dot(a, b):  # numpy's own sum, not BLAS ddot, whose threads stall on a busy host
-        return float(np.sum(a * b))
+    def dot(a, b):
+        return float(np.einsum("i,i", a, b))
 
-    rhat, rho, alpha, omega, p, v = r, 1.0, 1.0, 1.0, 0.0, 0.0
+    rhat, r, x = r, r.copy(), u_flat[interior]
+    p, v, s, phat, shat = (np.zeros_like(r) for _ in range(5))
+    rho = alpha = omega = 1.0
     while iterations < max_iters:
         iterations += 1
         rho, rho_old = dot(rhat, r), rho
-        p = r + (rho / rho_old) * (alpha / omega) * (p - omega * v)
-        phat = inv_diag * p
+        # p = r + (rho / rho_old) (alpha / omega) (p - omega v)
+        v *= omega
+        p -= v
+        p *= (rho / rho_old) * (alpha / omega)
+        p += r
+        np.multiply(inv_diag, p, out=phat)
         v = matvec(phat)
         rv = dot(rhat, v)
         if rho == 0.0 or rv == 0.0:
             break
         alpha = rho / rv
-        s = r - alpha * v
-        shat = inv_diag * s
+        np.subtract(r, np.multiply(alpha, v, out=s), out=s)
+        np.multiply(inv_diag, s, out=shat)
         t = matvec(shat)
         tt = dot(t, t)
         omega = dot(t, s) / tt if tt > 0.0 else 0.0
-        u_flat[interior] += alpha * phat + omega * shat
-        r = s - omega * t
+        # x += alpha phat + omega shat, then r = s - omega t
+        phat *= alpha
+        phat += np.multiply(omega, shat, out=shat)
+        x += phat
+        np.subtract(s, np.multiply(omega, t, out=t), out=r)
         if omega == 0.0 or not np.abs(r).max() > stop:
             break
+    u_flat[interior] = x
     return iterations
 
 
@@ -400,9 +435,10 @@ def solve(
 
     Howard policy iteration from the Dirichlet data on the faces and their
     transfinite_blend in the interior (zero for zero data): each step builds
-    the policy matrix L_A at the current u (op.policy_matrix), records
-    max|f - (L_A u - c u)| and, unless that meets tol or cfg.max_iters Krylov
-    steps are spent, runs one BiCGSTAB cycle on L_A's system. Each cycle
+    the policy matrix L_A at the current u and its centre weights
+    (op.policy_system), records max|f - (L_A u - c u)| and, unless that
+    meets tol or cfg.max_iters Krylov steps are spent, runs one BiCGSTAB
+    cycle on L_A's system, preconditioned by 1 / (centre - c). Each cycle
     stops at max(tol, FORCING * r0), with r0 that recorded residual; only
     this loop checks tol. A Krylov restart is the next step, so the report's
     outer_iterations counts the cycles.
@@ -426,12 +462,9 @@ def solve(
     iterations = outer = stalled = 0
     history = []
     best = np.inf
-    # the trace kind's policy_matrix returns one L_A object, never modified,
-    # so its diagonal is read once
-    diag_of = inv_diag = None
     t1 = time.perf_counter()
     while True:
-        lin = op.policy_matrix(u_flat)
+        lin, diag = op.policy_system(u_flat)
         r = op.f_vec - (lin @ u_flat - op.c_vec * u_flat[op.interior])
         history.append(float(np.abs(r).max()))
         if not np.isfinite(history[-1]):
@@ -440,9 +473,7 @@ def solve(
         best = min(best, history[-1])
         if history[-1] <= cfg.tol or iterations >= cfg.max_iters or stalled >= STALL_STEPS:
             break
-        if lin is not diag_of:
-            diag = np.asarray(lin[np.arange(op.interior.size), op.interior]).ravel()
-            diag_of, inv_diag = lin, 1.0 / (diag - op.c_vec)
+        inv_diag = 1.0 / (diag - op.c_vec)
         stop = max(cfg.tol, FORCING * history[-1])
         iterations = _bicgstab(op, lin, inv_diag, r, u_flat, stop, cfg.max_iters, iterations)
         outer += 1

@@ -4,7 +4,9 @@ No command, script or benchmark reads these, so they live on the test side:
 the one-matrix forms of G and F, the randomized sandwich and degenerate
 ellipticity checks, the Holder seminorm over the pair scan, multilinear
 interpolation of a grid function and its full 2^n-corner weights, the
-row-major arm ends and stencil build of DiscreteOperator, and the
+row-major arm ends and stencil build of DiscreteOperator, the stacked
+forms of the polynomial Hessian, frame Hessians and Pucci policies and the
+allocating BiCGSTAB cycle that the per-entry kernels replaced, and the
 group laws of the presets whose frames are left-invariant fields.
 """
 
@@ -15,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from carnotpde import symmat
+from carnotpde.fields import _check_terms, _diff_terms, _poly_value
 from carnotpde.grids import GridFunction, multilinear_weights
 from carnotpde.holder import _offset_table
 from carnotpde.operators import OperatorSpec, frame_hessians, g_values
 from carnotpde.solver import _ARM_EPS, VERTICAL_STEPS
-from carnotpde.structures import CarnotStructure, as_point
+from carnotpde.structures import CarnotStructure, as_point, frames
 
 
 def g_eval(spec: OperatorSpec, n_mat: np.ndarray) -> float:
@@ -210,7 +213,8 @@ def _ref_arm_ends(op, w):
 def _ref_directional_matrix(op, w):
     """The row-major CSR build DiscreteOperator._directional_matrix replaced,
     on _ref_arm_ends: rows from column_stack, the centre summed along each
-    C-contiguous (n_int, 2^k) row."""
+    C-contiguous (n_int, 2^k) row. Returns the matrix and its centre weights,
+    read by the fancy index at (row, interior[row])."""
     import scipy.sparse as sp
 
     idx_p, w_p, idx_m, w_m = _ref_arm_ends(op, w)
@@ -222,7 +226,93 @@ def _ref_directional_matrix(op, w):
     mat = sp.csr_matrix((data, indices, indptr), shape=(n_int, op.grid.num_nodes))
     mat.sum_duplicates()
     mat.eliminate_zeros()
-    return mat
+    return mat, centre_weights(op, mat)
+
+
+def centre_weights(op, mat):
+    """mat's entries at (row, op.interior[row]), by scipy's fancy index."""
+    return np.asarray(mat[np.arange(op.interior.size), op.interior]).ravel()
+
+
+def _ref_stacked_hessian(terms, n):
+    """The Hessian callable polynomial_field built before it evaluated only
+    the upper triangle: all n^2 entries stacked, then (h + h^T) / 2."""
+    parsed = _check_terms(terms, n)
+    grads = [_diff_terms(parsed, i) for i in range(n)]
+    hesses = [[_diff_terms(grads[i], j) for j in range(n)] for i in range(n)]
+
+    def hessian(X):
+        X = np.asarray(X, dtype=float)
+        h = np.stack([np.stack([_poly_value(t, X) for t in row], axis=-1) for row in hesses], 1)
+        return (h + np.swapaxes(h, 1, 2)) / 2.0
+
+    return hessian
+
+
+def _ref_frame_hessians(spec, X, hessians):
+    """The batched-matmul frame_hessians replaced: sigma H sigma^T, symmetrized."""
+    s = frames(spec.structure, X)
+    mats = s @ hessians @ np.swapaxes(s, 1, 2)
+    return (mats + np.swapaxes(mats, 1, 2)) / 2.0
+
+
+def _ref_policies(spec, mats):
+    """policies as it was before its m = 2 form moved to entry vectors: that
+    form broadcast over the (..., 2, 2) stack."""
+    d = mats.shape[-1]
+    if spec.kind == "trace":
+        return np.broadcast_to(np.eye(d), mats.shape)
+    lam, Lam = spec.bounds.lam, spec.bounds.Lam
+    if spec.kind == "pucci_minus":
+        lam, Lam = Lam, lam
+    if d == 1:
+        return np.where(mats > 0.0, Lam, lam)
+    if d == 2:
+        mid = (mats[..., 0, 0] + mats[..., 1, 1]) / 2.0
+        rad = np.sqrt(((mats[..., 0, 0] - mats[..., 1, 1]) / 2.0) ** 2 + mats[..., 0, 1] ** 2)
+        lo, hi = (mid - rad)[..., None, None], (mid + rad)[..., None, None]
+        eye = np.eye(2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mixed = lam * eye + (Lam - lam) * (mats - lo * eye) / (hi - lo)
+        return np.where(lo > 0.0, Lam * eye, np.where(hi <= 0.0, lam * eye, mixed))
+    evals, vecs = np.linalg.eigh(mats)
+    return np.einsum("...ik,...k,...jk->...ij", vecs, np.where(evals > 0.0, Lam, lam), vecs)
+
+
+def _ref_bicgstab(op, lin, inv_diag, r, u_flat, stop, max_iters, iterations):
+    """The BiCGSTAB cycle solver._bicgstab replaced: fresh vectors every step,
+    u_flat's interior updated by a scatter every step, and dot products as
+    np.sum(a * b)."""
+    interior, pad = op.interior, np.zeros_like(u_flat)
+
+    def matvec(x):
+        pad[interior] = x
+        return lin @ pad - op.c_vec * x
+
+    def dot(a, b):
+        return float(np.sum(a * b))
+
+    rhat, rho, alpha, omega, p, v = r, 1.0, 1.0, 1.0, 0.0, 0.0
+    while iterations < max_iters:
+        iterations += 1
+        rho, rho_old = dot(rhat, r), rho
+        p = r + (rho / rho_old) * (alpha / omega) * (p - omega * v)
+        phat = inv_diag * p
+        v = matvec(phat)
+        rv = dot(rhat, v)
+        if rho == 0.0 or rv == 0.0:
+            break
+        alpha = rho / rv
+        s = r - alpha * v
+        shat = inv_diag * s
+        t = matvec(shat)
+        tt = dot(t, t)
+        omega = dot(t, s) / tt if tt > 0.0 else 0.0
+        u_flat[interior] += alpha * phat + omega * shat
+        r = s - omega * t
+        if omega == 0.0 or not np.abs(r).max() > stop:
+            break
+    return iterations
 
 
 def _mul_heisenberg(x, y):

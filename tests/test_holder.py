@@ -33,6 +33,8 @@ from carnotpde.grids import GridFunction
 from carnotpde.holder import (
     ALL_PAIRS_NODE_CAP,
     NUM_BINS,
+    _bin_edges,
+    _bin_index,
     _binned,
     _fit,
     _lattice_distance,
@@ -424,6 +426,44 @@ class TestStatisticsMatchPerOffsetLoop:
         payload = report.to_dict()
         assert payload["schema_version"] == 2
         assert payload["offsets_scanned"] == report.offsets_scanned
+
+
+class TestBinIndexMatchesSearchsorted:
+    # the per-edge count that replaced a searchsorted over every row gives
+    # the same bins, so the same binned rows and increments.csv
+    CASES = {
+        "cube-16": lambda: from_callable(
+            Grid((-1,) * 3, (1,) * 3, (16,) * 3), lambda X: np.sin(5 * X[:, 0]) * X[:, 1] + X[:, 2]
+        ),
+        "slab-5x819": lambda: from_callable(
+            Grid((0, 0), (4, 818), (5, 819)), lambda X: np.sqrt(np.abs(X[:, 1] - 409.5)) * X[:, 0]
+        ),
+        "line-257": lambda: from_callable(LINE, lambda X: np.sqrt(np.abs(X[:, 0] - 0.3))),
+    }
+
+    @staticmethod
+    def _searchsorted_bins(edges, distance):
+        return np.clip(np.searchsorted(edges, distance, side="right") - 1, 0, NUM_BINS - 1)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bins_and_rows_identical(self, monkeypatch, case):
+        u = self.CASES[case]()
+        table = _offset_table(u)
+        edges = _bin_edges(u.grid)
+        assert edges[0] <= table.distance.min() and table.distance.max() < edges[-1]
+        bins = _bin_index(edges, table.distance)
+        assert np.array_equal(bins, self._searchsorted_bins(edges, table.distance))
+        rows = _binned(u.grid, table)
+        monkeypatch.setattr(holder, "_bin_index", self._searchsorted_bins)
+        assert rows == _binned(u.grid, _offset_table(u))
+
+    def test_edges_open_their_bins_and_outliers_clip_to_the_end_bins(self):
+        edges = _bin_edges(LINE)
+        outside = [0.0, edges[0] / 2, 2 * edges[-1], np.inf]
+        distance = np.concatenate([edges, outside])
+        want = self._searchsorted_bins(edges, distance)
+        assert np.array_equal(_bin_index(edges, distance), want)
+        assert want.tolist() == [*range(NUM_BINS), NUM_BINS - 1, 0, 0, NUM_BINS - 1, NUM_BINS - 1]
 
 
 class TestExactScanCap:

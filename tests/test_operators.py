@@ -9,18 +9,29 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _jacobi import eigh
-from _oracles import degenerate_ellipticity_check, f_eval, g_eval, sandwich_check
+from _oracles import (
+    _ref_frame_hessians,
+    _ref_policies,
+    _ref_stacked_hessian,
+    degenerate_ellipticity_check,
+    f_eval,
+    g_eval,
+    sandwich_check,
+)
 from carnotpde import (
+    CarnotStructure,
     Coefficients,
     EllipticityBounds,
     OperatorSpec,
     p_matrix_at,
+    polynomial_field,
     preset,
     pucci_operator,
     sigma_at,
     trace_operator,
 )
-from carnotpde.operators import KINDS, policies
+from carnotpde.operators import KINDS, frame_hessians, policies
+from carnotpde.structures import frames
 from carnotpde.symmat import symmetrize
 
 
@@ -190,6 +201,121 @@ class TestPolicies:
         evals, vecs = np.linalg.eigh(mats)
         want = np.einsum("rik,rk,rjk->rij", vecs, np.where(evals > 0.0, hi, lo), vecs)
         assert np.abs(policies(spec, mats) - want).max() <= 1e-12
+
+
+def _nan_frame(structure):
+    """structure with its frame NaN in one entry on the rows with x1 > 0.5."""
+
+    def sigma(X):
+        out = frames(structure, X).copy()
+        out[X[:, 0] > 0.5, -1, -1] = np.nan
+        return out
+
+    return CarnotStructure(f"{structure.name}-nan", structure.n, structure.m, sigma)
+
+
+class TestPerEntryKernelsMatchStackedForms:
+    """The per-entry Hessian, frame-Hessian and m = 2 policy kernels against
+    the stacked forms they replaced."""
+
+    @pytest.mark.parametrize(
+        "terms, n",
+        [
+            ([[1.0, 2, 0, 0], [1.0, 0, 1, 0]], 3),  # x1^2 + x2: one nonzero entry
+            ([[1.0, 4, 0], [1.0, 0, 2]], 2),
+            ([[0.1, 3, 2, 1], [-0.7, 1, 1, 1], [1.3, 0, 3, 2], [2.5, 0, 0, 0]], 3),
+            ([[0.3, 2, 1, 1, 3], [-1.1, 0, 2, 0, 1]], 4),
+        ],
+    )
+    def test_polynomial_hessian_within_an_ulp(self, terms, n):
+        X = np.random.default_rng(n).uniform(-2.0, 2.0, size=(200, n))
+        got = polynomial_field(terms, n).hessian(X)
+        want = _ref_stacked_hessian(terms, n)(X)
+        assert got.shape == want.shape
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+        assert np.all(np.abs(got - want) <= np.finfo(float).eps * np.abs(want))
+        if all(float(t[0]).is_integer() for t in terms):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "name", ["heisenberg1", "engel1", "euclidean:2", "euclidean:3", "line2d", "grushin-like2d"]
+    )
+    @pytest.mark.parametrize("zeros", [(), ((0, 1), (2, 2)), "all"])
+    def test_frame_hessians_within_ulps(self, name, zeros):
+        structure = preset(name)
+        n = structure.n
+        rng = np.random.default_rng(len(name))
+        X = rng.uniform(-2.0, 2.0, size=(300, n))
+        h = rng.normal(size=(300, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 1, 1))
+        h = (h + np.swapaxes(h, 1, 2)) / 2.0
+        if zeros == "all":
+            h[:] = 0.0
+        for a, b in zeros if zeros != "all" else ():
+            if max(a, b) < n:
+                h[:, a, b] = h[:, b, a] = 0.0
+        spec = trace_operator(structure)
+        got = frame_hessians(spec, X, h)
+        want = _ref_frame_hessians(spec, X, h)
+        s = frames(structure, X)
+        magnitude = np.abs(s) @ np.abs(h) @ np.swapaxes(np.abs(s), 1, 2)
+        assert got.shape == want.shape == (300, structure.m, structure.m)
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+        assert np.all(np.abs(got - want) <= 4 * n * np.finfo(float).eps * magnitude)
+
+    @pytest.mark.parametrize("name", ["heisenberg1", "euclidean:2", "line2d"])
+    @pytest.mark.parametrize("hessian", ["random", "zero"])
+    def test_frame_hessians_non_finite_rows(self, name, hessian):
+        # a NaN in sigma, or a NaN or inf in H, leaves its row non-finite,
+        # also where H vanishes on every row and the sum skips that entry
+        structure = _nan_frame(preset(name))
+        n = structure.n
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1.0, 1.0, size=(400, n))
+        h = rng.normal(size=(400, n, n)) if hessian == "random" else np.zeros((400, n, n))
+        h = (h + np.swapaxes(h, 1, 2)) / 2.0
+        h[:10, 0, 0], h[10:20, -1, -1] = np.nan, np.inf
+        spec = trace_operator(structure)
+        with np.errstate(invalid="ignore"):
+            got = frame_hessians(spec, X, h)
+            want = _ref_frame_hessians(spec, X, h)
+        bad = ~np.isfinite(want).all(axis=(1, 2))
+        assert bad[:20].all() and bad.sum() > 20
+        assert np.array_equal(~np.isfinite(got).all(axis=(1, 2)), bad)
+        scale = 4 * n * np.finfo(float).eps
+        s = frames(structure, X)[~bad]
+        magnitude = np.abs(s) @ np.abs(h[~bad]) @ np.swapaxes(np.abs(s), 1, 2)
+        assert np.all(np.abs(got[~bad] - want[~bad]) <= scale * magnitude)
+
+    @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+    def test_2x2_policy_equals_broadcast_form(self, kind):
+        spec = pucci_operator(EUC2, 0.5, 3.0, plus=kind == "pucci_plus")
+        rng = np.random.default_rng(17)
+        scale = 10.0 ** rng.uniform(-150, 150, size=(20000, 1, 1))
+        mats = rng.normal(size=(20000, 2, 2)) * scale
+        mats = (mats + np.swapaxes(mats, 1, 2)) / 2.0
+        t = rng.normal(size=(6, 1, 1))
+        special = [
+            np.zeros((1, 2, 2)),
+            -np.zeros((1, 2, 2)),
+            t * np.eye(2),  # equal eigenvalues
+            np.array([[[1.0, 1.0], [1.0, 1.0]], [[-1.0, 1.0], [1.0, -1.0]]]),  # one zero
+            np.array([[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]]),
+            np.array([[[0.0, 0.0], [0.0, np.nan]], [[np.nan] * 2] * 2]),
+        ]
+        mats = np.concatenate([mats, *special])
+        with np.errstate(invalid="ignore"):
+            got, want = policies(spec, mats), _ref_policies(spec, mats)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[-4:]).all()
+        # a single matrix keeps its shape
+        assert np.array_equal(policies(spec, mats[0]), _ref_policies(spec, mats[0]))
+        # an infinite entry, or eigenvalues past the float range, leave a
+        # NaN in A as before, though not always in the same entries
+        huge = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+                         [[-np.inf, 0.0], [0.0, 1.0]], [[1e200, 1e200], [1e200, -1e200]]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = policies(spec, huge), _ref_policies(spec, huge)
+        assert np.isnan(got).any(axis=(1, 2)).all() and np.isnan(want).any(axis=(1, 2)).all()
 
 
 class TestFEval:

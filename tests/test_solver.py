@@ -12,8 +12,13 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from _oracles import (
+    _ref_bicgstab,
     _ref_directional_matrix,
+    _ref_frame_hessians,
     _ref_multilinear_weights,
+    _ref_policies,
+    _ref_stacked_hessian,
+    centre_weights,
     f_eval,
     g_eval,
     interpolate,
@@ -38,6 +43,7 @@ from carnotpde import (
     trace_operator,
     two_box_sensitivity,
 )
+from carnotpde import operators as operators_module
 from carnotpde import solver as solver_module
 from carnotpde.errors import NumericalError
 from carnotpde.operators import g_values, policies
@@ -84,13 +90,15 @@ def heisenberg_instance(c_value=1.0, shape=(9, 9, 9), structure=HEIS):
     return spec, coeffs, grid, cfg, ustar
 
 
+def pucci_terms(n):
+    pad = [0] * (n - 2)
+    return [[1.0, 4, 0, *pad], [1.0, 1, 1, *pad], [-1.0, 0, 2, *pad]]
+
+
 def pucci_instance(kind, structure=EUC2, c_value=1.0, shape=(17, 17)):
     """u* = x1^4 + x1 x2 - x2^2 (Hessian of mixed sign) under the (1, 2) Pucci kind."""
     spec = pucci_operator(structure, 1.0, 2.0, plus=kind == "pucci_plus")
-    pad = [0] * (structure.n - 2)
-    ustar = polynomial_field(
-        [[1.0, 4, 0, *pad], [1.0, 1, 1, *pad], [-1.0, 0, 2, *pad]], structure.n
-    )
+    ustar = polynomial_field(pucci_terms(structure.n), structure.n)
     c = constant_field(c_value, structure.n).value
     coeffs = Coefficients(
         c=c, f=manufactured_rhs(spec, c, ustar), L_c=0.0, beta=1.0, L_f=1.0, beta_prime=1.0,
@@ -403,7 +411,8 @@ class TestDiscreteOperator:
             ref = sp.coo_matrix((vals, (rows, cols)), shape=(n_int, grid.num_nodes)).tocsr()
             ref.sum_duplicates()
             ref.eliminate_zeros()
-            mat = op._directional_matrix(w)
+            mat, centre = op._directional_matrix(w)
+            assert (centre + 0.0).tobytes() == centre_weights(op, mat).tobytes()
             # one stored weight per distinct (row, column) whose sum is nonzero
             _, slot = np.unique(rows * grid.num_nodes + cols, return_inverse=True)
             assert mat.has_canonical_format
@@ -468,6 +477,9 @@ class TestDiscreteOperator:
                     got, exp = getattr(mat, part), getattr(want, part)
                     assert got.dtype == exp.dtype
                     assert np.array_equal(got, exp)
+            # the centre weights are the stored ones, to the bit but for -0.0
+            for mat, centre in zip(op.stencils, op.centres):
+                assert (centre + 0.0).tobytes() == centre_weights(op, mat).tobytes()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_ends_pinned_on_one_side_match_full_corners(self, monkeypatch, sign):
@@ -512,8 +524,10 @@ class TestDiscreteOperator:
         ]
         corner_major = [a.T for end in ends for a in end]
         monkeypatch.setattr(op, "_arm_ends", lambda w: corner_major)
-        mat = op._directional_matrix(np.zeros((n_int, grid.n)))
+        mat, centre = op._directional_matrix(np.zeros((n_int, grid.n)))
         assert mat.has_canonical_format
+        # most rows have a corner on their centre column, read back from mat
+        assert centre.tobytes() == centre_weights(op, mat).tobytes()
         cols = np.column_stack([ends[0][0], ends[1][0], op.interior])
         vals = np.column_stack([ends[0][1], ends[1][1], -(ends[0][1] + ends[1][1]).sum(axis=1)])
         for row in range(n_int):
@@ -543,7 +557,7 @@ class TestDiscreteOperator:
         op = DiscreteOperator(spec, coeffs, grid)
         assert len(op.pairs) == len(op.stencils) == (2 if kind == "trace" else 3)  # m = 2
         trace_op = DiscreteOperator(trace_operator(spec.structure), coeffs, grid)
-        for mat in [*op.stencils, trace_op.policy_matrix(np.zeros(grid.num_nodes))]:
+        for mat in [*op.stencils, trace_op.policy_system(np.zeros(grid.num_nodes))[0]]:
             assert np.all(mat.data != 0.0)
         _, rep = solve(spec, coeffs, grid, cfg)
         assert rep.nnz == sum(np.count_nonzero(mat.data) for mat in op.stencils)
@@ -746,6 +760,67 @@ def cold_solve(monkeypatch, spec, coeffs, grid, cfg):
         return solve(spec, coeffs, grid, cfg)
 
 
+def stacked_solve(monkeypatch, instance, terms):
+    """The solve through the stacked kernels the per-entry ones replaced: the
+    polynomial Hessian of u*'s terms, the frame Hessians and the m = 2
+    policy as stacks, and the allocating BiCGSTAB cycle."""
+    spec, coeffs, grid, cfg, ustar = instance
+    stacked = replace(ustar, hessian=_ref_stacked_hessian(terms, ustar.n))
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "frame_hessians", _ref_frame_hessians)
+        patch.setattr(solver_module, "policies", _ref_policies)
+        patch.setattr(operators_module, "policies", _ref_policies)
+        patch.setattr(solver_module, "_bicgstab", _ref_bicgstab)
+        f = manufactured_rhs(spec, coeffs.c, stacked)
+        return solve(spec, replace(coeffs, f=f), grid, cfg)
+
+
+class TestPerEntryKernelsMatchStackedSolve:
+    """Every solve takes the stacked kernels' Krylov and policy steps and
+    lands within 2 tol / c0 of their solution."""
+
+    @staticmethod
+    def _check(monkeypatch, instance, terms):
+        u, rep = solve(*instance[:4])
+        u_ref, rep_ref = stacked_solve(monkeypatch, instance, terms)
+        assert rep.converged and rep_ref.converged
+        assert rep.iterations == rep_ref.iterations
+        assert rep.outer_iterations == rep_ref.outer_iterations
+        assert np.abs(u.values - u_ref.values).max() <= 2.0 * instance[3].tol / instance[1].c0
+
+    @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+    @pytest.mark.parametrize("structure, c_value, shape", POLICY_CASES)
+    def test_policy_cases(self, monkeypatch, kind, structure, c_value, shape):
+        instance = pucci_instance(kind, preset(structure), c_value, shape)
+        self._check(monkeypatch, instance, pucci_terms(preset(structure).n))
+
+    def test_heisenberg_trace_17(self, monkeypatch):
+        instance = heisenberg_instance(shape=(17, 17, 17))
+        self._check(monkeypatch, instance, [[1.0, 2, 0, 0], [1.0, 0, 1, 0]])
+
+
+class TestJacobiDiagonal:
+    """policy_system's centre weights are L_A's entries at (row,
+    interior[row]), bit for bit, as scipy's fancy index reads them."""
+
+    @pytest.mark.parametrize(
+        "case, structure", [("trace", HEIS), ("pucci_plus", EUC2), ("pucci_minus", EUC2),
+                            ("pucci_plus", HEIS)]
+    )
+    def test_bit_identical_to_fancy_read(self, case, structure):
+        if case == "trace":
+            spec, coeffs, grid, cfg, _ = heisenberg_instance(shape=(13, 13, 13))
+        else:
+            shape = (33,) * 2 if structure is EUC2 else (13,) * 3
+            spec, coeffs, grid, cfg, _ = pucci_instance(case, structure, shape=shape)
+        u, _ = solve(spec, coeffs, grid, cfg)
+        op = DiscreteOperator(spec, coeffs, grid)
+        rng = np.random.default_rng(2)
+        for u_flat in (u.flat, rng.normal(size=grid.num_nodes)):
+            lin, diag = op.policy_system(u_flat)
+            assert diag.tobytes() == centre_weights(op, lin).tobytes()
+
+
 class TestBlendStart:
     """solve starts from the transfinite blend of its Dirichlet data."""
 
@@ -833,7 +908,7 @@ class TestSolve:
         # the discrete comparison principle
         spec, coeffs, grid, cfg, ustar = heisenberg_instance()
         op = DiscreteOperator(spec, coeffs, grid)
-        tm = op.policy_matrix(np.zeros(grid.num_nodes))
+        tm = op.policy_system(np.zeros(grid.num_nodes))[0]
         a = (tm[:, op.interior] - sp.diags(op.c_vec)).toarray()
         diag = np.diag(a).copy()
         off = a - np.diag(diag)
@@ -879,15 +954,16 @@ class TestSolve:
         # must still spend a Krylov step, so the budget ends the solve
         spec, coeffs, grid, cfg = solve_instance("pucci_plus")
         trace_op = DiscreteOperator(trace_operator(spec.structure), coeffs, grid)
-        tm = trace_op.policy_matrix(np.zeros(grid.num_nodes))
+        tm, centres = trace_op.policy_system(np.zeros(grid.num_nodes))
         calls = []
 
         def alternating_policy(op, u_flat):
             calls.append(1)
             assert len(calls) <= 51, "policy step spent no Krylov step"
-            return tm * (1.0 if len(calls) % 2 else 2.0)
+            scale = 1.0 if len(calls) % 2 else 2.0
+            return tm * scale, centres * scale
 
-        monkeypatch.setattr(DiscreteOperator, "policy_matrix", alternating_policy)
+        monkeypatch.setattr(DiscreteOperator, "policy_system", alternating_policy)
         _, rep = solve(spec, coeffs, grid, replace(cfg, max_iters=50))
         assert not rep.converged
         assert rep.iterations == 50
@@ -900,7 +976,7 @@ class TestSolve:
         grid = Grid((-1, -1), (1, 1), (17, 17))
         cfg = SolveConfig(boundary=polynomial_field([[1.0, 1, 1], [-1.0, 0, 2]], 2).value)
         calls = []
-        policy = DiscreteOperator.policy_matrix
+        policy = DiscreteOperator.policy_system
 
         def counted_policy(op, u_flat):
             calls.append(1)
@@ -909,7 +985,7 @@ class TestSolve:
         def no_g_values(*args):
             raise AssertionError("solve evaluated the closed-form G")
 
-        monkeypatch.setattr(DiscreteOperator, "policy_matrix", counted_policy)
+        monkeypatch.setattr(DiscreteOperator, "policy_system", counted_policy)
         monkeypatch.setattr("carnotpde.solver.g_values", no_g_values)
         _, rep = solve(spec, coeffs, grid, cfg)
         assert rep.converged and rep.outer_iterations >= 2
@@ -948,7 +1024,7 @@ class TestSolve:
         true_residual = float(np.abs(_closed_form_residual(op, u.flat)).max())
         assert true_residual <= cfg.tol
         # the reported residual is recomputed from the returned iterate
-        tm = op.policy_matrix(u.flat)
+        tm = op.policy_system(u.flat)[0]
         policy_residual = op.f_vec - (tm @ u.flat - op.c_vec * u.flat[op.interior])
         assert rep.final_residual == float(np.abs(policy_residual).max())
         boundary_values = u.flat.copy()
@@ -982,7 +1058,7 @@ class TestSolve:
         true_residual = float(np.abs(_closed_form_residual(op, u.flat)).max())
         assert true_residual <= cfg.tol
         # the reported residual is recomputed from the returned iterate
-        tm = op.policy_matrix(u.flat)
+        tm = op.policy_system(u.flat)[0]
         policy_residual = op.f_vec - (tm @ u.flat - op.c_vec * u.flat[op.interior])
         assert rep.final_residual == float(np.abs(policy_residual).max())
         assert rep.residual_history[-1] == rep.final_residual
@@ -1005,7 +1081,7 @@ class TestSolve:
         for u_flat in (u.flat, rng.normal(size=grid.num_nodes)):
             closed = g_values(spec, op.frame_matrices(u_flat))
             scale = max(1.0, float(np.abs(closed).max()))
-            assert np.abs(op.policy_matrix(u_flat) @ u_flat - closed).max() <= 1e-12 * scale
+            assert np.abs(op.policy_system(u_flat)[0] @ u_flat - closed).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
     @pytest.mark.parametrize("structure, c_value, shape", POLICY_CASES)
@@ -1018,7 +1094,7 @@ class TestSolve:
         old = sum(
             sp.diags((1 + (i != j)) * pol[:, i, j]) @ s for (i, j), s in zip(op.pairs, op.stencils)
         )
-        assert (op.policy_matrix(u_flat) != old).nnz == 0
+        assert (op.policy_system(u_flat)[0] != old).nnz == 0
 
     def test_forcing_term_saves_krylov_steps(self, monkeypatch):
         # planar extremal instance u* = x1^2 x2^2 on 64^2, which the start
@@ -1126,7 +1202,7 @@ class TestSolve:
         u, rep = solve(spec, coeffs, grid, cfg)
         assert rep.converged
         # the final L_A is the policy matrix at the returned iterate
-        lin = DiscreteOperator(spec, coeffs, grid).policy_matrix(u.flat).tocoo()
+        lin = DiscreteOperator(spec, coeffs, grid).policy_system(u.flat)[0].tocoo()
         off = (lin.col != grid.interior_indices()[lin.row]) & (lin.data < 0.0)
         assert rep.negative_weights == np.count_nonzero(off)
         assert rep.negative_rows == np.unique(lin.row[off]).size
