@@ -24,19 +24,20 @@ the table's offsets along one axis, which it scans first, one slice
 difference each; |a - b| and |b - a| round alike, so a step taken either way
 along an axis is bounded by the same A_k.
 
-Each distance bin takes its offsets in decreasing bound until the bound falls
-strictly below the bin's best. An offset whose bound ties the best is still
-scanned, so a bin's distance, the smallest among the offsets that reach the
-bin's maximal increment, does not depend on the order of the table or on how
-the grid is numbered. The quotient max_o max_inc(o) / (h|o|)^alpha is refined
-the same way, at whichever alpha is asked for. A row of the table is an
-offset (d, lead) of lines, u with the grid's shortest axis moved first: d
-along that batched axis, the lead along the others. One helper cuts lines
-for a lead, at one d or with the batched axis whole, for both kernels: one
-slice difference per offset, and a lead's whole block (see _line_scan). On
-a rough u nearly every bound reaches its bin's best, every lead is whole and
-the pass is the exhaustive scan, so ALL_PAIRS_NODE_CAP still holds the
-worst case.
+Each distance bin is refined in exactly two passes: its offsets of largest
+bound, ties and all, then every offset whose bound still reaches the bin's
+best. The best only grows, so an offset left out has a bound strictly below
+it, and one whose bound ties it is scanned. So a bin's distance, the smallest
+among the offsets that reach the bin's maximal increment, does not depend on
+the order of the table or on how the grid is numbered. The quotient
+max_o max_inc(o) / (h|o|)^alpha is refined the same way, at whichever alpha
+is asked for. A row of the table is an offset (d, lead) of lines, u with
+the grid's shortest axis moved first: d along that batched axis, the lead
+along the others. One helper cuts lines for a lead, at one d or with the
+batched axis whole, for both kernels: one slice difference per offset, and
+a lead's whole block (see _line_scan). On a rough u nearly every bound
+reaches its bin's best, every lead is whole and the passes are the
+exhaustive scan, so ALL_PAIRS_NODE_CAP still holds the worst case.
 
 fit_alpha regresses the log of the per-bin maximal increment against log
 distance; verify_theorem reduces one table to the fitted modulus and adds the
@@ -97,13 +98,13 @@ def _line_scan(lines: np.ndarray, cuts: list) -> np.ndarray:
     lines has the batched axis, of length L, first. A and B are a lead's
     (L, lines) source and destination lines, and cell (i, j) of |A[i] - B[j]|
     holds the pairs of offset (j - i, lead). Each cell keeps its maximum over
-    lines, and each diagonal j - i the maximum of its cells. A lead's block is
-    formed whole: with the shortest axis batched, L <= N^(1/n) and a lead has
-    fewer than N / L lines, so the block has fewer than L * N elements. Under
-    the node cap that is at most 181 * 181 * 180 = 5,896,980 (45 MiB, on
-    181^2) and 32 * 32 * 992 = 1,015,808 (8 MiB) on 32^3. The (leads, L * L)
-    cell maxima, kept in diagonal order, number about 2^(n-2) L N when every
-    lead is whole, as on a rough u.
+    lines, and each diagonal j - i the maximum of its cells, taken as the
+    lead's block is formed. A block is formed whole: with the shortest axis
+    batched, L <= N^(1/n) and a lead has fewer than N / L lines, so the block
+    has fewer than L * N elements. Under the node cap that is at most
+    181 * 181 * 180 = 5,896,980 (45 MiB, on 181^2) and 32 * 32 * 992 =
+    1,015,808 (8 MiB) on 32^3. A scan's scratch is that one block and the
+    (leads, 2L - 1) result.
 
     This is the dense kernel of the pruned scan: _OffsetTable._scan takes a
     lead whole when the slice differences of its wanted offsets would cost at
@@ -112,17 +113,18 @@ def _line_scan(lines: np.ndarray, cuts: list) -> np.ndarray:
     """
     L = lines.shape[0]
     by_diag = np.argsort((np.arange(L) - np.arange(L)[:, None]).ravel())  # cells by j - i
-    cells = np.empty((len(cuts), L * L))
+    dlen = L - np.abs(np.arange(1 - L, L))
+    starts = np.cumsum(dlen) - dlen
+    out = np.empty((len(cuts), 2 * L - 1))
     block = np.empty(L * max(lines[src].size for src, _ in cuts))  # the largest lead's
-    for row, (src, dst) in zip(cells, cuts):
+    for row, (src, dst) in zip(out, cuts):
         a, b = lines[src].reshape(L, 1, -1), lines[dst].reshape(1, L, -1)
         m = block[: L * a.size].reshape(L, L, -1)
         np.subtract(a, b, out=m)
         m = np.abs(m, out=m).reshape(L * L, -1)
         # numpy's argmax over a short last axis is faster than its max
-        row[:] = m[by_diag, m.argmax(axis=1)[by_diag]]
-    dlen = L - np.abs(np.arange(1 - L, L))
-    return np.maximum.reduceat(cells, np.cumsum(dlen) - dlen, axis=1)
+        np.maximum.reduceat(m[by_diag, m.argmax(axis=1)[by_diag]], starts, out=row)
+    return out
 
 
 def check_scan_size(shape) -> None:
@@ -220,37 +222,31 @@ class _OffsetTable:
             self.max_inc[cols] = _line_scan(self.lines, list(self._cuts(formed)))
         self._slice_scan(rows[~whole[lead]])
 
-    def refine(self, scale: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+    def refine(self, scale: np.ndarray | float, groups: np.ndarray, count: int) -> np.ndarray:
         """max of max_inc / scale over the rows of each of count groups.
 
-        Rows are scanned best first, in decreasing key = bound / scale, until
-        every row left unscanned has a key strictly below its group's best, so
-        every row that ties the best is exact. The first round takes each
-        group's rows of largest key, ties and all; each later round takes up
-        to four times as many rows per group as the last, or, once the rows
-        that can still reach their group's best hold half the pairs left, all
-        of them.
+        A row's key = bound / scale bounds its max_inc / scale. Pass 1 scans
+        each group's open rows of largest key, ties and all, where they reach
+        the group's best; pass 2 every open row whose key reaches its group's
+        best after pass 1. A best only grows, so a row left open has a key
+        below the final one and every row that ties it is exact.
         """
         key = self.bound / scale
-        take = 0
-        while True:
-            open_ = np.isnan(self.max_inc)
-            best = np.full(count, -np.inf)
-            np.maximum.at(best, groups, np.where(open_, -np.inf, self.max_inc / scale))
-            todo = np.flatnonzero(open_ & (key >= best[groups]))
-            if not todo.size:
-                return best
-            if not take:
-                # the rows of largest key in each group, ties and all
-                top = np.full(count, -np.inf)
-                np.maximum.at(top, groups[todo], key[todo])
-                todo = todo[key[todo] == top[groups[todo]]]
-            elif 2 * self.pairs[todo].sum() < self.pairs[open_].sum():
-                todo = todo[np.lexsort((-key[todo], groups[todo]))]
-                g = groups[todo]
-                todo = todo[np.arange(len(todo)) - np.searchsorted(g, g) < take]
-            self._scan(todo)
-            take = 4 * take or 4
+
+        def best():
+            out = np.full(count, -np.inf)
+            np.fmax.at(out, groups, self.max_inc / scale)  # fmax skips the nan of open rows
+            return out
+
+        def reaching():
+            return np.flatnonzero(np.isnan(self.max_inc) & (key >= best()[groups]))
+
+        todo = reaching()
+        top = np.full(count, -np.inf)
+        np.maximum.at(top, groups[todo], key[todo])
+        self._scan(todo[key[todo] == top[groups[todo]]])
+        self._scan(reaching())
+        return best()
 
     def max_quotient(self, alpha: float) -> float:
         """max over rows of max_inc / distance^alpha, -inf without rows."""
@@ -280,7 +276,7 @@ def _bin_index(edges: np.ndarray, distance: np.ndarray) -> np.ndarray:
 def _binned(grid: Grid, table: _OffsetTable) -> list[dict]:
     edges = _bin_edges(grid)
     bins = _bin_index(edges, table.distance)
-    best = table.refine(np.ones(len(bins)), bins, NUM_BINS)
+    best = table.refine(1.0, bins, NUM_BINS)
     out = []
     for b in range(NUM_BINS):
         rows = np.flatnonzero(bins == b)

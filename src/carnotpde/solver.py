@@ -199,8 +199,9 @@ class DiscreteOperator:
         the listed one; so a stored weight is the sum of its column's entries
         to within rounding, at most width * eps times the sum of their
         magnitudes. Weights that come out exactly 0 are dropped. The centre
-        weights are returned as summed, except on the rows where a corner
-        falls on the node itself, which are read back from the matrix.
+        weights are returned as summed: a corner on a row's own node weighs
+        exactly 0, since every active arm end moves a whole cell or more along
+        some axis, where that corner's snapped fraction is 0 or 1.
         """
         # imported here, not at module level, so commands that build no
         # stencil do not pay for it
@@ -215,10 +216,6 @@ class DiscreteOperator:
         mat = sp.csr_matrix((data, indices, indptr), shape=(n_int, self.grid.num_nodes))
         mat.sum_duplicates()
         mat.eliminate_zeros()
-        merged = (idx_p == self.interior).any(axis=0) | (idx_m == self.interior).any(axis=0)
-        rows = np.flatnonzero(merged)
-        if rows.size:
-            center[rows] = np.asarray(mat[rows, self.interior[rows]]).ravel()
         return mat, center
 
     def _arm_ends(self, w: np.ndarray):

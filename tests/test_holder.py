@@ -348,17 +348,52 @@ class TestLineScanMatchesPerOffsetLoop:
         on_axis = np.count_nonzero(_row_offsets(table, shape), axis=1) == 1
         assert np.array_equal(~np.isnan(table.max_inc), on_axis)
 
-    @pytest.mark.parametrize("shape", [(3, 1365), (4096,), (64, 64)])
-    def test_refined_scan_memory_is_bounded(self, shape):
-        # tie-heavy: every bound reaches its bin's best, so every lead is formed whole
-        u = _tie_heavy(shape)
+    @pytest.mark.parametrize(
+        "make, mib",
+        [(partial(_tie_heavy, shape), 16) for shape in [(3, 1365), (4096,), (64, 64)]]
+        + [(partial(_rough, (128, 128)), 24)],
+    )
+    def test_refined_scan_memory_is_bounded(self, make, mib):
+        # tie-heavy and rough: every bound reaches its bin's best, so every
+        # lead is formed whole. On 128^2 a block is 128^3 elements (16 MiB);
+        # the cell maxima of all 128 leads, kept until the end, would be
+        # another 16 MiB
+        u = make()
         tracemalloc.start()
         try:
             _refined_table(u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < mib * 2**20
+
+
+class TestRefineScansInTwoPasses:
+    @pytest.mark.parametrize("case", ["heisenberg-16", "normal-16", "ties-64x64"])
+    def test_at_most_two_scans_per_refine(self, monkeypatch, heisenberg_verify_solution, case):
+        # pass 1 takes each group's rows of largest key, pass 2 every row
+        # that still reaches its group's best: the bins, then the quotient
+        # at alpha_fit and at three more alphas
+        cases = {**BOUND_CASES, **TABLE_CASES}
+        u = heisenberg_verify_solution[2] if case == "heisenberg-16" else cases[case]()
+        calls = []
+        scan, refine = holder._OffsetTable._scan, holder._OffsetTable.refine
+
+        def counted_scan(table, rows):
+            calls[-1] += 1
+            scan(table, rows)
+
+        def counted_refine(table, *args):
+            calls.append(0)
+            return refine(table, *args)
+
+        monkeypatch.setattr(holder._OffsetTable, "_scan", counted_scan)
+        monkeypatch.setattr(holder._OffsetTable, "refine", counted_refine)
+        table = _refined_table(u)
+        for alpha in (0.1, 0.5, 1.0):
+            table.max_quotient(alpha)
+        assert len(calls) >= 4
+        assert max(calls) <= 2
 
 
 def _ref_statistics(u):

@@ -48,7 +48,7 @@ from carnotpde import solver as solver_module
 from carnotpde.errors import NumericalError
 from carnotpde.operators import g_values, policies
 from carnotpde.solver import STALL_STEPS, default_h_eff_cells, transfinite_blend
-from carnotpde.structures import frames
+from carnotpde.structures import _PRESETS, frames
 
 HEIS = preset("heisenberg1")
 EUC2 = preset("euclidean:2")
@@ -524,10 +524,8 @@ class TestDiscreteOperator:
         ]
         corner_major = [a.T for end in ends for a in end]
         monkeypatch.setattr(op, "_arm_ends", lambda w: corner_major)
-        mat, centre = op._directional_matrix(np.zeros((n_int, grid.n)))
+        mat, _ = op._directional_matrix(np.zeros((n_int, grid.n)))
         assert mat.has_canonical_format
-        # most rows have a corner on their centre column, read back from mat
-        assert centre.tobytes() == centre_weights(op, mat).tobytes()
         cols = np.column_stack([ends[0][0], ends[1][0], op.interior])
         vals = np.column_stack([ends[0][1], ends[1][1], -(ends[0][1] + ends[1][1]).sum(axis=1)])
         for row in range(n_int):
@@ -540,6 +538,42 @@ class TestDiscreteOperator:
             for col, parts in terms.items():
                 bound = width * np.finfo(float).eps * sum(map(abs, parts))
                 assert abs(stored.get(col, 0.0) - math.fsum(parts)) <= bound
+
+    @pytest.mark.parametrize("kind", ["trace", "pucci_plus"])
+    def test_corners_on_the_row_node_weigh_zero(self, monkeypatch, kind):
+        # every arm end moves at least one whole cell along some axis, so a
+        # corner on its own row's node takes a snapped fraction of 0 or 1 on
+        # that axis and weight exactly 0; _directional_matrix relies on it to
+        # return its summed centres as the stored ones. Every preset and three
+        # frames, on two boxes, three grids and three arm lengths.
+        structures = [preset(name) for name in ("euclidean:2", "euclidean:3", *_PRESETS)]
+        structures += map(structure_from_json, (X2_VANISHES, ONE_SIDE_PINNED, ROTATED))
+        ends = []
+        arm_ends = DiscreteOperator._arm_ends
+
+        def spy(op, w):
+            ends.append((op.interior, arm_ends(op, w)))
+            return ends[-1][1]
+
+        monkeypatch.setattr(DiscreteOperator, "_arm_ends", spy)
+        for s in structures:
+            if kind == "trace":
+                spec = trace_operator(s)
+            else:
+                spec = pucci_operator(s, 1.0, 2.0, plus=True)
+            for lo in ((-1.0,) * s.n, (0.25, -0.5, 0.0, 1.0)[: s.n]):
+                for shape in ((5,) * s.n, (9,) * s.n, (7, 9, 6, 8)[: s.n]):
+                    h = 2.0 / (shape[0] - 1)
+                    grid = Grid(lo, tuple(a + h * (k - 1) for a, k in zip(lo, shape)), shape)
+                    for h_eff in (None, h, 4 * h):
+                        DiscreteOperator(spec, constant_coeffs(s.n), grid, h_eff=h_eff)
+        on_node = 0
+        for interior, (idx_p, w_p, idx_m, w_m) in ends:
+            for idx, wts in ((idx_p, w_p), (idx_m, w_m)):
+                at_node = idx == interior
+                on_node += np.count_nonzero(at_node.any(axis=0))
+                assert (wts[at_node] == 0.0).all()
+        assert on_node > 0
 
     @pytest.mark.parametrize(
         "structure, shape",
