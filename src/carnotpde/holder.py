@@ -33,11 +33,11 @@ the order of the table or on how the grid is numbered. The quotient
 max_o max_inc(o) / (h|o|)^alpha is refined the same way, at whichever alpha
 is asked for. A row of the table is an offset (d, lead) of lines, u with
 the grid's shortest axis moved first: d along that batched axis, the lead
-along the others. One helper cuts lines for a lead, at one d or with the
-batched axis whole, for both kernels: one slice difference per offset, and
-a lead's whole block (see _line_scan). On a rough u nearly every bound
-reaches its bin's best, every lead is whole and the passes are the
-exhaustive scan, so ALL_PAIRS_NODE_CAP still holds the worst case.
+along the others. Every maximal increment the table computes, the A_k's at
+build and each pass's rows after, is one slice difference of lines, so a
+scan's scratch is one difference of fewer than N values. On a rough u nearly
+every bound reaches its bin's best and the passes scan nearly every offset,
+so ALL_PAIRS_NODE_CAP still holds the worst case.
 
 fit_alpha regresses the log of the per-bin maximal increment against log
 distance; verify_theorem reduces one table to the fitted modulus and adds the
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -65,10 +64,6 @@ ALL_PAIRS_NODE_CAP = 32768
 NUM_BINS = 12
 # sigma is sampled at this many points when the structure declares no Lipschitz constant
 LIPSCHITZ_SAMPLES = 128
-# the numpy calls of one slice difference cost about as much as this many
-# elements of a lead's block (on a 2-core host, smooth-plus-noise u on 16^3
-# and 32^3 scanned fastest near it)
-_SLICE_COST = 1024
 
 
 def _bin_edges(grid: Grid) -> np.ndarray:
@@ -90,43 +85,6 @@ def _axis_slices(size: int, sign: int) -> list:
     return list(map(slice, lo.tolist(), (lo + size - np.abs(o)).tolist()))
 
 
-def _line_scan(lines: np.ndarray, cuts: list) -> np.ndarray:
-    """The maximal increment of every offset (j - i, lead) of each lead in
-    cuts, by its (source, destination) cuts of lines with the batched axis
-    whole: one row per lead, one column per j - i = 1 - L .. L - 1.
-
-    lines has the batched axis, of length L, first. A and B are a lead's
-    (L, lines) source and destination lines, and cell (i, j) of |A[i] - B[j]|
-    holds the pairs of offset (j - i, lead). Each cell keeps its maximum over
-    lines, and each diagonal j - i the maximum of its cells, taken as the
-    lead's block is formed. A block is formed whole: with the shortest axis
-    batched, L <= N^(1/n) and a lead has fewer than N / L lines, so the block
-    has fewer than L * N elements. Under the node cap that is at most
-    181 * 181 * 180 = 5,896,980 (45 MiB, on 181^2) and 32 * 32 * 992 =
-    1,015,808 (8 MiB) on 32^3. A scan's scratch is that one block and the
-    (leads, 2L - 1) result.
-
-    This is the dense kernel of the pruned scan: _OffsetTable._scan takes a
-    lead whole when the slice differences of its wanted offsets would cost at
-    least half its block. Both kernels round |u(y) - u(x)| alike, so no
-    statistic depends on which one computed a row.
-    """
-    L = lines.shape[0]
-    by_diag = np.argsort((np.arange(L) - np.arange(L)[:, None]).ravel())  # cells by j - i
-    dlen = L - np.abs(np.arange(1 - L, L))
-    starts = np.cumsum(dlen) - dlen
-    out = np.empty((len(cuts), 2 * L - 1))
-    block = np.empty(L * max(lines[src].size for src, _ in cuts))  # the largest lead's
-    for row, (src, dst) in zip(out, cuts):
-        a, b = lines[src].reshape(L, 1, -1), lines[dst].reshape(1, L, -1)
-        m = block[: L * a.size].reshape(L, L, -1)
-        np.subtract(a, b, out=m)
-        m = np.abs(m, out=m).reshape(L * L, -1)
-        # numpy's argmax over a short last axis is faster than its max
-        np.maximum.reduceat(m[by_diag, m.argmax(axis=1)[by_diag]], starts, out=row)
-    return out
-
-
 def check_scan_size(shape) -> None:
     """Raise PreconditionError if the exact scan of a grid of this node shape
     would exceed its node cap. Reads the shape alone, so a grid is refused
@@ -145,7 +103,9 @@ class _OffsetTable:
     increment, nan until computed. Row lead * (2L - 1) + d - 1 is the offset
     (d, leads[lead]) of lines, d = 1 - L .. L - 1; the zero lead's d <= 0
     are left out. Every statistic read from it is a maximum, a minimum or a
-    sum over rows, so neither the rows' order nor the axes' shows."""
+    sum over rows, so neither the rows' order nor the axes' shows. Each
+    maximal increment it computes, at build and in refine, is one slice
+    difference (_scan)."""
 
     def __init__(self, grid: Grid, values: np.ndarray):
         # a line is taken as shape (1, N), whose first axis has no offset
@@ -158,8 +118,8 @@ class _OffsetTable:
         leads = np.indices(span).reshape(len(span), -1).T - span // 2
         self.leads = leads[len(leads) // 2 :]  # zero, then the lexicographically positive ones
         diag = np.arange(1 - L, L)
-        self.lead_lines = np.prod(self.lines.shape[1:] - np.abs(self.leads), axis=1)
-        self.pairs = np.outer(self.lead_lines, L - np.abs(diag)).ravel()[L:]
+        lead_lines = np.prod(self.lines.shape[1:] - np.abs(self.leads), axis=1)
+        self.pairs = np.outer(lead_lines, L - np.abs(diag)).ravel()[L:]
         sq_norm = (self.leads**2).sum(axis=1)[:, None] + diag**2
         self.distance = _lattice_distance(grid.h, sq_norm.ravel()[L:])
         self.src = [_axis_slices(s, 1) for s in self.lines.shape]
@@ -170,7 +130,7 @@ class _OffsetTable:
         on_axis = np.count_nonzero(self.leads, axis=1) == 1
         axis_rows = [np.arange(L - 1)]
         axis_rows += [np.flatnonzero(on_axis & (o > 0)) * (2 * L - 1) - 1 for o in self.leads.T]
-        self._slice_scan(np.concatenate(axis_rows))
+        self._scan(np.concatenate(axis_rows))
         # their maxima are A_k(t) for t = 1 .. n_k - 1, and A_k(0) = 0
         along, *across = (np.r_[0.0, self.max_inc[rows]] for rows in axis_rows)
         lead_path = sum(inc[np.abs(o)] for inc, o in zip(across, self.leads.T))
@@ -185,42 +145,20 @@ class _OffsetTable:
         """Rows whose exact maximal increment has been computed."""
         return int(np.count_nonzero(~np.isnan(self.max_inc)))
 
-    def _cuts(self, lead: np.ndarray, d: np.ndarray | None = None):
-        """The source and destination cuts of lines for each lead, an index
-        into leads, with the batched axis at diagonal d or, when d is None,
-        whole: an iterator of (src, dst) pairs."""
-        o = self.leads[lead].T.tolist()
-
-        def cut(slices):
-            first = repeat(slice(None)) if d is None else map(slices[0].__getitem__, d.tolist())
-            return zip(first, *(map(s.__getitem__, k) for s, k in zip(slices[1:], o)))
-
-        return zip(cut(self.src), cut(self.dst))
-
-    def _slice_scan(self, rows: np.ndarray) -> None:
-        """Compute the maximal increment of each row by one slice difference."""
+    def _scan(self, rows: np.ndarray) -> None:
+        """Compute the maximal increment of each row by one slice difference
+        of lines, cut at the row's diagonal d along the batched axis and at
+        its lead along the others: scratch of fewer than N values."""
         L = self.lines.shape[0]
         lead, d = np.divmod(rows + L, 2 * L - 1)
-        cuts = self._cuts(lead, d + 1 - L)
+        o = [k.tolist() for k in (d + 1 - L, *self.leads[lead].T)]
+
+        def cut(slices):
+            return zip(*(map(s.__getitem__, k) for s, k in zip(slices, o)))
+
+        cuts = zip(cut(self.src), cut(self.dst))
         inc = (np.abs(self.lines[dst] - self.lines[src]).max() for src, dst in cuts)
         self.max_inc[rows] = np.fromiter(inc, float, len(rows))
-
-    def _scan(self, rows: np.ndarray) -> None:
-        """Compute the maximal increment of each unscanned row, lead by lead:
-        from the lead's whole block (_line_scan) when its rows' slice
-        differences would cost at least half the block, else from those
-        differences. The zero lead, scanned when the table was built, is
-        never whole."""
-        L = self.lines.shape[0]
-        width = 2 * L - 1
-        lead = (rows + L) // width
-        cost = np.bincount(lead, self.pairs[rows] + _SLICE_COST, minlength=len(self.leads))
-        whole = 2 * cost >= L * L * self.lead_lines
-        if whole.any():
-            formed = np.flatnonzero(whole)
-            cols = formed[:, None] * width - L + np.arange(width)
-            self.max_inc[cols] = _line_scan(self.lines, list(self._cuts(formed)))
-        self._slice_scan(rows[~whole[lead]])
 
     def refine(self, scale: np.ndarray | float, groups: np.ndarray, count: int) -> np.ndarray:
         """max of max_inc / scale over the rows of each of count groups.
@@ -229,7 +167,8 @@ class _OffsetTable:
         each group's open rows of largest key, ties and all, where they reach
         the group's best; pass 2 every open row whose key reaches its group's
         best after pass 1. A best only grows, so a row left open has a key
-        below the final one and every row that ties it is exact.
+        below the final one and every row that ties it is exact. Each pass is
+        one _scan, so it reads the pairs of its rows and no others.
         """
         key = self.bound / scale
 

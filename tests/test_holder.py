@@ -14,6 +14,7 @@ from _oracles import holder_seminorm
 from carnotpde import (
     Coefficients,
     Grid,
+    SmoothField,
     SolveConfig,
     bundle_for_instance,
     constant_field,
@@ -138,6 +139,33 @@ def _heisenberg_verify_solution(size):
     return spec, coeffs, u, rep
 
 
+def _bounded_sin_solution(size):
+    """Heisenberg trace with c = 64 and the bounded, oscillating u* = sin(x1)
+    on [-4, 4]^3, built from its exact Hessian: f = -65 sin(x1)."""
+
+    def hessian(X):
+        h = np.zeros((len(X), 3, 3))
+        h[:, 0, 0] = -np.sin(X[:, 0])
+        return h
+
+    ustar = SmoothField(3, lambda X: np.sin(X[:, 0]), hessian)
+    spec = trace_operator(preset("heisenberg1"))
+    c = constant_field(64.0, 3).value
+    coeffs = Coefficients(
+        c=c,
+        f=manufactured_rhs(spec, c, ustar),
+        L_c=0.0,
+        beta=1.0,
+        L_f=65.0,
+        beta_prime=1.0,
+        c0=64.0,
+    )
+    grid = Grid((-4, -4, -4), (4, 4, 4), (size,) * 3)
+    u, rep = solve(spec, coeffs, grid, SolveConfig(boundary=ustar.value))
+    assert rep.converged
+    return u
+
+
 @pytest.fixture(scope="module")
 def heisenberg_verify_solution():
     return _heisenberg_verify_solution(16)
@@ -251,7 +279,6 @@ def _ramp(shape):
     return GridFunction(_lattice_grid(shape), (X @ slopes - 200.0).reshape(shape))
 
 
-# (64, 64) has the largest block a lead can form on 4096 nodes
 TIE_SHAPES = [(5, 7, 3), (9, 11), (3, 3, 3, 3), (3, 1365), (64, 64)]
 TABLE_CASES = {
     **ORACLE_CASES,
@@ -318,6 +345,11 @@ class TestLineScanMatchesPerOffsetLoop:
     def test_heisenberg_verify_solution(self, heisenberg_verify_solution):
         _assert_table_matches_loop(heisenberg_verify_solution[2])
 
+    def test_bounded_oscillating_solution(self):
+        # a solution the theorem covers, bounded and oscillating: its passes
+        # scan 680 of the 7,812 rows, the x1^2 + x2 solution's 132
+        _assert_table_matches_loop(_bounded_sin_solution(13))
+
     @pytest.mark.parametrize("case", sorted(BOUND_CASES))
     def test_bound_holds(self, case):
         _assert_table_matches_loop(BOUND_CASES[case]())
@@ -334,14 +366,9 @@ class TestLineScanMatchesPerOffsetLoop:
         assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("shape", [(181, 181), (3, 1365), (4096,)])
-    def test_building_the_table_forms_no_block(self, shape, monkeypatch):
-        # the table scans its offsets along one axis, the A_k of the bound,
-        # one slice difference each: the zero lead taken whole would form
-        # the largest block of all
-        def no_block(*args):
-            raise AssertionError("the table formed a block while it was built")
-
-        monkeypatch.setattr(holder, "_line_scan", no_block)
+    def test_building_the_table_forms_no_block(self, shape):
+        # building scans only the offsets along one axis, the A_k of the
+        # bound, one slice difference each
         u = from_callable(_lattice_grid(shape), lambda X: np.sin(X.sum(axis=1)))
         table = _offset_table(u)
         assert table.scanned == sum(s - 1 for s in shape)
@@ -351,13 +378,13 @@ class TestLineScanMatchesPerOffsetLoop:
     @pytest.mark.parametrize(
         "make, mib",
         [(partial(_tie_heavy, shape), 16) for shape in [(3, 1365), (4096,), (64, 64)]]
-        + [(partial(_rough, (128, 128)), 24)],
+        + [(partial(_rough, shape), mib) for shape, mib in [((128, 128), 8), ((181, 181), 16)]],
     )
     def test_refined_scan_memory_is_bounded(self, make, mib):
-        # tie-heavy and rough: every bound reaches its bin's best, so every
-        # lead is formed whole. On 128^2 a block is 128^3 elements (16 MiB);
-        # the cell maxima of all 128 leads, kept until the end, would be
-        # another 16 MiB
+        # tie-heavy and rough: every bound reaches its bin's best, so nearly
+        # every row is scanned. A scan's scratch is one slice difference, at
+        # most N doubles; a lead's block of L * L lines, L * N doubles, would
+        # be 16 MiB on 128^2 and 45 MiB on 181^2
         u = make()
         tracemalloc.start()
         try:
@@ -373,19 +400,27 @@ class TestRefineScansInTwoPasses:
     def test_at_most_two_scans_per_refine(self, monkeypatch, heisenberg_verify_solution, case):
         # pass 1 takes each group's rows of largest key, pass 2 every row
         # that still reaches its group's best: the bins, then the quotient
-        # at alpha_fit and at three more alphas
+        # at alpha_fit and at three more alphas. The table's build scans its
+        # axis rows through the same method, outside every refine
         cases = {**BOUND_CASES, **TABLE_CASES}
         u = heisenberg_verify_solution[2] if case == "heisenberg-16" else cases[case]()
-        calls = []
+        calls = []  # the scans of each refine
+        refining = False
         scan, refine = holder._OffsetTable._scan, holder._OffsetTable.refine
 
         def counted_scan(table, rows):
-            calls[-1] += 1
+            if refining:
+                calls[-1] += 1
             scan(table, rows)
 
         def counted_refine(table, *args):
+            nonlocal refining
             calls.append(0)
-            return refine(table, *args)
+            refining = True
+            try:
+                return refine(table, *args)
+            finally:
+                refining = False
 
         monkeypatch.setattr(holder._OffsetTable, "_scan", counted_scan)
         monkeypatch.setattr(holder._OffsetTable, "refine", counted_refine)
